@@ -10,10 +10,9 @@ degree requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
-from .graph import DirectedGraph, Mask, iter_vertices, vset
+from .graph import DirectedGraph, Mask, iter_vertices, vertices_of, vset
 
 
 class OracleBudgetError(RuntimeError):
@@ -96,25 +95,26 @@ def peel(g: DirectedGraph, k: int, anchors: Mask = 0) -> Mask:
     current in-degree is below ``k`` until none remains.
 
     Anchors are never deleted.  The result is independent of deletion order
-    (the process is confluent), so a work queue seeded with the initially
-    deficient vertices computes it in O(n + m).
+    (the process is confluent) and grows with the anchor set (it is
+    monotone), so a work queue seeded with the initially deficient vertices
+    computes it in O(n + m) (Batagelj & Zaversnik, 2003).  The queue starts
+    from the graph's cached in-degree classes, and a vertex is queued only on
+    the arc that takes it from ``k`` to ``k - 1``, so each deleted vertex is
+    queued exactly once and the queue is the deleted set.
     """
+    if k <= 0:
+        return g.full_mask
+    below = g.in_degree_below
+    queue = vertices_of(below[min(k, len(below) - 1)] & ~anchors)
     indeg = list(g.in_degrees)
-    alive = g.full_mask
-    queue = [v for v in range(g.n) if indeg[v] < k and not (anchors >> v) & 1]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        if not (alive >> v) & 1:
-            continue
-        alive &= ~(1 << v)
-        for w in g.out_adj[v]:
-            if (alive >> w) & 1 and not (anchors >> w) & 1:
-                indeg[w] -= 1
-                if indeg[w] == k - 1:
-                    queue.append(w)
-    return alive
+    out_adj = g.out_adj
+    last = k - 1
+    for v in queue:
+        for w in out_adj[v]:
+            indeg[w] -= 1
+            if indeg[w] == last and not (anchors >> w) & 1:
+                queue.append(w)
+    return g.full_mask ^ vset(queue)
 
 
 def solution_violation(inst: Instance, sol: Solution) -> str | None:
@@ -161,12 +161,25 @@ def anchor_subset_count(n: int, b: int) -> int:
 
 
 def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
-    """Exhaustive ground truth: try every anchor set of size at most b.
+    """Exhaustive ground truth: the first anchor set of size at most b whose
+    peel reaches ``p`` vertices, in smallest-first, lexicographic order.
 
-    Subsets are enumerated smallest-first, lexicographically within each
-    size, and the first anchor set whose peel reaches ``p`` vertices is
-    returned, so the witness is deterministic.  Exact, but exponential:
-    refuses to start if the subset count exceeds ``cap``.
+    Two exact shortcuts skip only anchor sets that cannot come first, so the
+    witness is the one a plain enumeration of every subset returns:
+
+    - The unanchored core K0 = ``peel(G, k, 0)`` is banked once.  If it has
+      ``p`` vertices the answer needs no anchors; otherwise anchors are drawn
+      from V minus K0 only.  Anchoring a vertex that survives anyway leaves
+      the peel unchanged, so a first hit never contains one.
+    - Within each size, a depth-first search takes candidates in increasing
+      id order.  Peeling is monotone in the anchors, so with anchors A chosen
+      and candidates R left, ``peel(G, k, A | R)`` bounds every completion;
+      the branch is pruned when that bound is below ``p``.
+
+    Exponential all the same: refuses to start if the count of all anchor
+    subsets of size at most b, over every vertex, exceeds ``cap``.  Banking
+    does not shrink the count, so the cap fires on the same inputs whatever
+    K0 holds.
     """
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
@@ -177,12 +190,35 @@ def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
         raise OracleBudgetError(
             f"{total} anchor subsets exceed the oracle cap of {cap}"
         )
-    for size in range(min(g.n, b) + 1):
-        for combo in combinations(range(g.n), size):
-            anchors = vset(combo)
-            core = peel(g, k, anchors)
-            if core.bit_count() >= p:
-                sol = Solution(anchors=anchors, core=core)
-                assert verify_solution(nrm, sol)
-                return Verdict.yes(sol)
-    return Verdict.no()
+    unanchored = peel(g, k)
+    sol = Solution(anchors=0, core=unanchored) if unanchored.bit_count() >= p else None
+    cand = vertices_of(g.full_mask & ~unanchored)
+    # rest[i]: the candidates from position i on
+    rest = [0] * (len(cand) + 1)
+    for i in reversed(range(len(cand))):
+        rest[i] = rest[i + 1] | 1 << cand[i]
+
+    def first_hit(chosen: Mask, start: int, need: int) -> Solution | None:
+        """The first hit, in lexicographic order, that adds ``need``
+        candidates from position ``start`` on to ``chosen``."""
+        if need == 0:
+            core = peel(g, k, chosen)
+            return Solution(anchors=chosen, core=core) if core.bit_count() >= p else None
+        for i in range(start, len(cand) - need + 1):
+            # at i == start the bound is the caller's, or at the root the
+            # whole graph; it only shrinks as i grows
+            if i > start and peel(g, k, chosen | rest[i]).bit_count() < p:
+                return None
+            hit = first_hit(chosen | 1 << cand[i], i + 1, need - 1)
+            if hit is not None:
+                return hit
+        return None
+
+    for size in range(1, min(len(cand), b) + 1):
+        if sol is not None:
+            break
+        sol = first_hit(0, 0, size)
+    if sol is None:
+        return Verdict.no()
+    assert verify_solution(nrm, sol)
+    return Verdict.yes(sol)

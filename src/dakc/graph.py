@@ -112,6 +112,19 @@ class DirectedGraph:
     def out_degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.out_adj)
 
+    @cached_property
+    def in_degree_below(self) -> tuple[Mask, ...]:
+        """Entry ``d`` is the set of vertices whose in-degree is below ``d``.
+
+        The last entry, one past the largest in-degree, holds every vertex.
+        """
+        below = [0] * (max(self.in_degrees, default=0) + 2)
+        for v, d in enumerate(self.in_degrees):
+            below[d + 1] |= 1 << v
+        for d in range(1, len(below)):
+            below[d] |= below[d - 1]
+        return tuple(below)
+
     @property
     def full_mask(self) -> Mask:
         return (1 << self.n) - 1
@@ -269,10 +282,16 @@ class InducedSubgraph:
 
     def lift_mask(self, mask: Mask) -> Mask:
         """Translate a vertex set of the subgraph into parent-graph ids."""
-        out = 0
-        for v in iter_vertices(mask):
-            out |= 1 << self.to_parent[v]
-        return out
+        return lift_mask(mask, self.to_parent)
+
+
+def lift_mask(mask: Mask, to_parent: tuple[int, ...]) -> Mask:
+    """Translate a vertex set through an index map: vertex ``v`` becomes
+    ``to_parent[v]``."""
+    out = 0
+    for v in iter_vertices(mask):
+        out |= 1 << to_parent[v]
+    return out
 
 
 def induced_subgraph(g: DirectedGraph, keep: Mask) -> InducedSubgraph:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import DirectedGraph, Mask, iter_vertices, reverse, vertices_of, vset
+from .graph import DirectedGraph, Mask, iter_vertices, reach, reverse, vertices_of, vset
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,6 @@ def _check_endpoints(g: DirectedGraph, s: int, t: int, symmetric: bool) -> None:
         raise ValueError("s and t must be non-adjacent")
 
 
-def _reach_in(g: DirectedGraph, seeds: Mask, alive: Mask, forward: bool) -> Mask:
-    """Reachability restricted to the ``alive`` vertex set."""
-    step = g.out_mask if forward else g.in_mask
-    seen = seeds & alive
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in iter_vertices(frontier):
-            nxt |= step[v]
-        frontier = nxt & alive & ~seen
-        seen |= frontier
-    return seen
-
-
 def is_separator(g: DirectedGraph, s: int, t: int, sep: Mask) -> bool:
     """True iff t is unreachable from s once ``sep`` is removed."""
     _check_endpoints(g, s, t, symmetric=False)
@@ -58,7 +44,7 @@ def is_separator(g: DirectedGraph, s: int, t: int, sep: Mask) -> bool:
         raise ValueError("a separator may not contain s or t")
     if sep & ~g.full_mask:
         raise ValueError("separator contains vertices outside the graph")
-    reached = _reach_in(g, 1 << s, g.full_mask & ~sep, forward=True)
+    reached = reach(g, 1 << s, "forward", within=g.full_mask & ~sep)
     return not (reached >> t) & 1
 
 
@@ -80,14 +66,14 @@ def is_important(g: DirectedGraph, s: int, t: int, sep: Mask, h: int) -> bool:
         for sub in combinations(members, r):
             if is_separator(g, s, t, vset(sub)):
                 return False  # a proper subset already separates
-    own_reach = _reach_in(g, 1 << t, g.full_mask & ~sep, forward=False)
+    own_reach = reach(g, 1 << t, "backward", within=g.full_mask & ~sep)
     others = [v for v in range(g.n) if v != s and v != t]
     for r in range(size + 1):
         for combo in combinations(others, r):
             cand = vset(combo)
             if not is_separator(g, s, t, cand):
                 continue
-            cand_reach = _reach_in(g, 1 << t, g.full_mask & ~cand, forward=False)
+            cand_reach = reach(g, 1 << t, "backward", within=g.full_mask & ~cand)
             if cand_reach != own_reach and own_reach & ~cand_reach == 0:
                 return False  # dominated: strictly larger backward-reach
     return True
@@ -193,11 +179,11 @@ def _is_important_std(rev: DirectedGraph, src: int, sink: int, sep: Mask) -> boo
     the minimum src-side cut closest to the sink for its own reach set.
     """
     alive = rev.full_mask & ~sep
-    reached = _reach_in(rev, 1 << src, alive, forward=True)
+    reached = reach(rev, 1 << src, "forward", within=alive)
     if (reached >> sink) & 1:
         return False
     for v in iter_vertices(sep):
-        without = _reach_in(rev, 1 << src, rev.full_mask & ~(sep & ~(1 << v)), forward=True)
+        without = reach(rev, 1 << src, "forward", within=rev.full_mask & ~(sep & ~(1 << v)))
         if not (without >> sink) & 1:
             return False  # v is redundant, so sep is not minimal
     res = _min_vertex_cut(rev, rev.full_mask, reached, sink, limit=sep.bit_count())

@@ -15,8 +15,8 @@ from .graph import (
     DirectedGraph,
     Mask,
     induced_subgraph,
+    lift_mask,
     strongly_connected_components,
-    vertices_of,
 )
 from .solver_bounded import SearchConfig, bounded_core_search
 
@@ -77,8 +77,8 @@ def solve_dag(
         last_note = res.note or last_note
         if res.is_yes:
             lifted = Solution(
-                anchors=_lift(res.solution.anchors, to_parent),
-                core=_lift(res.solution.core, to_parent),
+                anchors=lift_mask(res.solution.anchors, to_parent),
+                core=lift_mask(res.solution.core, to_parent),
             )
             assert verify_solution(nrm, lifted)
             return Verdict.yes(lifted, trials=total_trials, note=res.note)
@@ -91,10 +91,3 @@ def solve_dag(
         sub = induced_subgraph(cur, cur.full_mask & ~(1 << drop))
         to_parent = tuple(to_parent[old] for old in sub.to_parent)
         cur = sub.graph
-
-
-def _lift(mask: Mask, to_parent: tuple[int, ...]) -> Mask:
-    out = 0
-    for v in vertices_of(mask):
-        out |= 1 << to_parent[v]
-    return out

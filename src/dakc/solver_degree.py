@@ -24,6 +24,7 @@ from .graph import (
     Mask,
     induced_subgraph,
     iter_vertices,
+    lift_mask,
     reach,
     vertices_of,
     vset,
@@ -44,17 +45,10 @@ class Stripped:
     removed: Mask  # parent-id vertices of the stripped components
 
 
-def _lift(mask: Mask, to_parent: tuple[int, ...]) -> Mask:
-    out = 0
-    for v in iter_vertices(mask):
-        out |= 1 << to_parent[v]
-    return out
-
-
 def _lift_solution(sol: Solution, stripped: Stripped) -> Solution:
     return Solution(
-        anchors=_lift(sol.anchors, stripped.to_parent),
-        core=_lift(sol.core, stripped.to_parent) | stripped.removed,
+        anchors=lift_mask(sol.anchors, stripped.to_parent),
+        core=lift_mask(sol.core, stripped.to_parent) | stripped.removed,
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from dakc import DirectedGraph, Instance, vset, vertices_of
+from dakc import DirectedGraph, Instance, Solution, Verdict, normalize, vset, vertices_of
 
 
 def random_digraph(rng: random.Random, n: int, arc_prob: float) -> DirectedGraph:
@@ -65,6 +65,12 @@ def cycle_graph(n: int) -> DirectedGraph:
     return DirectedGraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def cycle_with_pendants() -> DirectedGraph:
+    """A 20-cycle, which survives unanchored at k = 1, plus 3 pendant sources."""
+    arcs = [(i, (i + 1) % 20) for i in range(20)] + [(20, 0), (21, 5), (22, 10)]
+    return DirectedGraph.from_arcs(23, arcs)
+
+
 def peel_in_order(
     g: DirectedGraph, k: int, anchors: int, rng: random.Random
 ) -> int:
@@ -80,6 +86,26 @@ def peel_in_order(
         if not deficient:
             return vset(alive)
         alive.remove(rng.choice(deficient))
+
+
+def oracle_reference(inst: Instance) -> Verdict:
+    """Plain enumeration of every anchor set of size at most b, smallest
+    first and lexicographic within a size; the first whose peel (one random
+    deficient vertex at a time) reaches p vertices is the witness.
+    Degenerate parameters go through ``normalize`` exactly as in the
+    library, so whole verdicts can be compared."""
+    nrm = normalize(inst)
+    if isinstance(nrm, Verdict):
+        return nrm
+    g = nrm.graph
+    rng = random.Random(0)
+    for size in range(min(g.n, nrm.b) + 1):
+        for combo in combinations(range(g.n), size):
+            anchors = vset(combo)
+            core = peel_in_order(g, nrm.k, anchors, rng)
+            if core.bit_count() >= nrm.p:
+                return Verdict.yes(Solution(anchors=anchors, core=core))
+    return Verdict.no()
 
 
 def solution_exists_with_core_at_most(inst: Instance, bound: int) -> bool:

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from dakc.cli import main
+from dakc.core import anchor_subset_count
+from dakc.graph import serialize_instance
+from helpers import cycle_with_pendants
 
 PATH3 = "p dakc 3 2\na 1 2\na 2 3\n"
 
@@ -203,3 +206,13 @@ def test_threads_flag_validated(capsys, path_file):
         capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3", "--threads", "0"
     )
     assert code == 4
+
+
+def test_oracle_cap_exit_code_counts_every_vertex(capsys, tmp_path):
+    f = tmp_path / "cycle.gr"
+    f.write_text(serialize_instance(cycle_with_pendants(), (3, 1, 23)))
+    total = anchor_subset_count(23, 3)
+    code, _, err = run(capsys, "oracle", str(f), "--cap", str(total - 1))
+    assert code == 4 and "cap" in err
+    code, out, _ = run(capsys, "oracle", str(f), "--cap", str(total))
+    assert code == 0 and json.loads(out)["anchors"] == [21, 22, 23]

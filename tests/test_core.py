@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dakc import (
+    DirectedGraph,
     Instance,
     OracleBudgetError,
     Solution,
@@ -15,8 +16,11 @@ from dakc import (
     vertices_of,
     vset,
 )
+from dakc.core import anchor_subset_count
 from helpers import (
     cycle_graph,
+    cycle_with_pendants,
+    oracle_reference,
     path_graph,
     peel_in_order,
     random_digraph,
@@ -31,6 +35,7 @@ def test_peel_examples():
     cyc = cycle_graph(3)
     assert peel(cyc, 1) == vset([0, 1, 2])
     assert peel(cyc, 2) == 0
+    assert peel(path, 0) == peel(path, -1) == vset([0, 1, 2])
 
 
 def test_verify_examples():
@@ -70,6 +75,39 @@ def test_oracle_budget_cap():
     g = random_digraph(random.Random(1), 12, 0.2)
     with pytest.raises(OracleBudgetError):
         oracle_solve(Instance(graph=g, b=6, k=1, p=12), cap=100)
+    # only the 3 pendants are candidates, but the cap counts anchor sets over
+    # all 23 vertices
+    g = cycle_with_pendants()
+    inst = Instance(graph=g, b=3, k=1, p=23)
+    assert peel(g, 1).bit_count() == 20
+    total = anchor_subset_count(23, 3)
+    with pytest.raises(OracleBudgetError):
+        oracle_solve(inst, cap=total - 1)
+    assert oracle_solve(inst, cap=total).solution.anchors == vset([20, 21, 22])
+
+
+def test_oracle_matches_plain_enumeration():
+    # whole verdicts, so the witness anchors and core must match too; a dense
+    # block on the low ids gives many graphs an unanchored core to bank
+    rng = random.Random(43)
+    pool = []
+    for _ in range(2000):
+        n = rng.randint(1, 11)
+        dense = rng.randint(0, n)
+        g = DirectedGraph.from_arcs(n, [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and rng.random() < (0.6 if max(u, v) < dense else 0.2)
+        ])
+        b = rng.randint(0, 4)
+        p = rng.randint(min(b + 1, n), n)
+        pool.append(Instance(graph=g, b=b, k=rng.randint(1, 3), p=p))
+    banked = [peel(inst.graph, inst.k) for inst in pool]
+    assert sum(k0 != 0 for k0 in banked) >= 0.25 * len(pool)
+    assert sum(0 < k0.bit_count() < inst.p for k0, inst in zip(banked, pool)) >= 0.05 * len(pool)
+    for inst in pool:
+        assert oracle_solve(inst) == oracle_reference(inst)
 
 
 def test_peel_confluence_under_random_orders():
