@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .core import (
@@ -28,7 +29,6 @@ from .graph import (
     ParseError,
     parse_instance_text,
     serialize_instance,
-    strongly_connected_components,
     vertices_of,
     vset,
 )
@@ -44,7 +44,7 @@ from .reductions import (
 )
 from .separators import enumerate_important_separators
 from .solver_bounded import SearchConfig
-from .solver_dag import solve_dag
+from .solver_dag import is_acyclic, solve_dag
 from .solver_degree import solve_by_degree
 from .solver_k1 import solve_k1
 
@@ -66,7 +66,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    # built once per process: construction costs far more than parsing, and
+    # parse_args leaves the parser unchanged
     parser = _Parser(prog="dakc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,10 +160,6 @@ def _config(args) -> SearchConfig:
     )
 
 
-def _is_acyclic(graph) -> bool:
-    return not any(cyclic for _, cyclic in strongly_connected_components(graph))
-
-
 def _dispatch(inst: Instance, solver: str, cfg: SearchConfig, allow_oracle: bool, cap: int) -> Verdict:
     if solver == "oracle":
         return replace(oracle_solve(inst, cap=cap), solver="oracle")
@@ -178,7 +177,7 @@ def _dispatch(inst: Instance, solver: str, cfg: SearchConfig, allow_oracle: bool
     delta = nrm.graph.max_degree()
     if nrm.k == 1 or 2 * nrm.k >= delta:
         return solve_by_degree(nrm, cfg)
-    if _is_acyclic(nrm.graph):
+    if is_acyclic(nrm.graph):
         return replace(solve_dag(nrm, cfg), solver="dag")
     if allow_oracle:
         return replace(oracle_solve(nrm, cap=cap), solver="oracle")

@@ -144,9 +144,11 @@ class DirectedGraph:
         return self.in_degrees[v] + self.out_degrees[v]
 
     def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(self.in_degrees[v] + self.out_degrees[v] for v in range(self.n))
+        return self._max_degree
+
+    @cached_property
+    def _max_degree(self) -> int:
+        return max((i + o for i, o in zip(self.in_degrees, self.out_degrees)), default=0)
 
 
 def to_bidirected(n: int, edges: Iterable[tuple[int, int]]) -> DirectedGraph:

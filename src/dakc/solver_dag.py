@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import Instance, Solution, Verdict, normalize, verify_solution
+from .core import Instance, Solution, Verdict, normalize, peel, verify_solution
 from .graph import (
     DirectedGraph,
     Mask,
@@ -44,10 +44,21 @@ def _find_cycle(g: DirectedGraph, comp: Mask) -> list[int]:
     return path[seen_at[v]:]
 
 
+def is_acyclic(g: DirectedGraph) -> bool:
+    """True iff ``g`` has no directed cycle.
+
+    Threshold-1 peeling without anchors keeps exactly the vertices reachable
+    from a cycle, so it empties the graph iff the graph is acyclic (Kahn's
+    algorithm, in O(n + m)).
+    """
+    return peel(g, 1) == 0
+
+
 def require_acyclic(g: DirectedGraph) -> None:
-    for comp, cyclic in strongly_connected_components(g):
-        if cyclic:
-            raise CyclicGraphError(_find_cycle(g, comp))
+    if is_acyclic(g):
+        return
+    comp = next(comp for comp, cyclic in strongly_connected_components(g) if cyclic)
+    raise CyclicGraphError(_find_cycle(g, comp))
 
 
 def solve_dag(

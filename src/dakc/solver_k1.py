@@ -1,24 +1,26 @@
 """Exact solver for in-degree threshold 1.
 
 Everything reachable from a cycle sustains itself at threshold 1, so that
-region is banked first; what remains is a DAG where only sources can be worth
-anchoring, and choosing which sources to anchor is a partial set cover over
-their reachability sets.
+region is banked first: it is exactly ``peel(G, 1)``, the survivors of
+threshold-1 peeling.  The rest is a DAG closed under predecessors (a
+predecessor of a banked vertex would be reachable from a cycle too), so its
+sources are the vertices of in-degree 0 in the whole graph, only sources can
+be worth anchoring, and choosing which to anchor is a partial set cover over
+their reach sets, taken within the residual.
+
+The bank, the sources and their reach sets depend on the graph alone, not on
+b or p.  They are computed once per graph and kept in a memo that holds the
+graph weakly, so repeated solves on one graph (the bisection steps of
+``dakc max``) share them and an entry dies with its graph.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
-from .core import Instance, Solution, Verdict, normalize, verify_solution
-from .graph import (
-    Mask,
-    induced_subgraph,
-    reach,
-    strongly_connected_components,
-    vertices_of,
-    vset,
-)
+from .core import Instance, Solution, Verdict, normalize, peel, verify_solution
+from .graph import DirectedGraph, Mask, reach, vertices_of, vset
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,35 @@ def partial_set_cover(q: SetCoverQuery) -> set[int] | None:
     return None
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What ``solve_k1`` needs of a graph whatever b and p: the banked
+    region, the residual sources in increasing id, and each source's reach
+    set within the residual."""
+
+    banked: Mask
+    sources: tuple[int, ...]
+    reach_sets: tuple[Mask, ...]
+
+
+# keyed weakly so that a plan never keeps its graph alive
+_plans: "weakref.WeakKeyDictionary[DirectedGraph, _Plan]" = weakref.WeakKeyDictionary()
+
+
+def _plan(g: DirectedGraph) -> _Plan:
+    plan = _plans.get(g)
+    if plan is None:
+        banked = peel(g, 1)
+        residual = g.full_mask & ~banked
+        sources = tuple(v for v in vertices_of(residual) if g.in_degrees[v] == 0)
+        plan = _plans[g] = _Plan(
+            banked=banked,
+            sources=sources,
+            reach_sets=tuple(reach(g, 1 << s, "forward", within=residual) for s in sources),
+        )
+    return plan
+
+
 def solve_k1(inst: Instance) -> Verdict:
     """Exact YES/NO with witness for k = 1 instances."""
     if inst.k != 1:
@@ -73,13 +104,8 @@ def solve_k1(inst: Instance) -> Verdict:
     if isinstance(nrm, Verdict):
         return nrm
     g, b, p = nrm.graph, nrm.b, nrm.p
-
-    # Bank the self-sustaining region: everything reachable from a cycle.
-    cyclic_union = 0
-    for comp, cyclic in strongly_connected_components(g):
-        if cyclic:
-            cyclic_union |= comp
-    banked = reach(g, cyclic_union, "forward") if cyclic_union else 0
+    plan = _plan(g)
+    banked = plan.banked
     banked_size = banked.bit_count()
     if b >= p - banked_size:
         need = p - banked_size
@@ -89,19 +115,18 @@ def solve_k1(inst: Instance) -> Verdict:
         return Verdict.yes(sol)
 
     # Residual DAG: anchoring a source engages exactly its reach set.
-    sub = induced_subgraph(g, g.full_mask & ~banked)
-    dag = sub.graph
-    residual_target = p - banked_size
-    sources = [v for v in range(dag.n) if dag.in_degrees[v] == 0]
+    sources = plan.sources
     if len(sources) <= b:
-        sol = Solution(anchors=sub.lift_mask(vset(sources)), core=g.full_mask)
+        sol = Solution(anchors=vset(sources), core=g.full_mask)
         assert verify_solution(nrm, sol)
         return Verdict.yes(sol)
 
-    reach_sets = tuple(reach(dag, 1 << s, "forward") for s in sources)
     picked = partial_set_cover(
         SetCoverQuery(
-            universe=dag.n, sets=reach_sets, budget=b, target=residual_target
+            universe=g.n - banked_size,
+            sets=plan.reach_sets,
+            budget=b,
+            target=p - banked_size,
         )
     )
     if picked is None:
@@ -109,9 +134,7 @@ def solve_k1(inst: Instance) -> Verdict:
     anchors = vset(sources[i] for i in picked)
     covered = 0
     for i in picked:
-        covered |= reach_sets[i]
-    sol = Solution(
-        anchors=sub.lift_mask(anchors), core=sub.lift_mask(covered) | banked
-    )
+        covered |= plan.reach_sets[i]
+    sol = Solution(anchors=anchors, core=covered | banked)
     assert verify_solution(nrm, sol)
     return Verdict.yes(sol)

@@ -9,7 +9,20 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from dakc import DirectedGraph, Instance, Solution, Verdict, normalize, vset, vertices_of
+from dakc import (
+    DirectedGraph,
+    Instance,
+    SetCoverQuery,
+    Solution,
+    Verdict,
+    induced_subgraph,
+    normalize,
+    partial_set_cover,
+    reach,
+    strongly_connected_components,
+    vertices_of,
+    vset,
+)
 
 
 def random_digraph(rng: random.Random, n: int, arc_prob: float) -> DirectedGraph:
@@ -106,6 +119,51 @@ def oracle_reference(inst: Instance) -> Verdict:
             if core.bit_count() >= nrm.p:
                 return Verdict.yes(Solution(anchors=anchors, core=core))
     return Verdict.no()
+
+
+def k1_reference(inst: Instance) -> Verdict:
+    """The k = 1 algorithm spelled out on explicit subgraphs: bank the
+    forward closure of the cyclic strongly connected components, rebuild the
+    residual DAG as an induced subgraph, run partial set cover over its
+    sources' reach sets and lift the answer back to the input's ids."""
+    nrm = normalize(inst)
+    if isinstance(nrm, Verdict):
+        return nrm
+    g, b, p = nrm.graph, nrm.b, nrm.p
+    banked = cycle_closure(g)
+    banked_size = banked.bit_count()
+    if b >= p - banked_size:
+        need = p - banked_size
+        extra = vset(vertices_of(g.full_mask & ~banked)[:need]) if need > 0 else 0
+        return Verdict.yes(Solution(anchors=extra, core=extra | banked))
+    sub = induced_subgraph(g, g.full_mask & ~banked)
+    dag = sub.graph
+    sources = [v for v in range(dag.n) if dag.in_degrees[v] == 0]
+    if len(sources) <= b:
+        return Verdict.yes(Solution(anchors=sub.lift_mask(vset(sources)), core=g.full_mask))
+    reach_sets = tuple(reach(dag, 1 << s, "forward") for s in sources)
+    picked = partial_set_cover(
+        SetCoverQuery(universe=dag.n, sets=reach_sets, budget=b, target=p - banked_size)
+    )
+    if picked is None:
+        return Verdict.no()
+    covered = 0
+    for i in picked:
+        covered |= reach_sets[i]
+    return Verdict.yes(Solution(
+        anchors=sub.lift_mask(vset(sources[i] for i in picked)),
+        core=sub.lift_mask(covered) | banked,
+    ))
+
+
+def cycle_closure(g: DirectedGraph) -> int:
+    """Everything reachable from a cycle: the forward closure of the
+    strongly connected components that carry one."""
+    seeds = 0
+    for comp, cyclic in strongly_connected_components(g):
+        if cyclic:
+            seeds |= comp
+    return reach(g, seeds, "forward")
 
 
 def solution_exists_with_core_at_most(inst: Instance, bound: int) -> bool:

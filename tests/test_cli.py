@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 
-from dakc.cli import main
+from dakc import Instance, oracle_solve, solver_k1
+from dakc.cli import _build_parser, main
 from dakc.core import anchor_subset_count
 from dakc.graph import serialize_instance
-from helpers import cycle_with_pendants
+from helpers import cycle_with_pendants, random_digraph
 
 PATH3 = "p dakc 3 2\na 1 2\na 2 3\n"
 
@@ -189,6 +191,51 @@ def test_max_command(capsys, path_file):
     code, out, _ = run(capsys, "max", path_file, "--b", "0", "--k", "1")
     assert code == 0
     assert json.loads(out)["max_p"] == 0
+
+
+def test_max_matches_oracle_on_random_k1_graphs(capsys, tmp_path, monkeypatch):
+    # the largest p the oracle answers YES to, tried p by p; every bisection
+    # step of one max run shares one k = 1 plan, so the bank is peeled once
+    peels = []
+    real_peel = solver_k1.peel
+    monkeypatch.setattr(solver_k1, "peel", lambda *a: peels.append(a) or real_peel(*a))
+    rng = random.Random(79)
+    planned = 0
+    for i in range(40):
+        n = rng.randint(1, 10)
+        g = random_digraph(rng, n, rng.uniform(0.05, 0.4))
+        b = rng.randint(0, 3)
+        f = tmp_path / f"g{i}.gr"
+        f.write_text(serialize_instance(g))
+        peels.clear()
+        code, out, _ = run(capsys, "max", str(f), "--b", str(b), "--k", "1")
+        assert code == 0
+        expect = max(
+            (p for p in range(1, n + 1) if oracle_solve(Instance(graph=g, b=b, k=1, p=p)).is_yes),
+            default=0,
+        )
+        assert json.loads(out)["max_p"] == expect
+        assert len(peels) <= 1
+        planned += len(peels)
+    assert planned >= 20
+
+
+def test_shared_parser_reports_match_fresh_parser(capsys, path_file):
+    calls = [
+        ("solve", path_file, "--b", "1", "--k", "1", "--p", "3"),
+        ("max", path_file, "--b", "1", "--k", "1"),
+        ("solve", path_file, "--b", "1"),
+        ("solve", path_file, "--bogus"),
+        ("oracle", path_file, "--b", "0", "--k", "1", "--p", "1"),
+        ("solve", path_file, "--b", "1", "--k", "1", "--p", "3"),
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 4, 4, 1, 0]
 
 
 def test_reports_are_deterministic(capsys, path_file):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -9,11 +11,13 @@ from dakc import (
     SetCoverQuery,
     oracle_solve,
     partial_set_cover,
+    peel,
     solve_k1,
     verify_solution,
     vset,
 )
-from helpers import cycle_graph, random_digraph
+from dakc.solver_dag import is_acyclic
+from helpers import cycle_closure, cycle_graph, k1_reference, random_digraph
 
 
 def test_solve_k1_examples():
@@ -107,3 +111,54 @@ def test_solve_k1_matches_oracle_with_planted_cycles():
         assert got.kind == expect.kind
         if got.is_yes:
             assert verify_solution(inst, got.solution)
+
+
+def test_solve_k1_matches_reference_algorithm():
+    # whole verdicts: banking by peel and taking reach sets within the
+    # residual must pick the same anchors and core as rebuilding the residual
+    # DAG as a subgraph; half the graphs get a planted cycle to bank
+    rng = random.Random(61)
+    pool = []
+    for i in range(2000):
+        n = rng.randint(1, 12)
+        arcs = set(random_digraph(rng, n, rng.uniform(0.03, 0.3)).arcs())
+        if i % 2 and n >= 2:
+            cyc = rng.sample(range(n), rng.randint(2, min(4, n)))
+            arcs |= {(u, cyc[(j + 1) % len(cyc)]) for j, u in enumerate(cyc)}
+        g = DirectedGraph.from_arcs(n, sorted(arcs))
+        b = rng.randint(0, 3)
+        pool.append(Instance(graph=g, b=b, k=1, p=rng.randint(min(b + 1, n), n)))
+    assert sum(peel(inst.graph, 1) != 0 for inst in pool) >= 0.25 * len(pool)
+    for inst in pool:
+        assert solve_k1(inst) == k1_reference(inst)
+
+
+def test_peel_at_threshold_one_is_the_cycle_closure():
+    rng = random.Random(67)
+    for _ in range(500):
+        g = random_digraph(rng, rng.randint(0, 14), rng.uniform(0.02, 0.4))
+        closure = cycle_closure(g)
+        assert peel(g, 1) == closure
+        assert is_acyclic(g) == (closure == 0)
+
+
+def test_plan_memo_keeps_graphs_apart_and_never_alive():
+    # same vertex count, different plans: two paths, and the same with the
+    # first path closed into a cycle that banks three vertices
+    paths = DirectedGraph.from_arcs(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    looped = DirectedGraph.from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)])
+
+    def alternate() -> None:
+        for b in range(3):
+            for p in range(1, 7):
+                for g in (paths, looped, paths):
+                    inst = Instance(graph=g, b=b, k=1, p=p)
+                    assert solve_k1(inst) == k1_reference(inst)
+        assert solve_k1(Instance(graph=paths, b=1, k=1, p=6)).kind == "no"
+        assert solve_k1(Instance(graph=looped, b=1, k=1, p=6)).is_yes
+
+    alternate()
+    refs = [weakref.ref(paths), weakref.ref(looped)]
+    del paths, looped
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
