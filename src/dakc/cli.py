@@ -85,7 +85,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eps", type=float, default=0.01, help="seeded-mode failure probability")
         p.add_argument("--trial-cap", type=int, default=100_000)
-        p.add_argument("--threads", type=int, default=1, help="reserved; the solvers run single-threaded")
         p.add_argument("--allow-oracle", action="store_true", help="let auto dispatch fall back to the exhaustive oracle")
         p.add_argument("--cap", type=int, default=10_000_000, help="oracle anchor-subset cap")
 
@@ -150,8 +149,6 @@ def _load_instance(args, need_p: bool = True) -> Instance:
 
 
 def _config(args) -> SearchConfig:
-    if args.threads < 1:
-        raise _UsageError("--threads must be at least 1")
     return SearchConfig(
         mode=args.mode,
         seed=args.seed,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 Mask = int
@@ -72,8 +72,6 @@ class DirectedGraph:
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "DirectedGraph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        out: list[list[int]] = [[] for _ in range(n)]
-        into: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -83,13 +81,16 @@ class DirectedGraph:
             if (u, v) in seen:
                 raise ValueError(f"duplicate arc ({u},{v})")
             seen.add((u, v))
-            out[u].append(v)
-            into[v].append(u)
-        return cls(
-            n=n,
-            out_adj=tuple(tuple(sorted(a)) for a in out),
-            in_adj=tuple(tuple(sorted(a)) for a in into),
-        )
+        return cls._from_checked(*_sorted_adjacency(n, seen))
+
+    @classmethod
+    def _from_checked(
+        cls, out_adj: Sequence[tuple[int, ...]], in_adj: Sequence[tuple[int, ...]]
+    ) -> "DirectedGraph":
+        """Wrap adjacency lists that already hold every invariant (in range,
+        no loops, no duplicates, sorted, in/out consistent), checking nothing
+        again.  For callers that validated the arcs themselves."""
+        return cls(n=len(out_adj), out_adj=tuple(out_adj), in_adj=tuple(in_adj))
 
     @cached_property
     def out_mask(self) -> tuple[Mask, ...]:
@@ -149,6 +150,18 @@ class DirectedGraph:
     @cached_property
     def _max_degree(self) -> int:
         return max((i + o for i, o in zip(self.in_degrees, self.out_degrees)), default=0)
+
+
+def _sorted_adjacency(
+    n: int, arcs: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Sorted out- and in-adjacency lists of arcs that are already checked."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        out[u].append(v)
+        into[v].append(u)
+    return [tuple(sorted(a)) for a in out], [tuple(sorted(a)) for a in into]
 
 
 def to_bidirected(n: int, edges: Iterable[tuple[int, int]]) -> DirectedGraph:
@@ -252,18 +265,23 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[Mask, bool]]:
     return [(m, m.bit_count() >= 2) for m in comps]
 
 
-def weakly_connected_components(g: DirectedGraph) -> list[Mask]:
-    """Connected components of the underlying undirected graph, by smallest member."""
-    remaining = g.full_mask
+def weakly_connected_components(g: DirectedGraph, within: Mask | None = None) -> list[Mask]:
+    """Connected components of the underlying undirected graph, by smallest member.
+
+    When ``within`` is given, these are the components of the subgraph it
+    induces, in parent-graph ids.
+    """
+    und = g.und_mask
+    remaining = g.full_mask if within is None else within & g.full_mask
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
             nxt = 0
-            for v in iter_vertices(frontier):
-                nxt |= g.und_mask[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= und[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & remaining & ~comp
             comp |= frontier
         comps.append(comp)
@@ -385,7 +403,9 @@ def parse_instance_text(text: str) -> ParsedInstance:
         raise ParseError(0, "header", "missing problem line 'p dakc <n> <m>'")
     if len(arcs) != m:
         raise ParseError(0, "arc-count", f"problem line promises {m} arcs, found {len(arcs)}")
-    return ParsedInstance(graph=DirectedGraph.from_arcs(n, arcs), params=params)
+    # every arc line was checked above, so no check runs a second time
+    graph = DirectedGraph._from_checked(*_sorted_adjacency(n, arcs))
+    return ParsedInstance(graph=graph, params=params)
 
 
 def parse_digraph(text: str) -> DirectedGraph:

@@ -7,6 +7,11 @@ t.  Importance in this orientation pushes separators toward s, which is the
 arc-reversed form of the usual reachable-from-source convention, so the
 enumerator runs the classical branching on the reversed graph with the roles
 of s and t swapped.
+
+Each branch asks for a minimum vertex cut.  The max flow behind it runs on
+the split graph (an entry and an exit node per vertex) without building it:
+the search walks the graph's adjacency tuples and keeps only the nonzero
+flows, so a call allocates little more than its search queue.
 """
 
 from __future__ import annotations
@@ -83,7 +88,9 @@ def is_important(g: DirectedGraph, s: int, t: int, sep: Mask, h: int) -> bool:
 # Minimum vertex cuts via unit-capacity max flow on the split graph.
 # Node 2v is the entry half of vertex v, node 2v+1 the exit half; the internal
 # arc carries capacity 1 (unbounded for protected vertices), original arcs are
-# unbounded.  The returned cut is the unique minimum cut closest to the sink.
+# unbounded.  The split graph is never built: the search walks g's adjacency
+# tuples and stores only the nonzero flows.  The returned cut is the unique
+# minimum cut closest to the sink.
 # ---------------------------------------------------------------------------
 
 
@@ -94,82 +101,94 @@ def _min_vertex_cut(
 
     Returns ``(size, cut_mask)`` for the min cut closest to the sink, or None
     when every cut is larger than ``limit`` (including the uncuttable case of
-    an arc straight from a source to the sink).
+    an arc straight from a source to the sink).  The flow value and the set
+    of nodes that can reach the sink in the residual graph are the same for
+    every maximum flow, so the result does not depend on which augmenting
+    paths the search happens to take.
     """
     if (sources >> sink) & 1:
         return None
-    big = limit + 3  # effectively infinite: real flow never reaches it
-    super_src = 2 * g.n
-    sink_node = 2 * sink
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
+    if not (alive >> sink) & 1:
+        return None if limit < 0 else (0, 0)  # nothing reaches a dead sink
+    sources &= alive
+    out_adj, in_adj = g.out_adj, g.in_adj
+    if any((sources >> u) & 1 for u in in_adj[sink]):
+        return None  # an arc straight from a source to the sink: no cut exists
+    protected = sources | (1 << sink)
+    through: dict[int, int] = {}  # vertex -> flow on its internal arc
+    carried: dict[tuple[int, int], int] = {}  # arc (u, v) -> flow from exit(u) to entry(v)
 
-    def add_arc(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        cap[(a, b)] += c
+    def bump(flows: dict, key, by: int) -> None:
+        value = flows.get(key, 0) + by
+        if value:
+            flows[key] = value
+        else:
+            del flows[key]
 
-    for v in iter_vertices(alive):
-        protected = bool((sources >> v) & 1) or v == sink
-        add_arc(2 * v, 2 * v + 1, big if protected else 1)
-        for w in g.out_adj[v]:
-            if (alive >> w) & 1:
-                add_arc(2 * v + 1, 2 * w, big)
-    for v in iter_vertices(sources & alive):
-        add_arc(super_src, 2 * v, big)
-
+    target = 2 * sink
+    starts = [2 * v for v in vertices_of(sources)]
     flow = 0
     while flow <= limit:
-        # BFS for an augmenting path in the residual graph
-        parent = {super_src: super_src}
-        queue = [super_src]
-        head = 0
-        while head < len(queue) and sink_node not in parent:
-            a = queue[head]
-            head += 1
-            for b in adj.get(a, ()):
-                if b not in parent and cap.get((a, b), 0) > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if sink_node not in parent:
-            break
-        bottleneck = big
-        b = sink_node
-        while b != super_src:
-            a = parent[b]
-            bottleneck = min(bottleneck, cap[(a, b)])
-            b = a
-        b = sink_node
-        while b != super_src:
-            a = parent[b]
-            cap[(a, b)] -= bottleneck
-            cap[(b, a)] += bottleneck
-            b = a
-        flow += bottleneck
+        # BFS for an augmenting path in the residual graph.  With no arc from
+        # a source to the sink, each path has a unit of residual capacity.
+        parent = dict.fromkeys(starts, -1)
+        queue = list(starts)
+        for x in queue:
+            v = x >> 1
+            if x & 1:  # exit(v): along v's arcs, or back along its internal arc
+                step = [2 * w for w in out_adj[v] if (alive >> w) & 1]
+                if v in through:
+                    step.append(x - 1)
+            else:  # entry(v): through v if it has room, or back along used arcs
+                step = [2 * u + 1 for u in in_adj[v] if (u, v) in carried]
+                if (protected >> v) & 1 or v not in through:
+                    step.append(x + 1)
+            for y in step:
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+            if target in parent:
+                break
+        else:
+            break  # no augmenting path: the flow is maximum
+        y = target
+        x = parent[y]
+        while x != -1:
+            u, v = x >> 1, y >> 1
+            if u == v:
+                bump(through, u, -1 if x & 1 else 1)
+            elif x & 1:
+                bump(carried, (u, v), 1)
+            else:
+                bump(carried, (v, u), -1)
+            y, x = x, parent[x]
+        flow += 1
     if flow > limit:
         return None
 
     # Sink side of the residual graph: nodes that can still reach the sink.
-    preds: dict[int, list[int]] = {}
-    for a, b in cap:
-        preds.setdefault(b, []).append(a)
-    sink_side = {sink_node}
-    queue = [sink_node]
-    head = 0
-    while head < len(queue):
-        b = queue[head]
-        head += 1
-        for a in preds.get(b, ()):
-            if a not in sink_side and cap.get((a, b), 0) > 0:
-                sink_side.add(a)
-                queue.append(a)
+    side = {target}
+    queue = [target]
+    for y in queue:
+        v = y >> 1
+        if y & 1:  # from entry(v) if v has room, from entry(w) back along v->w
+            step = [2 * w for w in out_adj[v] if (v, w) in carried]
+            if (protected >> v) & 1 or v not in through:
+                step.append(y - 1)
+        else:  # from exit(u) along any arc u->v, or back along v's internal arc
+            step = [2 * u + 1 for u in in_adj[v] if (alive >> u) & 1]
+            if v in through:
+                step.append(y + 1)
+        for x in step:
+            if x not in side:
+                side.add(x)
+                queue.append(x)
+    # a source's nodes never reach the sink (that would be an augmenting
+    # path) and the sink's entry is in the set, so neither is ever cut
     cut = 0
-    for v in iter_vertices(alive & ~sources):
-        if v != sink and 2 * v + 1 in sink_side and 2 * v not in sink_side:
-            cut |= 1 << v
+    for y in side:
+        if y & 1 and y - 1 not in side:
+            cut |= 1 << (y >> 1)
     return flow, cut
 
 

@@ -7,6 +7,12 @@ surviving component contributes (anchors it would need, vertices it brings),
 and a knapsack over those summaries assembles a witness.  Enough seeded
 trials drive the failure probability below a configured epsilon; exhaustive
 mode scans all 2^n colorings and is exact.
+
+Most trials miss, so a trial stops as soon as an upper bound on what it can
+assemble falls short of p: first the red count, then the red vertices that
+need no anchor plus b that do, and last, once the components are known, the
+components that need no anchor plus the b largest of the others.  Only the
+trials that pass all three build the knapsack table.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Instance, Solution, Verdict, normalize, verify_solution
-from .graph import DirectedGraph, Mask, iter_vertices
+from .graph import DirectedGraph, Mask, weakly_connected_components
 
 _M64 = (1 << 64) - 1
 
@@ -94,28 +100,7 @@ class ComponentSummary:
 
 def red_components(g: DirectedGraph, red: Mask) -> list[Mask]:
     """Weakly connected components of the subgraph induced by the red set."""
-    comps = []
-    remaining = red & g.full_mask
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_vertices(frontier):
-                nxt |= g.und_mask[v]
-            frontier = nxt & remaining & ~comp
-            comp |= frontier
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
-def summarize_component(g: DirectedGraph, k: int, comp: Mask) -> ComponentSummary:
-    deficient = 0
-    for v in iter_vertices(comp):
-        if (g.in_mask[v] & comp).bit_count() < k:
-            deficient |= 1 << v
-    return ComponentSummary(component=comp, deficient=deficient)
+    return weakly_connected_components(g, within=red)
 
 
 def knapsack_select(
@@ -154,25 +139,54 @@ def search_with_coloring(
 ) -> Solution | None:
     """Evaluate one coloring: component summaries, then knapsack assembly.
 
-    Components needing more than b anchors are discarded outright.  Any
+    Components needing more than b anchors are discarded outright.  The
+    components and the knapsack are skipped when an upper bound on what they
+    could assemble falls short of p, so they could not succeed either.  Any
     returned solution is verified before it leaves this function, so a hit is
     always sound no matter how the coloring was produced.
     """
-    summaries = []
-    for comp in red_components(g, red):
-        summary = summarize_component(g, k, comp)
-        if summary.anchors_needed <= b:
-            summaries.append(summary)
-    picked = knapsack_select(
-        [(s.anchors_needed, s.size) for s in summaries], b, p
-    )
+    if red.bit_count() < p:
+        return None  # every core assembled here lies inside the red set
+    red &= g.full_mask
+    # A red vertex's red in-neighbours lie in its own red component, so it is
+    # deficient in its component iff it is deficient in the whole red set.
+    in_mask = g.in_mask
+    deficient = 0
+    rest = red
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if (in_mask[low.bit_length() - 1] & red).bit_count() < k:
+            deficient |= low
+    # an assembly anchors each of its deficient vertices, so at most b of them
+    if (red & ~deficient).bit_count() + min(b, deficient.bit_count()) < p:
+        return None
+    comps: list[Mask] = []
+    items: list[tuple[int, int]] = []
+    free = 0
+    paid: list[int] = []
+    for comp in weakly_connected_components(g, within=red):
+        need = (deficient & comp).bit_count()
+        if need > b:
+            continue
+        size = comp.bit_count()
+        comps.append(comp)
+        items.append((need, size))
+        if need:
+            paid.append(size)
+        else:
+            free += size
+    # each paid component needs at least one anchor, so at most b are picked
+    if free + sum(sorted(paid, reverse=True)[:b]) < p:
+        return None
+    picked = knapsack_select(items, b, p)
     if picked is None:
         return None
     anchors = 0
     core = 0
     for i in picked:
-        anchors |= summaries[i].deficient
-        core |= summaries[i].component
+        anchors |= deficient & comps[i]
+        core |= comps[i]
     sol = Solution(anchors=anchors, core=core)
     if not verify_solution(Instance(graph=g, b=b, k=k, p=p), sol):
         raise RuntimeError("internal error: coloring trial assembled an invalid solution")

@@ -137,6 +137,22 @@ def _deletion_choices(g: DirectedGraph, v: int, k: int) -> list[tuple[int, ...]]
     return out
 
 
+def _without_arcs(g: DirectedGraph, deleted: frozenset[tuple[int, int]]) -> DirectedGraph:
+    """``g`` minus the arcs in ``deleted``, all of which are arcs of ``g``.
+
+    Only the adjacency tuples of the deleted arcs' endpoints are rebuilt; a
+    filtered sorted tuple stays sorted, so nothing is checked or sorted again.
+    """
+    if not deleted:
+        return g
+    out_adj = list(g.out_adj)
+    in_adj = list(g.in_adj)
+    for u, v in deleted:
+        out_adj[u] = tuple(w for w in out_adj[u] if w != v)
+        in_adj[v] = tuple(w for w in in_adj[v] if w != u)
+    return DirectedGraph._from_checked(out_adj, in_adj)
+
+
 def solve_half_k(
     inst: Instance,
     max_degree: int | None = None,
@@ -194,7 +210,6 @@ def solve_half_k(
     s_idx = g1.n
     source_arcs = [(s_idx, v) for v in range(g1.n) if g1.in_degrees[v] < k]
     aug = DirectedGraph.from_arcs(g1.n + 1, list(g1.arcs()) + source_arcs)
-    base_arcs = list(g1.arcs())
     sep_budget = (delta * (k - 1) + 1) * b
     for t in range(g1.n):
         if g1.in_degrees[t] < k:
@@ -227,14 +242,7 @@ def solve_half_k(
                         if deleted in tried:
                             continue
                         tried.add(deleted)
-                        f_arcs = (
-                            [a for a in base_arcs if a not in deleted]
-                            if deleted
-                            else base_arcs
-                        )
-                        f_aug = DirectedGraph.from_arcs(
-                            g1.n + 1, f_arcs + source_arcs
-                        )
+                        f_aug = _without_arcs(aug, deleted)
                         for sep_hat in enumerate_important_separators(
                             f_aug, s_idx, t, b
                         ):

@@ -10,16 +10,19 @@ import random
 from itertools import combinations, product
 
 from dakc import (
+    ComponentSummary,
     DirectedGraph,
     Instance,
     SetCoverQuery,
     Solution,
     Verdict,
     induced_subgraph,
+    knapsack_select,
     normalize,
     partial_set_cover,
     reach,
     strongly_connected_components,
+    verify_solution,
     vertices_of,
     vset,
 )
@@ -164,6 +167,130 @@ def cycle_closure(g: DirectedGraph) -> int:
         if cyclic:
             seeds |= comp
     return reach(g, seeds, "forward")
+
+
+def coloring_trial_reference(
+    g: DirectedGraph, k: int, b: int, p: int, red: int
+) -> Solution | None:
+    """One coloring trial spelled out step by step: every weak component of
+    the red set, a summary of each, a knapsack over every summary that needs
+    at most b anchors, and a verified assembly.  No bound and no early exit."""
+    summaries = []
+    remaining = red & g.full_mask
+    while remaining:
+        comp = remaining & -remaining
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for v in vertices_of(frontier):
+                nxt |= g.und_mask[v]
+            frontier = nxt & remaining & ~comp
+            comp |= frontier
+        remaining &= ~comp
+        deficient = vset(
+            v for v in vertices_of(comp) if (g.in_mask[v] & comp).bit_count() < k
+        )
+        summary = ComponentSummary(component=comp, deficient=deficient)
+        if summary.anchors_needed <= b:
+            summaries.append(summary)
+    picked = knapsack_select([(s.anchors_needed, s.size) for s in summaries], b, p)
+    if picked is None:
+        return None
+    anchors = core = 0
+    for i in picked:
+        anchors |= summaries[i].deficient
+        core |= summaries[i].component
+    sol = Solution(anchors=anchors, core=core)
+    assert verify_solution(Instance(graph=g, b=b, k=k, p=p), sol)
+    return sol
+
+
+def min_vertex_cut_reference(
+    g: DirectedGraph, alive: int, sources: int, sink: int, limit: int
+) -> tuple[int, int] | None:
+    """Minimum vertex cut closest to the sink, by max flow on an explicit
+    split graph: node 2v enters vertex v, node 2v+1 leaves it, the internal
+    arc has capacity 1 (``limit + 3`` for sources and the sink) and every
+    original arc has capacity ``limit + 3``.  Residual capacities live in a
+    dict keyed by node pairs.  None when the cut exceeds ``limit``."""
+    if (sources >> sink) & 1:
+        return None
+    big = limit + 3
+    super_src = 2 * g.n
+    sink_node = 2 * sink
+    cap: dict[tuple[int, int], int] = {}
+    adj: dict[int, list[int]] = {}
+
+    def add_arc(a: int, b: int, c: int) -> None:
+        if (a, b) not in cap:
+            cap[(a, b)] = 0
+            cap[(b, a)] = cap.get((b, a), 0)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        cap[(a, b)] += c
+
+    for v in vertices_of(alive):
+        protected = bool((sources >> v) & 1) or v == sink
+        add_arc(2 * v, 2 * v + 1, big if protected else 1)
+        for w in g.out_adj[v]:
+            if (alive >> w) & 1:
+                add_arc(2 * v + 1, 2 * w, big)
+    for v in vertices_of(sources & alive):
+        add_arc(super_src, 2 * v, big)
+
+    flow = 0
+    while flow <= limit:
+        parent = {super_src: super_src}
+        queue = [super_src]
+        head = 0
+        while head < len(queue) and sink_node not in parent:
+            a = queue[head]
+            head += 1
+            for b in adj.get(a, ()):
+                if b not in parent and cap.get((a, b), 0) > 0:
+                    parent[b] = a
+                    queue.append(b)
+        if sink_node not in parent:
+            break
+        bottleneck = big
+        b = sink_node
+        while b != super_src:
+            a = parent[b]
+            bottleneck = min(bottleneck, cap[(a, b)])
+            b = a
+        b = sink_node
+        while b != super_src:
+            a = parent[b]
+            cap[(a, b)] -= bottleneck
+            cap[(b, a)] += bottleneck
+            b = a
+        flow += bottleneck
+    if flow > limit:
+        return None
+
+    preds: dict[int, list[int]] = {}
+    for a, b in cap:
+        preds.setdefault(b, []).append(a)
+    sink_side = {sink_node}
+    queue = [sink_node]
+    head = 0
+    while head < len(queue):
+        b = queue[head]
+        head += 1
+        for a in preds.get(b, ()):
+            if a not in sink_side and cap.get((a, b), 0) > 0:
+                sink_side.add(a)
+                queue.append(a)
+    cut = 0
+    for v in vertices_of(alive & ~sources):
+        if v != sink and 2 * v + 1 in sink_side and 2 * v not in sink_side:
+            cut |= 1 << v
+    return flow, cut
+
+
+def without_arcs_reference(g: DirectedGraph, deleted) -> DirectedGraph:
+    """``g`` minus the arcs in ``deleted``, rebuilt from a filtered arc list."""
+    return DirectedGraph.from_arcs(g.n, [a for a in g.arcs() if a not in deleted])
 
 
 def solution_exists_with_core_at_most(inst: Instance, bound: int) -> bool:

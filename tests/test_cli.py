@@ -249,10 +249,11 @@ def test_reports_are_deterministic(capsys, path_file):
 
 
 def test_threads_flag_validated(capsys, path_file):
-    code, _, err = run(
-        capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3", "--threads", "0"
+    # --threads did nothing and was removed, so any value is a usage error
+    code, out, err = run(
+        capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3", "--threads", "2"
     )
-    assert code == 4
+    assert code == 4 and out == "" and "--threads" in err
 
 
 def test_oracle_cap_exit_code_counts_every_vertex(capsys, tmp_path):

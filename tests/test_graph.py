@@ -106,6 +106,22 @@ def test_wcc_examples():
     assert weakly_connected_components(diamond) == [vset([0, 1, 2, 3])]
 
 
+def test_wcc_within_matches_induced_subgraph():
+    rng = random.Random(227)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        g = random_digraph(rng, n, rng.uniform(0.0, 0.4))
+        keep = rng.getrandbits(n) if n else 0
+        sub = induced_subgraph(g, keep)
+        lifted = sorted(sub.lift_mask(c) for c in weakly_connected_components(sub.graph))
+        got = weakly_connected_components(g, within=keep)
+        assert sorted(got) == lifted
+        assert got == sorted(got, key=lambda m: (m & -m).bit_length())
+        # bits outside the graph are ignored
+        assert weakly_connected_components(g, within=keep | (1 << n)) == got
+    assert weakly_connected_components(g, within=g.full_mask) == weakly_connected_components(g)
+
+
 def test_induced_subgraph():
     path = DirectedGraph.from_arcs(3, [(0, 1), (1, 2)])
     sub = induced_subgraph(path, vset([0, 2]))

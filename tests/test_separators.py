@@ -11,7 +11,8 @@ from dakc import (
     vertices_of,
     vset,
 )
-from helpers import random_digraph
+from dakc.separators import _min_vertex_cut
+from helpers import min_vertex_cut_reference, random_digraph
 
 
 def _enumerate_by_definition(g, s, t, h):
@@ -112,3 +113,50 @@ def test_enumeration_matches_definition_on_random_graphs():
             for v in vertices_of(sep):
                 assert not is_separator(g, s, t, sep & ~(1 << v))
         checked += 1
+
+
+def test_min_vertex_cut_walks_back_through_used_vertices():
+    # the shortest path 0-1-2-3-4-5 takes the first unit; the second unit
+    # must enter 4 from the chain 6-9 and undo the flow through 3, back to
+    # 2's exit, which leaves over 10-12
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 8), (8, 9),
+            (9, 4), (2, 10), (10, 11), (11, 12), (12, 5)]
+    g = DirectedGraph.from_arcs(13, arcs)
+    got = _min_vertex_cut(g, g.full_mask, vset([0]), 5, 3)
+    assert got == min_vertex_cut_reference(g, g.full_mask, vset([0]), 5, 3)
+    assert got[0] == 2
+    # one unit along 0-1-2-3-4; 1's exit reaches the sink over the detour
+    # 5-6-7, and 3's entry only back through 2's used internal arc, so the
+    # one cut vertex is 1, not {1, 3}
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (7, 4)]
+    g = DirectedGraph.from_arcs(8, arcs)
+    expect = (1, vset([1]))
+    assert min_vertex_cut_reference(g, g.full_mask, vset([0]), 4, 3) == expect
+    assert _min_vertex_cut(g, g.full_mask, vset([0]), 4, 3) == expect
+
+
+def test_min_vertex_cut_matches_split_graph_reference():
+    # the adjacency-walking flow against max flow on an explicit split graph
+    rng = random.Random(223)
+    draws = 2000
+    over_limit = adjacent = dead_sink = cuts = 0
+    for _ in range(draws):
+        n = rng.randint(2, 12)
+        g = random_digraph(rng, n, rng.uniform(0.05, 0.5))
+        alive = g.full_mask if rng.random() < 0.7 else rng.getrandbits(n)
+        sink = rng.randrange(n)
+        sources = vset(rng.sample(range(n), rng.randint(1, min(3, n))))
+        if rng.random() < 0.95:
+            sources &= ~(1 << sink)
+        limit = rng.randint(0, 4)
+        got = _min_vertex_cut(g, alive, sources, sink, limit)
+        assert got == min_vertex_cut_reference(g, alive, sources, sink, limit)
+        sink_alive = (alive >> sink) & 1
+        dead_sink += not sink_alive
+        adjacent += bool(sink_alive and g.in_mask[sink] & sources & alive)
+        over_limit += bool(
+            got is None and sink_alive and not g.in_mask[sink] & sources & alive
+            and not (sources >> sink) & 1
+        )
+        cuts += got is not None and got[0] > 0
+    assert min(over_limit, adjacent, dead_sink, cuts) >= draws // 20

@@ -15,6 +15,7 @@ from dakc import (
     vset,
 )
 from helpers import (
+    coloring_trial_reference,
     cycle_graph,
     path_graph,
     random_digraph_degree_capped,
@@ -144,3 +145,22 @@ def test_per_trial_never_emits_unverified_yes():
         sol = search_with_coloring(g, k, b, p, red)
         if sol is not None:
             assert verify_solution(Instance(graph=g, b=b, k=k, p=p), sol)
+
+
+def test_search_with_coloring_matches_reference_trial():
+    # the fused trial (red-count exit, two assembly bounds, deficiency taken
+    # over the whole red set) against the plain summarize-then-knapsack trial
+    rng = random.Random(211)
+    draws = 5000
+    hits = misses = 0
+    for _ in range(draws):
+        n = rng.randint(1, 14)
+        g = random_digraph_degree_capped(rng, n, rng.randint(1, 5), rng.uniform(0.2, 0.9))
+        k, b, p = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, n)
+        red = rng.getrandbits(n + 1)  # half the draws set a bit past the graph
+        got = search_with_coloring(g, k, b, p, red)
+        assert got == coloring_trial_reference(g, k, b, p, red)
+        hits += got is not None
+        misses += got is None and (red & g.full_mask).bit_count() >= p
+    assert hits >= draws // 20
+    assert misses >= draws // 20  # misses that get past the red-count exit

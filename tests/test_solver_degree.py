@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dakc import separators, solver_bounded, solver_degree
 from dakc import (
     DirectedGraph,
     Instance,
@@ -10,6 +11,7 @@ from dakc import (
     Verdict,
     oracle_solve,
     solve_by_degree,
+    solve_dag,
     solve_half_k,
     solve_high_k,
     strip_special_components,
@@ -17,7 +19,15 @@ from dakc import (
     vertices_of,
     vset,
 )
-from helpers import cycle_graph, path_graph, random_digraph_degree_capped
+from helpers import (
+    coloring_trial_reference,
+    cycle_graph,
+    min_vertex_cut_reference,
+    path_graph,
+    random_dag_degree_capped,
+    random_digraph_degree_capped,
+    without_arcs_reference,
+)
 
 EXH = SearchConfig(mode="exhaustive")
 
@@ -195,3 +205,46 @@ def test_dispatch_matches_oracle_on_low_degree_graphs():
         assert got.kind == expect.kind
         if got.is_yes:
             assert verify_solution(inst, got.solution)
+
+
+def _kernel_pool(regime: str, rng: random.Random, size: int) -> list[Instance]:
+    pool = []
+    for _ in range(size):
+        n = rng.randint(3, 12)
+        if regime == "high":
+            k = rng.choice([2, 3])
+            g = random_digraph_degree_capped(rng, n, 2 * k - rng.randint(1, 2), rng.uniform(0.3, 0.9))
+        elif regime == "dag":
+            k = rng.randint(1, 3)
+            g = random_dag_degree_capped(rng, n, rng.randint(2, 5), rng.uniform(0.3, 0.9))
+        else:
+            k = rng.choice([1, 2])
+            g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.3, 0.9))
+        pool.append(Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n)))
+    return pool
+
+
+@pytest.mark.parametrize("regime", ["high", "half", "stage3", "dag"])
+def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
+    # whole verdicts, trial counts and notes included, with the coloring
+    # trial, the min vertex cut and the stage-3 arc deletion swapped for
+    # their plain references; the capped seeded NOs must stay the same too
+    cfg = SearchConfig(trial_cap=500)
+
+    def solve(inst):
+        if regime == "high":
+            return solve_high_k(inst, cfg=cfg)
+        if regime == "dag":
+            return solve_dag(inst, cfg=cfg)
+        return solve_half_k(inst, max_degree=2 * inst.k, cfg=cfg, force_stage3=regime == "stage3")
+
+    pool = _kernel_pool(regime, random.Random(229), 150)
+    got = [solve(inst) for inst in pool]
+    monkeypatch.setattr(solver_bounded, "search_with_coloring", coloring_trial_reference)
+    monkeypatch.setattr(separators, "_min_vertex_cut", min_vertex_cut_reference)
+    monkeypatch.setattr(solver_degree, "_without_arcs", without_arcs_reference)
+    assert got == [solve(inst) for inst in pool]
+    assert sum(v.is_yes for v in got) >= len(pool) // 10
+    if regime != "stage3":
+        capped = sum(v.kind == "no" and "trial cap" in v.note for v in got)
+        assert capped >= len(pool) // 10
