@@ -148,11 +148,11 @@ def normalize(inst: Instance) -> Instance | Verdict:
     n = inst.graph.n
     if inst.p > n:
         return Verdict.no(note="target core size exceeds vertex count")
-    low_p = vset(range(inst.p))
     if inst.b >= inst.p:
+        low_p = (1 << inst.p) - 1
         return Verdict.yes(Solution(anchors=low_p, core=low_p))
     if inst.k == 0:
-        return Verdict.yes(Solution(anchors=0, core=low_p))
+        return Verdict.yes(Solution(anchors=0, core=(1 << inst.p) - 1))
     return inst
 
 

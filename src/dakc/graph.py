@@ -85,12 +85,20 @@ class DirectedGraph:
 
     @classmethod
     def _from_checked(
-        cls, out_adj: Sequence[tuple[int, ...]], in_adj: Sequence[tuple[int, ...]]
+        cls, out_adj: Sequence[tuple[int, ...]], in_adj: Sequence[tuple[int, ...]], **tables
     ) -> "DirectedGraph":
         """Wrap adjacency lists that already hold every invariant (in range,
         no loops, no duplicates, sorted, in/out consistent), checking nothing
-        again.  For callers that validated the arcs themselves."""
-        return cls(n=len(out_adj), out_adj=tuple(out_adj), in_adj=tuple(in_adj))
+        again.  For callers that validated the arcs themselves.
+
+        ``tables`` presets cached tables (``out_mask``, ``in_degrees``, ...)
+        that the caller already holds for this graph, so they are not
+        rebuilt.  A cached property keeps its value in the instance dict,
+        which a frozen dataclass leaves writable.
+        """
+        g = cls(n=len(out_adj), out_adj=tuple(out_adj), in_adj=tuple(in_adj))
+        g.__dict__.update(tables)
+        return g
 
     @cached_property
     def out_mask(self) -> tuple[Mask, ...]:
@@ -180,9 +188,26 @@ def to_bidirected(n: int, edges: Iterable[tuple[int, int]]) -> DirectedGraph:
     return DirectedGraph.from_arcs(n, arcs)
 
 
+_MIRRORED = (
+    ("out_mask", "in_mask"),
+    ("in_mask", "out_mask"),
+    ("out_degrees", "in_degrees"),
+    ("in_degrees", "out_degrees"),
+)
+
+
 def reverse(g: DirectedGraph) -> DirectedGraph:
-    """The graph with every arc flipped."""
-    return DirectedGraph(n=g.n, out_adj=g.in_adj, in_adj=g.out_adj)
+    """The graph with every arc flipped.
+
+    Every mask or degree table that ``g`` has already built is handed over
+    swapped (the reverse's ``out_mask`` is ``g.in_mask``), not rebuilt.
+    """
+    built = g.__dict__
+    return DirectedGraph._from_checked(
+        g.in_adj,
+        g.out_adj,
+        **{name: built[mirror] for name, mirror in _MIRRORED if mirror in built},
+    )
 
 
 def reach(

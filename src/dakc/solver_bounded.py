@@ -13,26 +13,44 @@ assemble falls short of p: first the red count, then the red vertices that
 need no anchor plus b that do, and last, once the components are known, the
 components that need no anchor plus the b largest of the others.  Only the
 trials that pass all three build the knapsack table.
+
+Seeded mode applies the first two bounds to a whole block of trials at once.
+splitmix64 is counter-based, so a block's outputs come from a few big-int
+operations on 128-bit lanes; the block is then transposed into one column
+per vertex (bit t set iff the vertex is red in trial t), and bit-sliced
+counters over those columns find the trials with at least p red vertices and
+at least p - b red vertices that have k red in-neighbours.  Only those
+trials, in increasing order, are run one at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .core import Instance, Solution, Verdict, normalize, verify_solution
 from .graph import DirectedGraph, Mask, weakly_connected_components
 
 _M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# seeded trials filtered together by the bit-sliced bounds
+_BLOCK = 1024
+
+# _BIT_TEXT[i] translates a byte to b"1" or b"0", its bit i
+_BIT_TEXT = tuple((b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8))
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
     """One step of the splitmix64 generator: (new_state, 64 output bits)."""
-    state = (state + 0x9E3779B97F4A7C15) & _M64
+    state = (state + _GAMMA) & _M64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z = ((z ^ (z >> 30)) * _MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2) & _M64
     z ^= z >> 31
     return state, z
 
@@ -44,6 +62,8 @@ def coloring_stream(seed: int, n: int) -> Iterator[Mask]:
     splitmix64 seeded with ``seed`` (reduced mod 2^64), drawing ceil(n/64)
     consecutive 64-bit words per coloring; word j supplies bits for vertices
     64j..64j+63, least significant bit first; the mask is truncated to n bits.
+    ``bounded_core_search`` draws exactly this stream, a block of trials at
+    a time.
     """
     state = seed & _M64
     words = (n + 63) // 64
@@ -54,6 +74,64 @@ def coloring_stream(seed: int, n: int) -> Iterator[Mask]:
             state, word = _splitmix64(state)
             mask |= word << (64 * j)
         yield mask & keep
+
+
+@cache
+def _lane_patterns(words: int) -> tuple[int, int, int]:
+    """Lane patterns for a full block of colorings of ``words`` words each,
+    one 128-bit lane per word: 1 in every lane, i * gamma in lane i, and
+    2^64 - 1 in every lane."""
+    lanes = _BLOCK * words
+    ones = ((1 << 128 * lanes) - 1) // ((1 << 128) - 1)
+    steps = b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(lanes))
+    return ones, int.from_bytes(steps, "little"), ones * _M64
+
+
+def _draw_block(seed: int, n: int, start: int, size: int) -> bytes:
+    """The words ``coloring_stream(seed, n)`` draws for its trials ``start``
+    to ``start + size - 1``: one big-endian 128-bit lane per word, the word
+    in its low 64 bits, the last word first.
+
+    Output j of the stream mixes the state seed + (j + 1) * gamma mod 2^64,
+    so a block's states are one multiply-add of lane patterns.  Each
+    multiply follows an xor-shift masked back to the low 64 bits of every
+    lane, so the lane products stay below 2^128 and no lane carries into the
+    next.  The last xor-shift leaves bits of the next lane in each lane's
+    high half, which nothing reads.
+    """
+    words = (n + 63) // 64
+    ones, steps, low = _lane_patterns(words)
+    keep = (1 << 128 * size * words) - 1
+    base = (seed + (start * words + 1) * _GAMMA) & _M64
+    z = (base * (ones & keep) + (steps & keep)) & low
+    z = ((z ^ (z >> 30)) & low) * _MIX1 & low
+    z = ((z ^ (z >> 27)) & low) * _MIX2 & low
+    z ^= z >> 31
+    return z.to_bytes(16 * size * words, "big")
+
+
+def _block_columns(buf: bytes, n: int) -> list[Mask]:
+    """Transpose a drawn block: column v has bit t set iff vertex v is red
+    in the block's trial t."""
+    stride = 16 * ((n + 63) // 64)
+    columns = []
+    for v in range(n):
+        # v's bit lies in byte 15 - (v % 64) // 8 of the lane of word v // 64;
+        # a stride walks the trials from last to first, which is the
+        # most-significant-first order int(..., 2) reads
+        first = stride - 16 * (v >> 6) - 1 - (v >> 3 & 7)
+        columns.append(int(buf[first::stride].translate(_BIT_TEXT[v & 7]), 2))
+    return columns
+
+
+def _block_coloring(buf: bytes, n: int, t: int) -> Mask:
+    """The coloring of a drawn block's trial t, as ``coloring_stream`` yields it."""
+    words = (n + 63) // 64
+    mask = 0
+    for j in range(words):
+        end = len(buf) - 16 * (t * words + j)
+        mask |= int.from_bytes(buf[end - 8 : end], "big") << 64 * j
+    return mask & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -193,6 +271,54 @@ def search_with_coloring(
     return sol
 
 
+def _at_least(columns: list[Mask], threshold: int, trials: Mask) -> Mask:
+    """The trials (bits of ``trials``) in which at least ``threshold`` >= 1
+    of the columns have their bit set.
+
+    A bit-sliced counter starts every trial at 2^top - threshold and adds
+    the columns with ripple carries.  With 2^top above both the threshold
+    and the column count, bit ``top`` of the counter is set exactly when the
+    count reaches the threshold, and no carry ever leaves it.
+    """
+    top = max(threshold, len(columns)).bit_length()
+    offset = (1 << top) - threshold
+    slices = [trials if offset >> i & 1 else 0 for i in range(top + 1)]
+    for carry in columns:
+        i = 0
+        while carry:
+            slices[i], carry = slices[i] ^ carry, slices[i] & carry
+            i += 1
+    return slices[top]
+
+
+def _block_survivors(
+    g: DirectedGraph, k: int, b: int, p: int, columns: list[Mask], trials: Mask
+) -> Mask:
+    """The trials of a block that pass the first two exits of
+    ``search_with_coloring``, given one column per vertex.
+
+    A trial passes iff (red vertices that need no anchor) + min(b, red
+    vertices that do) >= p, that is iff at least p vertices are red and at
+    least p - b of them have k red in-neighbours.
+    """
+    passing = _at_least(columns, p, trials)
+    if not passing:
+        return 0
+    satisfied = []
+    for v, nbrs in enumerate(g.in_adj):
+        if len(nbrs) < k or not columns[v]:
+            continue
+        # more[j]: the trials in which more than j in-neighbours of v are red
+        more = [0] * k
+        for u in nbrs:
+            red = columns[u]
+            for j in range(k - 1, 0, -1):
+                more[j] |= more[j - 1] & red
+            more[0] |= red
+        satisfied.append(columns[v] & more[-1])
+    return passing & _at_least(satisfied, p - b, trials)
+
+
 def _seeded_trials(delta: int, q: int, eps: float, cap: int) -> tuple[int, bool]:
     """Trial count giving miss probability <= eps, given per-trial success of
     at least 2^-((delta+1)q); returns (count, capped?)."""
@@ -245,9 +371,15 @@ def bounded_core_search(
         if capped
         else ""
     )
-    stream = coloring_stream(cfg.seed, g.n)
-    for done in range(1, trials + 1):
-        sol = search_with_coloring(g, k, b, p, next(stream))
-        if sol is not None:
-            return Verdict.yes(sol, trials=done)
+    # the trials of coloring_stream(cfg.seed, g.n), a block at a time
+    for start in range(0, trials, _BLOCK):
+        size = min(_BLOCK, trials - start)
+        buf = _draw_block(cfg.seed, g.n, start, size)
+        alive = _block_survivors(g, k, b, p, _block_columns(buf, g.n), (1 << size) - 1)
+        while alive:
+            t = (alive & -alive).bit_length() - 1
+            alive ^= 1 << t
+            sol = search_with_coloring(g, k, b, p, _block_coloring(buf, g.n, t))
+            if sol is not None:
+                return Verdict.yes(sol, trials=start + t + 1)
     return Verdict.no_up_to(q, trials=trials, note=note)

@@ -140,17 +140,24 @@ def _deletion_choices(g: DirectedGraph, v: int, k: int) -> list[tuple[int, ...]]
 def _without_arcs(g: DirectedGraph, deleted: frozenset[tuple[int, int]]) -> DirectedGraph:
     """``g`` minus the arcs in ``deleted``, all of which are arcs of ``g``.
 
-    Only the adjacency tuples of the deleted arcs' endpoints are rebuilt; a
-    filtered sorted tuple stays sorted, so nothing is checked or sorted again.
+    Only the adjacency tuples and masks of the deleted arcs' endpoints are
+    rebuilt; a filtered sorted tuple stays sorted, so nothing is checked or
+    sorted again.
     """
     if not deleted:
         return g
     out_adj = list(g.out_adj)
     in_adj = list(g.in_adj)
+    out_mask = list(g.out_mask)
+    in_mask = list(g.in_mask)
     for u, v in deleted:
         out_adj[u] = tuple(w for w in out_adj[u] if w != v)
         in_adj[v] = tuple(w for w in in_adj[v] if w != u)
-    return DirectedGraph._from_checked(out_adj, in_adj)
+        out_mask[u] ^= 1 << v
+        in_mask[v] ^= 1 << u
+    return DirectedGraph._from_checked(
+        out_adj, in_adj, out_mask=tuple(out_mask), in_mask=tuple(in_mask)
+    )
 
 
 def solve_half_k(

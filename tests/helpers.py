@@ -6,21 +6,25 @@ the library's algorithms, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import math
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from dakc import (
     ComponentSummary,
     DirectedGraph,
     Instance,
+    SearchConfig,
     SetCoverQuery,
     Solution,
     Verdict,
+    coloring_stream,
     induced_subgraph,
     knapsack_select,
     normalize,
     partial_set_cover,
     reach,
+    search_with_coloring,
     strongly_connected_components,
     verify_solution,
     vertices_of,
@@ -203,6 +207,34 @@ def coloring_trial_reference(
     sol = Solution(anchors=anchors, core=core)
     assert verify_solution(Instance(graph=g, b=b, k=k, p=p), sol)
     return sol
+
+
+def bounded_search_reference(inst: Instance, q: int, cfg: SearchConfig) -> Verdict:
+    """The bounded search one trial at a time: each coloring of
+    ``coloring_stream`` (seeded) or each integer below 2^n (exhaustive), in
+    order, goes through ``search_with_coloring`` until one hits.  Seeded mode
+    runs ln(1/eps) * 2^((delta + 1) q) trials, or the cap with a note."""
+    nrm = normalize(inst)
+    if isinstance(nrm, Verdict):
+        return nrm if nrm.is_yes else Verdict.no_up_to(q, note=nrm.note)
+    g = nrm.graph
+    note = ""
+    if cfg.mode == "exhaustive":
+        trials = 1 << g.n
+        colorings = range(trials)
+    else:
+        exponent = (g.max_degree() + 1) * q
+        trials = math.ceil(math.log(1 / cfg.failure_prob) * 2**exponent) if exponent < 63 else math.inf
+        if trials > cfg.trial_cap:
+            trials = cfg.trial_cap
+            note = f"trial cap {cfg.trial_cap} reached; miss probability may exceed {cfg.failure_prob}"
+        trials = max(1, trials)
+        colorings = coloring_stream(cfg.seed, g.n)
+    for done, red in enumerate(islice(colorings, trials), start=1):
+        sol = search_with_coloring(g, nrm.k, nrm.b, nrm.p, red)
+        if sol is not None:
+            return Verdict.yes(sol, trials=done)
+    return Verdict.no_up_to(q, trials=trials, note=note)
 
 
 def min_vertex_cut_reference(

@@ -161,6 +161,24 @@ def test_reach_self_membership_and_reverse_relation():
         assert reach(g, seeds, "backward") == reach(rev, seeds, "forward")
 
 
+def test_reverse_takes_built_tables_swapped():
+    rng = random.Random(19)
+    tables = ("out_mask", "in_mask", "out_degrees", "in_degrees", "und_mask", "in_degree_below")
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        g = random_digraph(rng, n, rng.uniform(0.05, 0.5))
+        flipped = DirectedGraph.from_arcs(n, [(v, u) for u, v in g.arcs()])
+        own = reverse(g)  # taken before g built any table, so it builds its own
+        for t in tables:
+            getattr(g, t)
+        shared = reverse(g)
+        assert shared.out_mask is g.in_mask and shared.in_mask is g.out_mask
+        assert shared.out_degrees is g.in_degrees and shared.in_degrees is g.out_degrees
+        for rev in (own, shared):
+            assert rev == flipped
+            assert all(getattr(rev, t) == getattr(flipped, t) for t in tables)
+
+
 def test_degree_sums_match_arc_count():
     rng = random.Random(13)
     for _ in range(30):

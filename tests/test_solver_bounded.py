@@ -1,9 +1,10 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from dakc import (
+    DirectedGraph,
     Instance,
     SearchConfig,
     bounded_core_search,
@@ -12,9 +13,18 @@ from dakc import (
     red_components,
     search_with_coloring,
     verify_solution,
+    vertices_of,
     vset,
 )
+from dakc.solver_bounded import (
+    _BLOCK,
+    _block_coloring,
+    _block_columns,
+    _block_survivors,
+    _draw_block,
+)
 from helpers import (
+    bounded_search_reference,
     coloring_trial_reference,
     cycle_graph,
     path_graph,
@@ -164,3 +174,86 @@ def test_search_with_coloring_matches_reference_trial():
         misses += got is None and (red & g.full_mask).bit_count() >= p
     assert hits >= draws // 20
     assert misses >= draws // 20  # misses that get past the red-count exit
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
+def test_block_draw_matches_coloring_stream(n):
+    # ceil(n / 64) words per coloring, seeds reduced mod 2^64, and blocks
+    # that start at trial 0, mid-stream, and at a block boundary
+    for seed in (0, 7, 2**64 + 5, -1):
+        for start, size in ((0, _BLOCK), (3, 17), (_BLOCK, 40)):
+            expect = list(islice(coloring_stream(seed, n), start, start + size))
+            buf = _draw_block(seed, n, start, size)
+            assert [_block_coloring(buf, n, t) for t in range(size)] == expect
+            columns = _block_columns(buf, n)
+            assert len(columns) == n
+            for v, column in enumerate(columns):
+                assert column == sum((red >> v & 1) << t for t, red in enumerate(expect))
+
+
+def _passes_first_two_exits(g, k, b, p, red):
+    deficient = vset(v for v in vertices_of(red) if (g.in_mask[v] & red).bit_count() < k)
+    return (
+        red.bit_count() >= p
+        and (red & ~deficient).bit_count() + min(b, deficient.bit_count()) >= p
+    )
+
+
+def test_block_survivors_are_the_trials_past_the_first_two_exits():
+    rng = random.Random(223)
+    draws = 2000
+    kept = rejected = 0
+    for _ in range(draws):
+        n = rng.randint(1, 14)
+        g = random_digraph_degree_capped(rng, n, rng.randint(1, 5), rng.uniform(0.2, 0.9))
+        k, p = rng.randint(1, 3), rng.randint(1, n)
+        b = rng.randint(0, min(3, p - 1))  # normalize leaves b < p
+        size = rng.randint(1, 80)
+        buf = _draw_block(rng.getrandbits(64), n, rng.randint(0, 5000), size)
+        got = _block_survivors(g, k, b, p, _block_columns(buf, n), (1 << size) - 1)
+        expect = sum(
+            1 << t
+            for t in range(size)
+            if _passes_first_two_exits(g, k, b, p, _block_coloring(buf, n, t))
+        )
+        assert got == expect
+        kept += expect.bit_count()
+        rejected += size - expect.bit_count()
+    assert kept >= draws and rejected >= draws
+
+
+def _planted_cycle(rng: random.Random) -> tuple[Instance, int]:
+    # a 9- to 11-cycle plus out-pendants: at b = 0 and p = its length, a
+    # trial hits only when the whole cycle is red, once in 2^L trials, so
+    # first hits fall on both sides of trial 1024
+    length = rng.randint(9, 11)
+    n = length + rng.randint(0, 3)
+    arcs = [(i, (i + 1) % length) for i in range(length)]
+    arcs += [(rng.randrange(length), v) for v in range(length, n)]
+    return Instance(graph=DirectedGraph.from_arcs(n, arcs), b=0, k=1, p=length), length
+
+
+@pytest.mark.parametrize("mode", ["seeded", "exhaustive"])
+def test_bounded_search_matches_per_trial_reference(mode):
+    # whole verdicts, trial counts and notes included, with caps above the
+    # block length; some hits land before the first block boundary, some after
+    rng = random.Random(227)
+    got, expect = [], []
+    for i in range(150):
+        if i % 3 == 0:
+            inst, q = _planted_cycle(rng)
+        else:
+            n = rng.randint(6, 18) if mode == "seeded" else rng.randint(9, 12)
+            g = random_digraph_degree_capped(rng, n, rng.randint(2, 5), rng.uniform(0.3, 0.9))
+            p = rng.randint(1, n)
+            inst = Instance(graph=g, b=rng.randint(0, 3), k=rng.randint(1, 3), p=p)
+            q = rng.randint(p, n)
+        cap = rng.randint(_BLOCK + 1, 3 * _BLOCK)
+        cfg = SearchConfig(mode=mode, seed=rng.getrandbits(65) - 2**64, failure_prob=1e-9, trial_cap=cap)
+        got.append(bounded_core_search(inst, q, cfg))
+        expect.append(bounded_search_reference(inst, q, cfg))
+    assert got == expect
+    hits = [v.trials for v in got if v.is_yes and v.trials is not None]
+    assert sum(t <= _BLOCK for t in hits) >= 10
+    assert sum(t > _BLOCK for t in hits) >= 10
+    assert sum(v.kind == "no_up_to" for v in got) >= 15

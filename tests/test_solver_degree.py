@@ -207,6 +207,20 @@ def test_dispatch_matches_oracle_on_low_degree_graphs():
             assert verify_solution(inst, got.solution)
 
 
+def test_without_arcs_matches_a_rebuilt_graph():
+    # the adjacency tuples and the masks patched in place equal those of
+    # the graph rebuilt from its remaining arcs
+    rng = random.Random(233)
+    for _ in range(200):
+        g = random_digraph_degree_capped(rng, rng.randint(1, 12), 5, rng.uniform(0.2, 0.9))
+        deleted = frozenset(a for a in g.arcs() if rng.random() < 0.3)
+        got = solver_degree._without_arcs(g, deleted)
+        expect = without_arcs_reference(g, deleted)
+        assert got == expect
+        assert got.out_mask == expect.out_mask and got.in_mask == expect.in_mask
+        assert got.in_degrees == expect.in_degrees and got.und_mask == expect.und_mask
+
+
 def _kernel_pool(regime: str, rng: random.Random, size: int) -> list[Instance]:
     pool = []
     for _ in range(size):
