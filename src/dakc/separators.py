@@ -11,7 +11,10 @@ of s and t swapped.
 Each branch asks for a minimum vertex cut.  The max flow behind it runs on
 the split graph (an entry and an exit node per vertex) without building it:
 the search walks the graph's adjacency tuples and keeps only the nonzero
-flows, so a call allocates little more than its search queue.
+flows, so a call allocates little more than its search queue.  One flow step,
+``_max_flow``, serves two readers: ``_min_vertex_cut`` takes the sink side of
+its residual graph, and ``disjoint_paths`` follows its flow from s to t into
+internally vertex-disjoint paths.
 """
 
 from __future__ import annotations
@@ -94,26 +97,19 @@ def is_important(g: DirectedGraph, s: int, t: int, sep: Mask, h: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _min_vertex_cut(
+def _max_flow(
     g: DirectedGraph, alive: Mask, sources: Mask, sink: int, limit: int
-) -> tuple[int, Mask] | None:
-    """Minimum vertex cut separating ``sources`` from ``sink`` inside ``alive``.
+) -> tuple[int, dict[int, int], dict[tuple[int, int], int]]:
+    """Augment a unit at a time from ``sources`` to ``sink`` inside ``alive``,
+    stopping at the maximum or at ``limit + 1`` units, whichever comes first.
 
-    Returns ``(size, cut_mask)`` for the min cut closest to the sink, or None
-    when every cut is larger than ``limit`` (including the uncuttable case of
-    an arc straight from a source to the sink).  The flow value and the set
-    of nodes that can reach the sink in the residual graph are the same for
-    every maximum flow, so the result does not depend on which augmenting
-    paths the search happens to take.
+    Returns ``(flow, through, carried)``: the flow value, the flow on each
+    vertex's internal arc and the flow on each original arc, nonzero entries
+    only.  Sources and the sink have no vertex capacity.  The caller rules
+    out an arc straight from a source to the sink, which would carry
+    unbounded flow, and a sink that is a source or not alive.
     """
-    if (sources >> sink) & 1:
-        return None
-    if not (alive >> sink) & 1:
-        return None if limit < 0 else (0, 0)  # nothing reaches a dead sink
-    sources &= alive
     out_adj, in_adj = g.out_adj, g.in_adj
-    if any((sources >> u) & 1 for u in in_adj[sink]):
-        return None  # an arc straight from a source to the sink: no cut exists
     protected = sources | (1 << sink)
     through: dict[int, int] = {}  # vertex -> flow on its internal arc
     carried: dict[tuple[int, int], int] = {}  # arc (u, v) -> flow from exit(u) to entry(v)
@@ -163,10 +159,36 @@ def _min_vertex_cut(
                 bump(carried, (v, u), -1)
             y, x = x, parent[x]
         flow += 1
+    return flow, through, carried
+
+
+def _min_vertex_cut(
+    g: DirectedGraph, alive: Mask, sources: Mask, sink: int, limit: int
+) -> tuple[int, Mask] | None:
+    """Minimum vertex cut separating ``sources`` from ``sink`` inside ``alive``.
+
+    Returns ``(size, cut_mask)`` for the min cut closest to the sink, or None
+    when every cut is larger than ``limit`` (including the uncuttable case of
+    an arc straight from a source to the sink).  The flow value and the set
+    of nodes that can reach the sink in the residual graph are the same for
+    every maximum flow, so the result does not depend on which augmenting
+    paths the search happens to take.
+    """
+    if (sources >> sink) & 1:
+        return None
+    if not (alive >> sink) & 1:
+        return None if limit < 0 else (0, 0)  # nothing reaches a dead sink
+    sources &= alive
+    out_adj, in_adj = g.out_adj, g.in_adj
+    if any((sources >> u) & 1 for u in in_adj[sink]):
+        return None  # an arc straight from a source to the sink: no cut exists
+    flow, through, carried = _max_flow(g, alive, sources, sink, limit)
     if flow > limit:
         return None
 
     # Sink side of the residual graph: nodes that can still reach the sink.
+    protected = sources | (1 << sink)
+    target = 2 * sink
     side = {target}
     queue = [target]
     for y in queue:
@@ -190,6 +212,35 @@ def _min_vertex_cut(
         if y & 1 and y - 1 not in side:
             cut |= 1 << (y >> 1)
     return flow, cut
+
+
+def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
+    """A maximum set of internally vertex-disjoint s-t paths, each from s to t
+    inclusive, or ``limit + 1`` of them when there are more.
+
+    s and t have no vertex capacity, so several paths may leave s and several
+    may end in t, each over its own arc.  The paths are read off the flow of
+    ``_max_flow``: every other vertex carries at most one unit, so it has one
+    flow arc in and one out, and the walk from each arc out of s ends in t.
+    Flow that circulates away from s is never reached and is ignored.
+    """
+    _check_endpoints(g, s, t, symmetric=False)
+    _, _, carried = _max_flow(g, g.full_mask, 1 << s, t, limit)
+    firsts: list[int] = []
+    succ: dict[int, int] = {}
+    for u, v in carried:
+        if u == s:
+            firsts.append(v)
+        else:
+            succ[u] = v
+    paths = []
+    for v in sorted(firsts):
+        path = [s, v]
+        while v != t:
+            v = succ[v]
+            path.append(v)
+        paths.append(tuple(path))
+    return paths
 
 
 def _is_important_std(rev: DirectedGraph, src: int, sink: int, sep: Mask) -> bool:

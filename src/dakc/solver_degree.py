@@ -30,7 +30,7 @@ from .graph import (
     vset,
     weakly_connected_components,
 )
-from .separators import enumerate_important_separators
+from .separators import disjoint_paths, enumerate_important_separators
 from .solver_bounded import SearchConfig, bounded_core_search
 from .solver_k1 import solve_k1
 
@@ -176,6 +176,17 @@ def solve_half_k(
     candidate is verified against the original graph, so wrong guesses can
     only cost time, never correctness.
 
+    Most deletion sets cannot yield an anchor set, and one max flow per t
+    finds them.  ``disjoint_paths`` gives internally vertex-disjoint s-t
+    paths of the augmented graph; a deletion set removes arcs of the reduced
+    graph only, so each path none of whose arcs it removes (a path's arc into
+    t counts) survives.  With more than b survivors every s-t cut is larger
+    than b and the inner enumeration would return nothing, so that deletion
+    set is skipped.  The same count, over the paths with an arc into any
+    vertex it may touch, skips a whole separator or boundary guess at once.
+    The calls that remain run in the same order, so the answer and witness
+    do not change.
+
     ``force_stage3`` skips the bounded stage; it exists for tests that probe
     the guessing stage in isolation and is not part of the public contract.
     """
@@ -218,9 +229,27 @@ def solve_half_k(
     source_arcs = [(s_idx, v) for v in range(g1.n) if g1.in_degrees[v] < k]
     aug = DirectedGraph.from_arcs(g1.n + 1, list(g1.arcs()) + source_arcs)
     sep_budget = (delta * (k - 1) + 1) * b
+    choices: dict[int, list[tuple[int, ...]]] = {}
     for t in range(g1.n):
         if g1.in_degrees[t] < k:
             continue
+        paths = disjoint_paths(aug, s_idx, t, sep_budget)
+        # a deletion set runs only if it cuts at least ``need`` distinct
+        # paths; it never deletes a path's first arc, out of s
+        need = len(paths) - b
+        path_bit: dict[tuple[int, int], int] = {}
+        into = [0] * g1.n  # vertex -> bits of the paths with a g1 arc into it
+        for i, path in enumerate(paths):
+            for u, v in zip(path[1:], path[2:]):
+                path_bit[u, v] = 1 << i
+                into[v] |= 1 << i
+
+        def cuts_enough(heads) -> bool:
+            hit = 0
+            for v in heads:
+                hit |= into[v]
+            return hit.bit_count() >= need
+
         for sep_star in enumerate_important_separators(aug, s_idx, t, sep_budget):
             inside = (
                 reach(g1, 1 << t, "backward", within=g1.full_mask & ~sep_star.vertices)
@@ -234,10 +263,17 @@ def solve_half_k(
                 if g1.in_degrees[v] > k or (g1.in_mask[v] & inside).bit_count() < k:
                     dset |= 1 << v
             d_list = vertices_of(dset)
+            if not cuts_enough(d_list):
+                continue
             tried: set[frozenset[tuple[int, int]]] = set()
             for size in range(min(delta * b, len(d_list)) + 1):
                 for boundary in combinations(d_list, size):
-                    choice_lists = [_deletion_choices(g1, v, k) for v in boundary]
+                    if not cuts_enough(boundary):
+                        continue
+                    for v in boundary:
+                        if v not in choices:
+                            choices[v] = _deletion_choices(g1, v, k)
+                    choice_lists = [choices[v] for v in boundary]
                     if any(not c for c in choice_lists):
                         continue
                     for assignment in product(*choice_lists):
@@ -247,6 +283,11 @@ def solve_half_k(
                             for u in gone
                         )
                         if deleted in tried:
+                            continue
+                        hit = 0
+                        for arc in deleted:
+                            hit |= path_bit.get(arc, 0)
+                        if hit.bit_count() < need:
                             continue
                         tried.add(deleted)
                         f_aug = _without_arcs(aug, deleted)

@@ -19,17 +19,21 @@ from dakc import (
     Solution,
     Verdict,
     coloring_stream,
+    enumerate_important_separators,
     induced_subgraph,
     knapsack_select,
     normalize,
+    oracle_solve,
     partial_set_cover,
     reach,
     search_with_coloring,
+    strip_special_components,
     strongly_connected_components,
     verify_solution,
     vertices_of,
     vset,
 )
+from dakc.graph import lift_mask
 
 
 def random_digraph(rng: random.Random, n: int, arc_prob: float) -> DirectedGraph:
@@ -323,6 +327,101 @@ def min_vertex_cut_reference(
 def without_arcs_reference(g: DirectedGraph, deleted) -> DirectedGraph:
     """``g`` minus the arcs in ``deleted``, rebuilt from a filtered arc list."""
     return DirectedGraph.from_arcs(g.n, [a for a in g.arcs() if a not in deleted])
+
+
+def stage3_reference(inst: Instance, delta: int):
+    """Stage 3 of ``solve_half_k`` with no pruning: every deletion set of
+    every boundary guess under every separator runs the inner enumeration.
+
+    Returns the verdict, which under ``force_stage3`` must equal the
+    solver's, and every inner call in order as ``(t, deleted, separators)``.
+    """
+    calls: list[tuple[int, frozenset, list]] = []
+    nrm = normalize(inst)
+    if isinstance(nrm, Verdict):
+        return nrm, calls
+    stripped = strip_special_components(nrm)
+    if isinstance(stripped, Verdict):
+        return stripped, calls
+    g1, b, k = stripped.instance.graph, stripped.instance.b, stripped.instance.k
+    if b == 0:
+        return Verdict.no(), calls
+
+    s = g1.n
+    aug = DirectedGraph.from_arcs(
+        g1.n + 1, list(g1.arcs()) + [(s, v) for v in range(g1.n) if g1.in_degrees[v] < k]
+    )
+    for t in range(g1.n):
+        if g1.in_degrees[t] < k:
+            continue
+        for sep_star in enumerate_important_separators(aug, s, t, (delta * (k - 1) + 1) * b):
+            inside = reach(g1, 1 << t, "backward", within=g1.full_mask & ~sep_star.vertices)
+            inside |= sep_star.vertices
+            d_list = [
+                v for v in vertices_of(inside)
+                if g1.in_degrees[v] > k or (g1.in_mask[v] & inside).bit_count() < k
+            ]
+            tried = set()
+            for size in range(min(delta * b, len(d_list)) + 1):
+                for boundary in combinations(d_list, size):
+                    choice_lists = [
+                        [gone for r in range(len(g1.in_adj[v]) - k + 1)
+                         for gone in combinations(g1.in_adj[v], r)]
+                        for v in boundary
+                    ]
+                    for assignment in product(*choice_lists):
+                        deleted = frozenset(
+                            (u, v) for v, gone in zip(boundary, assignment) for u in gone
+                        )
+                        if deleted in tried:
+                            continue
+                        tried.add(deleted)
+                        f_aug = without_arcs_reference(aug, deleted)
+                        seps = enumerate_important_separators(f_aug, s, t, b)
+                        calls.append((t, deleted, seps))
+                        for sep in seps:
+                            core = reach(f_aug, 1 << t, "backward", within=f_aug.full_mask & ~sep.vertices)
+                            sol = Solution(
+                                anchors=lift_mask(sep.vertices, stripped.to_parent),
+                                core=lift_mask(core | sep.vertices, stripped.to_parent)
+                                | stripped.removed,
+                            )
+                            if verify_solution(nrm, sol):
+                                return Verdict.yes(sol, trials=0), calls
+    return Verdict.no(trials=0), calls
+
+
+def ring_instance(rng: random.Random) -> Instance:
+    """A seeded instance on which ``solve_half_k`` reaches stage 3 unforced.
+
+    Arcs join ring vertices at most two apart, in both directions, added in
+    random order while both ends have total degree below 4; locality makes
+    small anchored cores common.  n is 22-30, max degree 4, k = 2, b = 1, and
+    p is p* or p* + 1, where p* > b is the largest p the oracle answers YES
+    for.  n > (4p + 1) * b, so the bounded stage cannot cover every core size.
+    """
+    b, k, delta = 1, 2, 4
+    while True:
+        n = rng.randint(22, 30)
+        pairs = [(u, (u + d) % n) for u in range(n) for d in (1, 2)]
+        pairs += [(v, u) for u, v in pairs]
+        rng.shuffle(pairs)
+        degree = [0] * n
+        arcs = []
+        for u, v in pairs:
+            if degree[u] < delta and degree[v] < delta:
+                arcs.append((u, v))
+                degree[u] += 1
+                degree[v] += 1
+        g = DirectedGraph.from_arcs(n, arcs)
+        if g.max_degree() != delta:
+            continue
+        best = b
+        while best < n and oracle_solve(Instance(graph=g, b=b, k=k, p=best + 1)).is_yes:
+            best += 1
+        p = best + rng.randint(0, 1)
+        if best > b and n > (delta * p + 1) * b:
+            return Instance(graph=g, b=b, k=k, p=p)
 
 
 def solution_exists_with_core_at_most(inst: Instance, bound: int) -> bool:

@@ -11,8 +11,8 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.separators import _min_vertex_cut
-from helpers import min_vertex_cut_reference, random_digraph
+from dakc.separators import _min_vertex_cut, disjoint_paths
+from helpers import min_vertex_cut_reference, random_digraph, random_digraph_degree_capped
 
 
 def _enumerate_by_definition(g, s, t, h):
@@ -160,3 +160,32 @@ def test_min_vertex_cut_matches_split_graph_reference():
         )
         cuts += got is not None and got[0] > 0
     assert min(over_limit, adjacent, dead_sink, cuts) >= draws // 20
+
+
+def test_disjoint_paths_are_a_maximum_flow():
+    # the paths read off the shared flow step: s-t paths of the graph,
+    # internally vertex-disjoint, as many as the flow value of the split-graph
+    # reference, or limit + 1 when the flow exceeds the limit
+    rng = random.Random(227)
+    draws = 2000
+    done = several = 0
+    while done < draws:
+        n = rng.randint(3, 12)
+        g = random_digraph_degree_capped(rng, n, rng.randint(3, 6), rng.uniform(0.3, 0.9))
+        s, t = rng.sample(range(n), 2)
+        if g.has_arc(s, t):
+            with pytest.raises(ValueError, match="adjacent"):
+                disjoint_paths(g, s, t, 3)
+            continue
+        done += 1
+        limit = rng.randint(0, 4)
+        paths = disjoint_paths(g, s, t, limit)
+        inner = [v for path in paths for v in path[1:-1]]
+        assert len(inner) == len(set(inner)) and s not in inner and t not in inner
+        for path in paths:
+            assert path[0] == s and path[-1] == t
+            assert all(g.has_arc(u, v) for u, v in zip(path, path[1:]))
+        ref = min_vertex_cut_reference(g, g.full_mask, 1 << s, t, limit)
+        assert len(paths) == (limit + 1 if ref is None else ref[0])
+        several += len(paths) >= 2
+    assert several >= draws // 10

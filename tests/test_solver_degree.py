@@ -26,6 +26,8 @@ from helpers import (
     path_graph,
     random_dag_degree_capped,
     random_digraph_degree_capped,
+    ring_instance,
+    stage3_reference,
     without_arcs_reference,
 )
 
@@ -262,3 +264,93 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     if regime != "stage3":
         capped = sum(v.kind == "no" and "trial cap" in v.note for v in got)
         assert capped >= len(pool) // 10
+
+
+def _record_stage3(monkeypatch) -> tuple[list, dict]:
+    """Spy on stage 3 of ``solve_half_k``.  Every separator enumeration is
+    appended to the returned list as ``(t, deleted, separators)``, where
+    ``deleted`` is the deletion set handed to ``_without_arcs`` just before
+    an inner call and None for an outer one; the dict maps each t to the
+    paths ``disjoint_paths`` last gave for it."""
+    calls: list = []
+    paths_of: dict = {}
+    pending: list = []
+    without_arcs = solver_degree._without_arcs
+    enumerate_seps = solver_degree.enumerate_important_separators
+    disjoint_paths = solver_degree.disjoint_paths
+
+    def spy_without(g, deleted):
+        pending.append(deleted)
+        return without_arcs(g, deleted)
+
+    def spy_enumerate(g, s, t, h):
+        seps = enumerate_seps(g, s, t, h)
+        calls.append((t, pending.pop() if pending else None, seps))
+        return seps
+
+    def spy_paths(g, s, t, limit):
+        paths_of[t] = disjoint_paths(g, s, t, limit)
+        return paths_of[t]
+
+    monkeypatch.setattr(solver_degree, "_without_arcs", spy_without)
+    monkeypatch.setattr(solver_degree, "enumerate_important_separators", spy_enumerate)
+    monkeypatch.setattr(solver_degree, "disjoint_paths", spy_paths)
+    return calls, paths_of
+
+
+def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
+    # the flow-path pruning against the unpruned loop, one inner call at a
+    # time: the calls that run are the reference's in order, and every one
+    # it skips finds no separator there.  Verdict kinds against the oracle
+    # can miss a wrong skip, since a YES often has several witnesses.
+    calls, paths_of = _record_stage3(monkeypatch)
+    rng = random.Random(239)
+    skipped = cut_into_t = 0
+    for _ in range(80):
+        n = rng.randint(6, 11)
+        k = rng.choice([1, 2])
+        g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.4, 0.9))
+        inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
+        del calls[:]
+        paths_of.clear()
+        got = solve_half_k(inst, max_degree=2 * k, cfg=EXH, force_stage3=True)
+        ran = [c for c in calls if c[1] is not None]
+        expect, ref = stage3_reference(inst, 2 * k)
+        assert got == expect
+        assert [c for c in ran if c[2]] == [c for c in ref if c[2]]
+        left = iter(ran)
+        nxt = next(left, None)
+        for call in ref:
+            if call == nxt:
+                nxt = next(left, None)
+            else:
+                assert call[2] == []
+                skipped += 1
+        assert nxt is None
+        for t, deleted, seps in ref:
+            if seps and any((path[-2], t) in deleted for path in paths_of.get(t, ())):
+                cut_into_t += 1
+    assert skipped >= 1000
+    assert cut_into_t >= 20
+
+
+def test_half_k_unforced_stage3_matches_oracle(monkeypatch):
+    # at n <= 9 the bounded stage covers every core size; these rings are
+    # large enough that stage 3 has to run, and a small trial cap lets the
+    # bounded stage miss YES answers that stage 3 must then find
+    calls, _ = _record_stage3(monkeypatch)
+    rng = random.Random(241)
+    cfg = SearchConfig(trial_cap=20)
+    reached = {"yes": 0, "no": 0}
+    for _ in range(30):
+        inst = ring_instance(rng)
+        del calls[:]
+        got = solve_half_k(inst, cfg=cfg)
+        expect = oracle_solve(inst)
+        assert got.kind == expect.kind
+        if got.is_yes:
+            assert verify_solution(inst, got.solution)
+        if calls:
+            reached[got.kind] += 1
+    assert reached["yes"] + reached["no"] >= 15
+    assert min(reached.values()) >= 3
