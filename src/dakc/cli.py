@@ -193,6 +193,14 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
+def _check_witness(inst: Instance, sol: Solution) -> None:
+    """Verify a YES witness before anything reports it.  Solvers do not
+    check their own witnesses, so this is the one check each printed YES
+    gets, and it runs under ``python -O`` too."""
+    if not verify_solution(inst, sol):
+        raise RuntimeError("internal error: solver returned an unverifiable solution")
+
+
 def _answer_report(inst: Instance, verdict: Verdict, seed: int | None) -> tuple[dict, int]:
     if verdict.kind == "unsupported":
         answer, code = "unsupported", EXIT_UNSUPPORTED
@@ -201,8 +209,7 @@ def _answer_report(inst: Instance, verdict: Verdict, seed: int | None) -> tuple[
     else:
         answer, code = "no", EXIT_NO
     if verdict.is_yes:
-        if not verify_solution(inst, verdict.solution):
-            raise RuntimeError("internal error: solver returned an unverifiable solution")
+        _check_witness(inst, verdict.solution)
         anchors = _mask_list(verdict.solution.anchors)
         core = _mask_list(verdict.solution.core)
     else:
@@ -333,7 +340,8 @@ def _cmd_max(args) -> int:
     inst = _load_instance(args, need_p=False)
     g, b, k = inst.graph, inst.b, inst.k
     cfg = _config(args)
-    best = 0
+    # the bisection steps verify nothing; only the best YES is checked
+    best, best_yes = 0, None
     lo, hi = 1, g.n
     while lo <= hi:
         mid = (lo + hi) // 2
@@ -344,10 +352,12 @@ def _cmd_max(args) -> int:
             _emit({"answer": "unsupported", "note": verdict.note})
             return EXIT_UNSUPPORTED
         if verdict.is_yes:
-            best = mid
+            best, best_yes = mid, verdict
             lo = mid + 1
         else:
             hi = mid - 1
+    if best_yes is not None:
+        _check_witness(Instance(graph=g, b=b, k=k, p=best), best_yes.solution)
     _emit({"max_p": best})
     return EXIT_YES
 

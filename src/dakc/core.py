@@ -218,7 +218,4 @@ def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
         if sol is not None:
             break
         sol = first_hit(0, 0, size)
-    if sol is None:
-        return Verdict.no()
-    assert verify_solution(nrm, sol)
-    return Verdict.yes(sol)
+    return Verdict.no() if sol is None else Verdict.yes(sol)

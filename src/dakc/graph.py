@@ -7,6 +7,7 @@ Vertices are contiguous integers ``0..n-1`` internally; the text formats are
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -163,13 +164,17 @@ class DirectedGraph:
 def _sorted_adjacency(
     n: int, arcs: Iterable[tuple[int, int]]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Sorted out- and in-adjacency lists of arcs that are already checked."""
+    """Sorted out- and in-adjacency lists of arcs that are already checked.
+
+    The arcs are appended in sorted order, so every list comes out sorted;
+    one sort of the arcs is linear on the sorted arcs of canonical text.
+    """
     out: list[list[int]] = [[] for _ in range(n)]
     into: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
+    for u, v in sorted(arcs):
         out[u].append(v)
         into[v].append(u)
-    return [tuple(sorted(a)) for a in out], [tuple(sorted(a)) for a in into]
+    return list(map(tuple, out)), list(map(tuple, into))
 
 
 def to_bidirected(n: int, edges: Iterable[tuple[int, int]]) -> DirectedGraph:
@@ -372,7 +377,52 @@ class ParsedInstance:
     params: tuple[int, int, int] | None  # (b, k, p) from a `q` line, if any
 
 
+# The layout serialize_instance writes: one space between fields, "\n" line
+# ends, no comments or blank lines.  Group 3 is the arc block.
+_CANONICAL = re.compile(
+    r"p dakc ([0-9]+) ([0-9]+)((?:\na [0-9]+ [0-9]+)*)"
+    r"(?:\nq ([0-9]+) ([0-9]+) ([0-9]+))?\n?"
+)
+_ZERO_BASED = (-1).__add__  # a 1-based vertex id to its 0-based one
+
+
 def parse_instance_text(text: str) -> ParsedInstance:
+    """Parse instance text, checking every line.
+
+    Canonical text is read by one regex match and whole-list checks; any
+    other text, and any canonical text that fails a check, goes through the
+    line-by-line reader, which alone raises, so each error names its line.
+    """
+    return _parse_canonical(text) or _parse_lines(text)
+
+
+def _parse_canonical(text: str) -> ParsedInstance | None:
+    """The instance, if ``text`` has the canonical layout and passes every
+    check; otherwise None."""
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    n_text, m_text, arc_block, *q_text = match.groups()
+    try:
+        n, m = int(n_text), int(m_text)
+        tokens = arc_block.split()
+        us = list(map(_ZERO_BASED, map(int, tokens[1::3])))
+        vs = list(map(_ZERO_BASED, map(int, tokens[2::3])))
+        params = None if q_text[0] is None else tuple(map(int, q_text))
+    except ValueError:  # a digit string beyond int's limit
+        return None
+    if (
+        len(us) != m
+        or us and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n)
+        or any(map(int.__eq__, us, vs))
+        or len(set(zip(us, vs))) != m
+    ):
+        return None
+    graph = DirectedGraph._from_checked(*_sorted_adjacency(n, zip(us, vs)))
+    return ParsedInstance(graph=graph, params=params)
+
+
+def _parse_lines(text: str) -> ParsedInstance:
     n = m = -1
     arcs: list[tuple[int, int]] = []
     seen_arcs: set[tuple[int, int]] = set()

@@ -3,15 +3,16 @@
 Everything reachable from a cycle sustains itself at threshold 1, so that
 region is banked first: it is exactly ``peel(G, 1)``, the survivors of
 threshold-1 peeling.  The rest is a DAG closed under predecessors (a
-predecessor of a banked vertex would be reachable from a cycle too), so its
-sources are the vertices of in-degree 0 in the whole graph, only sources can
-be worth anchoring, and choosing which to anchor is a partial set cover over
+successor of a banked vertex is reachable from a cycle too), so its sources
+are the vertices of in-degree 0 in the whole graph, only sources can be
+worth anchoring, and choosing which to anchor is a partial set cover over
 their reach sets, taken within the residual.
 
 The bank, the sources and their reach sets depend on the graph alone, not on
-b or p.  They are computed once per graph and kept in a memo that holds the
-graph weakly, so repeated solves on one graph (the bisection steps of
-``dakc max``) share them and an entry dies with its graph.
+b or p.  All the reach sets come from one sweep over the residual in reverse
+topological order.  They are computed once per graph and kept in a memo that
+holds the graph weakly, so repeated solves on one graph (the bisection steps
+of ``dakc max``) share them and an entry dies with its graph.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .core import Instance, Solution, Verdict, normalize, peel, verify_solution
-from .graph import DirectedGraph, Mask, reach, vertices_of, vset
+from .core import Instance, Solution, Verdict, normalize, peel
+from .graph import DirectedGraph, Mask, vertices_of, vset
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,40 @@ _plans: "weakref.WeakKeyDictionary[DirectedGraph, _Plan]" = weakref.WeakKeyDicti
 def _plan(g: DirectedGraph) -> _Plan:
     plan = _plans.get(g)
     if plan is None:
-        banked = peel(g, 1)
-        residual = g.full_mask & ~banked
-        sources = tuple(v for v in vertices_of(residual) if g.in_degrees[v] == 0)
+        # peeling at threshold 1 deletes every in-degree-0 vertex first, so
+        # the residual sources are all of them
+        sources = tuple(vertices_of(g.in_degree_below[1]))
         plan = _plans[g] = _Plan(
-            banked=banked,
-            sources=sources,
-            reach_sets=tuple(reach(g, 1 << s, "forward", within=residual) for s in sources),
+            banked=peel(g, 1), sources=sources, reach_sets=_residual_reach(g, sources)
         )
     return plan
+
+
+def _residual_reach(g: DirectedGraph, sources: tuple[int, ...]) -> tuple[Mask, ...]:
+    """Each source's reach set within the residual, all in one sweep.
+
+    The residual is closed under predecessors, so a residual vertex keeps
+    its whole in-degree there, and Kahn's algorithm from the sources orders
+    exactly the residual topologically (a banked vertex keeps a banked
+    predecessor and is never released).  In reverse order, a vertex reaches
+    itself and whatever its residual successors reach; a banked successor
+    adds nothing, as its entry stays 0.
+    """
+    out_adj = g.out_adj
+    indeg = list(g.in_degrees)
+    order = list(sources)
+    for v in order:
+        for w in out_adj[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    reach_of = [0] * g.n
+    for v in reversed(order):
+        mask = 1 << v
+        for w in out_adj[v]:
+            mask |= reach_of[w]
+        reach_of[v] = mask
+    return tuple(reach_of[s] for s in sources)
 
 
 def solve_k1(inst: Instance) -> Verdict:
@@ -110,16 +136,12 @@ def solve_k1(inst: Instance) -> Verdict:
     if b >= p - banked_size:
         need = p - banked_size
         extra = vset(vertices_of(g.full_mask & ~banked)[:need]) if need > 0 else 0
-        sol = Solution(anchors=extra, core=extra | banked)
-        assert verify_solution(nrm, sol)
-        return Verdict.yes(sol)
+        return Verdict.yes(Solution(anchors=extra, core=extra | banked))
 
     # Residual DAG: anchoring a source engages exactly its reach set.
     sources = plan.sources
     if len(sources) <= b:
-        sol = Solution(anchors=vset(sources), core=g.full_mask)
-        assert verify_solution(nrm, sol)
-        return Verdict.yes(sol)
+        return Verdict.yes(Solution(anchors=vset(sources), core=g.full_mask))
 
     picked = partial_set_cover(
         SetCoverQuery(
@@ -135,6 +157,4 @@ def solve_k1(inst: Instance) -> Verdict:
     covered = 0
     for i in picked:
         covered |= plan.reach_sets[i]
-    sol = Solution(anchors=anchors, core=covered | banked)
-    assert verify_solution(nrm, sol)
-    return Verdict.yes(sol)
+    return Verdict.yes(Solution(anchors=anchors, core=covered | banked))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dakc import Instance, oracle_solve, solver_k1
+from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_k1
 from dakc.cli import _build_parser, main
 from dakc.core import anchor_subset_count
 from dakc.graph import serialize_instance
@@ -264,3 +264,44 @@ def test_oracle_cap_exit_code_counts_every_vertex(capsys, tmp_path):
     assert code == 4 and "cap" in err
     code, out, _ = run(capsys, "oracle", str(f), "--cap", str(total))
     assert code == 0 and json.loads(out)["anchors"] == [21, 22, 23]
+
+
+def test_unverifiable_witness_fails_solve_and_max(capsys, monkeypatch, tmp_path):
+    # a solver that claims the lowest p vertices, unanchored: on a path only
+    # its source lacks an in-arc, so every such claim is false
+    f = tmp_path / "path.gr"
+    f.write_text("p dakc 3 2\na 1 2\na 2 3\nq 0 1 2\n")
+    monkeypatch.setattr(
+        cli, "solve_k1", lambda inst: Verdict.yes(Solution(anchors=0, core=(1 << inst.p) - 1))
+    )
+    for command in ("solve", "max"):
+        code, out, err = run(capsys, command, str(f), "--solver", "k1")
+        assert code == 4 and "unverifiable" in err
+        assert "max_p" not in out
+
+
+def test_each_reported_yes_is_verified_once(capsys, monkeypatch, tmp_path):
+    # solvers leave verification to the report; max checks its best witness
+    # alone, not each bisection step
+    calls = []
+    real = core.solution_violation
+    monkeypatch.setattr(core, "solution_violation", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(97)
+    seen = set()
+    for i in range(60):
+        n = rng.randint(2, 12)
+        g = random_digraph(rng, n, rng.uniform(0.05, 0.3))
+        f = tmp_path / f"g{i}.gr"
+        f.write_text(serialize_instance(g, (rng.randint(0, 2), 1, rng.randint(1, n))))
+        for argv in (("solve",), ("max",), ("solve", "--solver", "oracle")):
+            calls.clear()
+            code, out, _ = run(capsys, argv[0], str(f), *argv[1:])
+            report = json.loads(out)
+            if argv[0] == "max":
+                yes = report["max_p"] >= 1
+                seen.add(("max", yes))
+            else:
+                yes = report["answer"] == "yes"
+                seen.add((argv[-1], yes))
+            assert code in (0, 1) and len(calls) == (1 if yes else 0)
+    assert seen >= {("solve", True), ("solve", False), ("max", True), ("max", False), ("oracle", True)}

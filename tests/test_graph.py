@@ -5,6 +5,7 @@ import pytest
 from dakc import (
     DirectedGraph,
     ParseError,
+    graph,
     induced_subgraph,
     parse_digraph,
     parse_instance_text,
@@ -49,6 +50,76 @@ def test_parse_errors(text, kind):
     with pytest.raises(ParseError) as exc:
         parse_instance_text(text)
     assert exc.value.kind == kind
+
+
+def _canonical_texts(rng, count):
+    for _ in range(count):
+        n = rng.randint(0, 40)
+        g = random_digraph(rng, n, rng.uniform(0, 0.2))
+        params = (rng.randint(0, 5), rng.randint(0, 3), rng.randint(1, 50)) if rng.random() < 0.5 else None
+        text = serialize_instance(g, params)
+        yield text if rng.random() < 0.5 else text[:-1]
+
+
+def test_parse_fast_path_matches_line_reader():
+    rng = random.Random(83)
+    texts = list(_canonical_texts(rng, 500))
+    assert any(not t.endswith("\n") for t in texts) and any("\nq " in t for t in texts)
+    for text in texts:
+        assert parse_instance_text(text) == graph._parse_lines(text)
+
+
+def test_parse_fast_path_serves_canonical_text(monkeypatch):
+    rng = random.Random(89)
+    expected = [(t, graph._parse_lines(t)) for t in _canonical_texts(rng, 200)]
+
+    def refuse(text):
+        raise AssertionError("canonical text reached the line reader")
+
+    monkeypatch.setattr(graph, "_parse_lines", refuse)
+    for text, parsed in expected:
+        assert parse_instance_text(text) == parsed
+
+
+CANONICAL = "p dakc 4 3\na 1 2\na 2 3\na 3 4\nq 1 1 3\n"
+
+
+@pytest.mark.parametrize(
+    "text,expect",
+    [
+        ("c note\n" + CANONICAL, None),
+        (CANONICAL.replace("a 2 3\n", "a 2 3\n\n"), None),
+        (CANONICAL.replace("\n", "\r\n"), None),
+        (CANONICAL.replace("a 1 2", "a\t1\t2"), None),
+        (CANONICAL.replace("a 1 2", "  a 1 2"), None),
+        (CANONICAL.replace("a 2 3", "a 2 +3"), None),
+        (CANONICAL.replace("q 1 1 3", "q -1 1 3"), None),
+        (CANONICAL.replace("a 1 2", "a 0 2"), (2, "vertex-range")),
+        (CANONICAL.replace("a 3 4", "a 3 5"), (4, "vertex-range")),
+        (CANONICAL.replace("a 2 3", "a 2 2"), (3, "self-loop")),
+        (CANONICAL.replace("a 2 3", "a 1 2"), (3, "duplicate-arc")),
+        (CANONICAL.replace("p dakc 4 3", "p dakc 4 4"), (0, "arc-count")),
+        (CANONICAL.replace("p dakc 4 3", "p dakc 4 2"), (0, "arc-count")),
+        (CANONICAL.replace("q 1 1 3", "a 1 2\nq 1 1 3"), (5, "duplicate-arc")),
+        (CANONICAL.replace("a 1 2\n", "a 1 2\np dakc 4 3\n"), (3, "header")),
+        (CANONICAL + "q 1 1 3\n", (6, "params")),
+        ("q 1 1 3\n" + CANONICAL[:-8], (1, "header")),
+        (CANONICAL.replace("a 3 4", "x 3 4"), (4, "token")),
+    ],
+)
+def test_parse_off_canonical_text_matches_line_reader(text, expect):
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            return (exc.line_no, exc.kind, str(exc))
+
+    got = outcome(parse_instance_text)
+    assert got == outcome(graph._parse_lines)
+    if expect is None:
+        assert not isinstance(got, tuple)
+    else:
+        assert got[:2] == expect
 
 
 def test_parse_error_names_line():

@@ -12,11 +12,14 @@ from dakc import (
     oracle_solve,
     partial_set_cover,
     peel,
+    reach,
     solve_k1,
     verify_solution,
     vset,
 )
+from dakc.reductions import SetCoverInstance, gen_from_setcover
 from dakc.solver_dag import is_acyclic
+from dakc.solver_k1 import _plan
 from helpers import cycle_closure, cycle_graph, k1_reference, random_digraph
 
 
@@ -162,3 +165,33 @@ def test_plan_memo_keeps_graphs_apart_and_never_alive():
     del paths, looped
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_plan_reach_sweep_matches_one_walk_per_source():
+    # one reverse-topological sweep over the residual must give every source
+    # the set a walk confined to the residual finds
+    rng = random.Random(71)
+    graphs = []
+    for _ in range(100):
+        universe = rng.randint(1, 3)
+        sets = [vset(rng.sample(range(universe), rng.randint(1, universe))) for _ in range(rng.randint(1, 4))]
+        sets.append((1 << universe) - 1)  # every element is covered
+        cover = SetCoverInstance(universe=universe, sets=tuple(sets), budget=rng.randint(0, 2))
+        graphs.append(gen_from_setcover(cover).instance.graph)
+    for _ in range(120):
+        graphs.append(random_digraph(rng, rng.randint(0, 16), rng.uniform(0.03, 0.3)))
+    for _ in range(100):
+        # a random topological order, dense enough that sources share descendants
+        n = rng.randint(2, 18)
+        order = rng.sample(range(n), n)
+        arcs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
+        graphs.append(DirectedGraph.from_arcs(n, arcs))
+    banking = sharing = 0
+    for g in graphs:
+        plan = _plan(g)
+        residual = g.full_mask & ~plan.banked
+        walks = tuple(reach(g, 1 << s, "forward", within=residual) for s in plan.sources)
+        assert plan.reach_sets == walks
+        banking += plan.banked != 0
+        sharing += any(a & b for a, b in combinations(walks, 2))
+    assert banking >= 30 and sharing >= 100
