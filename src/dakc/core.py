@@ -97,24 +97,50 @@ def peel(g: DirectedGraph, k: int, anchors: Mask = 0) -> Mask:
     Anchors are never deleted.  The result is independent of deletion order
     (the process is confluent) and grows with the anchor set (it is
     monotone), so a work queue seeded with the initially deficient vertices
-    computes it in O(n + m) (Batagelj & Zaversnik, 2003).  The queue starts
-    from the graph's cached in-degree classes, and a vertex is queued only on
-    the arc that takes it from ``k`` to ``k - 1``, so each deleted vertex is
-    queued exactly once and the queue is the deleted set.
+    computes it in O(n + m) (Batagelj & Zaversnik, 2003).  That queue is
+    ``_withdraw`` started from the whole graph, where every vertex is an
+    anchor, withdrawing every vertex outside ``anchors``.
     """
     if k <= 0:
         return g.full_mask
+    return _withdraw(g, k, *_whole_graph(g, k), anchors, g.full_mask & ~anchors)[0]
+
+
+def _whole_graph(g: DirectedGraph, k: int) -> tuple[Mask, Mask, list[int]]:
+    """The ``_withdraw`` state of the peel that anchors every vertex: the
+    whole graph, its vertices of in-degree below ``k``, and a fresh list of
+    the in-degrees."""
     below = g.in_degree_below
-    queue = vertices_of(below[min(k, len(below) - 1)] & ~anchors)
-    indeg = list(g.in_degrees)
+    return g.full_mask, below[min(k, len(below) - 1)], list(g.in_degrees)
+
+
+def _withdraw(
+    g: DirectedGraph, k: int, core: Mask, weak: Mask, indeg: list[int], anchors: Mask, drop: Mask
+) -> tuple[Mask, Mask]:
+    """Withdraw the anchors ``drop`` from a peel: ``peel(g, k, anchors)`` and
+    its weak set, given the state of ``peel(g, k, anchors | drop)``.
+
+    The state is ``core``, that peel; ``weak``, its members whose in-degree
+    inside it is below ``k`` (all of them anchors); and ``indeg``, every
+    vertex's in-degree inside it, which is updated in place.  The queue
+    starts from the dropped weak vertices.  A vertex is touched only on the
+    arc that takes it from ``k`` to ``k - 1``: a non-anchor is queued there,
+    and an anchor becomes weak.  So each deleted vertex is queued exactly
+    once, the queue is the deleted set, and the work is the out-arcs of the
+    deleted vertices.
+    """
+    queue = vertices_of(drop & weak)
     out_adj = g.out_adj
     last = k - 1
     for v in queue:
         for w in out_adj[v]:
             indeg[w] -= 1
-            if indeg[w] == last and not (anchors >> w) & 1:
-                queue.append(w)
-    return g.full_mask ^ vset(queue)
+            if indeg[w] == last:
+                if (anchors >> w) & 1:
+                    weak |= 1 << w
+                else:
+                    queue.append(w)
+    return core ^ vset(queue), weak & ~drop
 
 
 def solution_violation(inst: Instance, sol: Solution) -> str | None:
@@ -164,17 +190,28 @@ def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
     """Exhaustive ground truth: the first anchor set of size at most b whose
     peel reaches ``p`` vertices, in smallest-first, lexicographic order.
 
-    Two exact shortcuts skip only anchor sets that cannot come first, so the
-    witness is the one a plain enumeration of every subset returns:
+    Three exact shortcuts skip only anchor sets that cannot come first, so
+    the witness is the one a plain enumeration of every subset returns:
 
     - The unanchored core K0 = ``peel(G, k, 0)`` is banked once.  If it has
       ``p`` vertices the answer needs no anchors; otherwise anchors are drawn
       from V minus K0 only.  Anchoring a vertex that survives anyway leaves
       the peel unchanged, so a first hit never contains one.
+    - Peeling is monotone in the anchors, so a hit stays a hit when anchors
+      are added, and the largest size, ``top = min(|V - K0|, b)``, has a hit
+      if any size does.  It is searched first; without a hit the answer is
+      NO.  Otherwise sizes 1 to ``top - 1`` are searched in ascending order,
+      and the size-``top`` hit stands only if none of them has one.
     - Within each size, a depth-first search takes candidates in increasing
-      id order.  Peeling is monotone in the anchors, so with anchors A chosen
-      and candidates R left, ``peel(G, k, A | R)`` bounds every completion;
-      the branch is pruned when that bound is below ``p``.
+      id order.  With anchors A chosen and candidates R left,
+      ``peel(G, k, A | R)`` bounds every completion; the branch is pruned
+      when that bound is below ``p``.
+
+    No bound is peeled anew from the graph.  The root bound, every candidate
+    anchored, is the whole graph, since K0 sustains itself.  The next
+    candidate position's bound lacks one anchor, and a leaf's core lacks
+    every candidate after its own, so each comes from the previous state by
+    ``_withdraw``; a child or a leaf works on its own copy of the in-degrees.
 
     Exponential all the same: refuses to start if the count of all anchor
     subsets of size at most b, over every vertex, exceeds ``cap``.  Banking
@@ -191,31 +228,48 @@ def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
             f"{total} anchor subsets exceed the oracle cap of {cap}"
         )
     unanchored = peel(g, k)
-    sol = Solution(anchors=0, core=unanchored) if unanchored.bit_count() >= p else None
+    if unanchored.bit_count() >= p:
+        return Verdict.yes(Solution(anchors=0, core=unanchored))
     cand = vertices_of(g.full_mask & ~unanchored)
     # rest[i]: the candidates from position i on
     rest = [0] * (len(cand) + 1)
     for i in reversed(range(len(cand))):
         rest[i] = rest[i + 1] | 1 << cand[i]
 
-    def first_hit(chosen: Mask, start: int, need: int) -> Solution | None:
-        """The first hit, in lexicographic order, that adds ``need``
-        candidates from position ``start`` on to ``chosen``."""
-        if need == 0:
-            core = peel(g, k, chosen)
-            return Solution(anchors=chosen, core=core) if core.bit_count() >= p else None
+    def first_hit(
+        chosen: Mask, start: int, need: int, core: Mask, weak: Mask, indeg: list[int]
+    ) -> Solution | None:
+        """The first hit, in lexicographic order, that adds ``need`` >= 1
+        candidates from position ``start`` on to ``chosen``.  ``core``,
+        ``weak`` and ``indeg`` are the state of the bound
+        ``peel(g, k, chosen | rest[start])``, which the caller has checked;
+        this call owns ``indeg``."""
         for i in range(start, len(cand) - need + 1):
-            # at i == start the bound is the caller's, or at the root the
-            # whole graph; it only shrinks as i grows
-            if i > start and peel(g, k, chosen | rest[i]).bit_count() < p:
-                return None
-            hit = first_hit(chosen | 1 << cand[i], i + 1, need - 1)
-            if hit is not None:
-                return hit
+            if i > start:
+                core, weak = _withdraw(g, k, core, weak, indeg, chosen | rest[i], 1 << cand[i - 1])
+                if core.bit_count() < p:
+                    # later positions' bounds are smaller still
+                    return None
+            anchors = chosen | 1 << cand[i]
+            if need == 1:
+                leaf = _withdraw(g, k, core, weak, indeg.copy(), anchors, rest[i + 1])[0]
+                if leaf.bit_count() >= p:
+                    return Solution(anchors=anchors, core=leaf)
+            else:
+                hit = first_hit(anchors, i + 1, need - 1, core, weak, indeg.copy())
+                if hit is not None:
+                    return hit
         return None
 
-    for size in range(1, min(len(cand), b) + 1):
-        if sol is not None:
-            break
-        sol = first_hit(0, 0, size)
-    return Verdict.no() if sol is None else Verdict.yes(sol)
+    def search(size: int) -> Solution | None:
+        return first_hit(0, 0, size, *_whole_graph(g, k))
+
+    top = min(len(cand), b)
+    sol = search(top) if top else None
+    if sol is None:
+        return Verdict.no()
+    for size in range(1, top):
+        hit = search(size)
+        if hit is not None:
+            return Verdict.yes(hit)
+    return Verdict.yes(sol)

@@ -40,7 +40,11 @@ def partial_set_cover(q: SetCoverQuery) -> set[int] | None:
     Selections of each size are tried in lexicographic index order, so the
     returned index set is deterministic (fewest sets, then lexicographically
     first).  A running suffix-union bound prunes branches that cannot reach
-    the target even using every remaining set.
+    the target even using every remaining set.  Coverage only grows with the
+    sets picked, so the largest size, ``min(budget, r)``, is searched first:
+    without a cover there is none at all.  With one, the smaller sizes are
+    searched in ascending order, and the largest size's cover stands only if
+    none of them has one.
     """
     r = len(q.sets)
     suffix = [0] * (r + 1)
@@ -61,11 +65,15 @@ def partial_set_cover(q: SetCoverQuery) -> set[int] | None:
                 return rest
         return None
 
-    for size in range(min(q.budget, r) + 1):
-        found = first_cover(0, size, 0)
-        if found is not None:
-            return found
-    return None
+    top = min(q.budget, r)
+    found = first_cover(0, top, 0)
+    if found is None:
+        return None
+    for size in range(top):
+        smaller = first_cover(0, size, 0)
+        if smaller is not None:
+            return smaller
+    return found
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,15 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.core import anchor_subset_count
+from dakc.core import _withdraw, anchor_subset_count
+from dakc.reductions import (
+    CnfFormula,
+    SetCoverInstance,
+    amplify_k,
+    gen_from_clique,
+    gen_from_sat,
+    gen_from_setcover,
+)
 from helpers import (
     cycle_graph,
     cycle_with_pendants,
@@ -24,6 +32,7 @@ from helpers import (
     path_graph,
     peel_in_order,
     random_digraph,
+    random_restricted_cnf,
     undirected_akc_brute_force,
 )
 
@@ -192,3 +201,76 @@ def test_oracle_witness_is_first_in_size_lex_order():
     g = path_graph(4)
     v = oracle_solve(Instance(graph=g, b=2, k=1, p=4))
     assert v.solution.anchors == vset([0])
+
+
+def _peel_state(g, k, core):
+    """The weak set and in-degree list of a peel, counted directly."""
+    indeg = [(g.in_mask[v] & core).bit_count() for v in range(g.n)]
+    weak = vset(v for v in vertices_of(core) if indeg[v] < k)
+    return weak, indeg
+
+
+def test_withdraw_matches_peel_of_the_smaller_anchor_set():
+    # a chain of nested anchor sets, each withdrawal starting from the state
+    # the previous one left, as the oracle's search does
+    rng = random.Random(59)
+    removing = 0
+    for _ in range(600):
+        n = rng.randint(1, 14)
+        g = random_digraph(rng, n, rng.uniform(0.1, 0.5))
+        k = rng.randint(1, 3)
+        anchors = vset(v for v in range(n) if rng.random() < 0.6)
+        core = peel_in_order(g, k, anchors, rng)
+        weak, indeg = _peel_state(g, k, core)
+        while anchors:
+            kept = vset(v for v in vertices_of(anchors) if rng.random() < 0.6)
+            before = core
+            core, weak = _withdraw(g, k, core, weak, indeg, kept, anchors & ~kept)
+            anchors = kept
+            expected = peel_in_order(g, k, anchors, rng)
+            assert core == expected
+            expected_weak, expected_indeg = _peel_state(g, k, expected)
+            assert weak == expected_weak
+            assert all(indeg[v] == expected_indeg[v] for v in vertices_of(core))
+            removing += core != before
+    assert removing >= 600
+
+
+def _gadget_pool():
+    """Reduction gadgets with K0 = 0, small enough for ``oracle_reference``,
+    each asked at several budgets up to 4 and several targets."""
+    rng = random.Random(61)
+    gadgets = []
+    for _ in range(12):
+        num_vars, clauses = random_restricted_cnf(rng, rng.randint(2, 3), 3)
+        gadgets.append(gen_from_sat(CnfFormula(num_vars, clauses), k=1).instance)
+    for _ in range(12):
+        n = rng.randint(4, 5)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        gadgets.append(gen_from_clique(n, edges, b=rng.randint(2, 3), k=2).instance)
+    for budget in (0, 1):
+        cover = SetCoverInstance(universe=1, sets=(vset([0]),), budget=budget)
+        gadgets.append(amplify_k(gen_from_setcover(cover).instance, k=2, delta=5).instance)
+    pool = []
+    for gadget in gadgets:
+        g, k = gadget.graph, gadget.k
+        assert peel(g, k) == 0
+        for b in sorted({gadget.b - 1, gadget.b, min(gadget.b + 1, 4)}):
+            for p in sorted({b + 1, (b + 1 + gadget.p) // 2, gadget.p, gadget.p + 1}):
+                if p <= g.n:
+                    pool.append(Instance(graph=g, b=b, k=k, p=p))
+    return pool
+
+
+def test_oracle_matches_plain_enumeration_on_reduction_gadgets():
+    # with K0 = 0 every vertex is a candidate, so top = min(n, b) = b
+    below_top = no_with_budget = 0
+    for inst in _gadget_pool():
+        got = oracle_solve(inst)
+        assert got == oracle_reference(inst)
+        if got.is_yes:
+            below_top += got.solution.anchors.bit_count() < inst.b
+        else:
+            no_with_budget += inst.b >= 2
+    assert below_top >= 50
+    assert no_with_budget >= 40
