@@ -248,7 +248,8 @@ def _cmd_verify(args) -> int:
         payload = json.loads(_read_text(args.solution))
         anchors = list(payload["anchors"])
         core = list(payload["core"])
-        if not all(isinstance(v, int) for v in anchors + core):
+        # a JSON boolean is an int in Python, but it names no vertex
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in anchors + core):
             raise TypeError("vertex ids must be integers")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(0, "params", f"malformed solution JSON: {exc}") from exc

@@ -9,9 +9,10 @@ enumerator runs the classical branching on the reversed graph with the roles
 of s and t swapped.
 
 Each branch asks for a minimum vertex cut.  The max flow behind it runs on
-the split graph (an entry and an exit node per vertex) without building it:
-the search walks the graph's adjacency tuples and keeps only the nonzero
-flows, so a call allocates little more than its search queue.  One flow step,
+the split graph (an entry and an exit node per vertex) without building it.
+Every arc carries 0 or 1 unit, so the flow is a few vertex bitmasks, and each
+search grows a mask of entry nodes and a mask of exit nodes from the graph's
+``out_mask``/``in_mask`` rows, a level at a time.  One flow step,
 ``_max_flow``, serves two readers: ``_min_vertex_cut`` takes the sink side of
 its residual graph, and ``disjoint_paths`` follows its flow from s to t into
 internally vertex-disjoint paths.
@@ -89,77 +90,99 @@ def is_important(g: DirectedGraph, s: int, t: int, sep: Mask, h: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Minimum vertex cuts via unit-capacity max flow on the split graph.
-# Node 2v is the entry half of vertex v, node 2v+1 the exit half; the internal
-# arc carries capacity 1 (unbounded for protected vertices), original arcs are
-# unbounded.  The split graph is never built: the search walks g's adjacency
-# tuples and stores only the nonzero flows.  The returned cut is the unique
-# minimum cut closest to the sink.
+# Vertex v becomes an entry node and an exit node joined by an internal arc
+# entry(v) -> exit(v) of capacity 1 (unbounded for protected vertices: the
+# sources and the sink); each arc u -> w becomes exit(u) -> entry(w) with
+# unbounded capacity.  The split graph is never built.  With no arc from a
+# source to the sink every arc carries 0 or 1 unit: at most one unit enters
+# an unprotected vertex, and no augmenting path enters a source's entry.  So
+# the flow is a ``through`` mask, the unprotected vertices whose internal arc
+# carries a unit, plus per-vertex masks of the arcs that carry one.  Every
+# residual arc joins an entry node and an exit node, so each search steps
+# from a mask of entry nodes to a mask of exit nodes and back.  The returned
+# cut is the unique minimum cut closest to the sink.
 # ---------------------------------------------------------------------------
 
 
 def _max_flow(
     g: DirectedGraph, alive: Mask, sources: Mask, sink: int, limit: int
-) -> tuple[int, dict[int, int], dict[tuple[int, int], int]]:
+) -> tuple[int, Mask, list[Mask], list[Mask]]:
     """Augment a unit at a time from ``sources`` to ``sink`` inside ``alive``,
     stopping at the maximum or at ``limit + 1`` units, whichever comes first.
 
-    Returns ``(flow, through, carried)``: the flow value, the flow on each
-    vertex's internal arc and the flow on each original arc, nonzero entries
-    only.  Sources and the sink have no vertex capacity.  The caller rules
+    Returns ``(flow, through, out_flow, in_flow)``: the flow value, the
+    unprotected vertices whose internal arc carries a unit, and per vertex v
+    the heads of v's arcs that carry a unit and the tails of the arcs into v
+    that do.  Sources and the sink have no vertex capacity.  The caller rules
     out an arc straight from a source to the sink, which would carry
     unbounded flow, and a sink that is a source or not alive.
     """
-    out_adj, in_adj = g.out_adj, g.in_adj
-    protected = sources | (1 << sink)
-    through: dict[int, int] = {}  # vertex -> flow on its internal arc
-    carried: dict[tuple[int, int], int] = {}  # arc (u, v) -> flow from exit(u) to entry(v)
-
-    def bump(flows: dict, key, by: int) -> None:
-        value = flows.get(key, 0) + by
-        if value:
-            flows[key] = value
-        else:
-            del flows[key]
-
-    target = 2 * sink
-    starts = [2 * v for v in vertices_of(sources)]
+    out_mask, in_mask = g.out_mask, g.in_mask
+    sink_bit = 1 << sink
+    through = 0
+    out_flow = [0] * g.n
+    in_flow = [0] * g.n
     flow = 0
     while flow <= limit:
-        # BFS for an augmenting path in the residual graph.  With no arc from
-        # a source to the sink, each path has a unit of residual capacity.
-        parent = dict.fromkeys(starts, -1)
-        queue = list(starts)
-        for x in queue:
-            v = x >> 1
-            if x & 1:  # exit(v): along v's arcs, or back along its internal arc
-                step = [2 * w for w in out_adj[v] if (alive >> w) & 1]
-                if v in through:
-                    step.append(x - 1)
-            else:  # entry(v): through v if it has room, or back along used arcs
-                step = [2 * u + 1 for u in in_adj[v] if (u, v) in carried]
-                if (protected >> v) & 1 or v not in through:
-                    step.append(x + 1)
-            for y in step:
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-            if target in parent:
-                break
-        else:
-            break  # no augmenting path: the flow is maximum
-        y = target
-        x = parent[y]
-        while x != -1:
-            u, v = x >> 1, y >> 1
-            if u == v:
-                bump(through, u, -1 if x & 1 else 1)
-            elif x & 1:
-                bump(carried, (u, v), 1)
+        # Breadth-first search for a shortest augmenting path, a level at a
+        # time: entries[i] holds the entry nodes first reached after 2i
+        # steps, exits[i] the exit nodes first reached after 2i + 1.
+        entries: list[Mask] = []
+        exits: list[Mask] = []
+        seen_in = front = sources
+        seen_out = 0
+        while not front & sink_bit:
+            entries.append(front)
+            # entry(v) -> exit(v) if v has room; entry(w) -> exit(u) back
+            # along a flow arc u -> w, which only a vertex with flow has
+            nxt = front & ~through
+            rest = front & through
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nxt |= in_flow[low.bit_length() - 1]
+            nxt &= ~seen_out
+            if not nxt:
+                return flow, through, out_flow, in_flow  # the flow is maximum
+            seen_out |= nxt
+            exits.append(nxt)
+            # exit(v) -> entry(w) along any arc v -> w; exit(v) -> entry(v)
+            # back along v's internal arc if it carries a unit
+            front = nxt & through
+            rest = nxt
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                front |= out_mask[low.bit_length() - 1]
+            front &= alive & ~seen_in
+            if not front:
+                return flow, through, out_flow, in_flow  # the flow is maximum
+            seen_in |= front
+        # Walk back from the sink's entry a level at a time, to the lowest
+        # predecessor on the level below, augmenting on the way.  Each node
+        # of the path has a level of its own, so no step reads state that a
+        # later step of the path (an earlier one of the walk) has changed.
+        w = sink
+        for i in range(len(exits) - 1, -1, -1):
+            if (exits[i] & through) >> w & 1:
+                u = w  # back along w's internal arc
+                through ^= 1 << w
             else:
-                bump(carried, (v, u), -1)
-            y, x = x, parent[x]
+                tails = exits[i] & in_mask[w]
+                u = (tails & -tails).bit_length() - 1
+                out_flow[u] |= 1 << w
+                in_flow[w] |= 1 << u
+            if (entries[i] & ~through) >> u & 1:
+                w = u  # through u's internal arc
+                if i:  # level 0 holds the sources, which have no capacity
+                    through |= 1 << u
+            else:
+                heads = entries[i] & out_flow[u]
+                w = (heads & -heads).bit_length() - 1
+                out_flow[u] ^= 1 << w  # back along the flow arc u -> w
+                in_flow[w] ^= 1 << u
         flow += 1
-    return flow, through, carried
+    return flow, through, out_flow, in_flow
 
 
 def _min_vertex_cut(
@@ -179,39 +202,42 @@ def _min_vertex_cut(
     if not (alive >> sink) & 1:
         return None if limit < 0 else (0, 0)  # nothing reaches a dead sink
     sources &= alive
-    out_adj, in_adj = g.out_adj, g.in_adj
-    if any((sources >> u) & 1 for u in in_adj[sink]):
+    in_mask = g.in_mask
+    if in_mask[sink] & sources:
         return None  # an arc straight from a source to the sink: no cut exists
-    flow, through, carried = _max_flow(g, alive, sources, sink, limit)
+    flow, through, out_flow, _ = _max_flow(g, alive, sources, sink, limit)
     if flow > limit:
         return None
 
-    # Sink side of the residual graph: nodes that can still reach the sink.
-    protected = sources | (1 << sink)
-    target = 2 * sink
-    side = {target}
-    queue = [target]
-    for y in queue:
-        v = y >> 1
-        if y & 1:  # from entry(v) if v has room, from entry(w) back along v->w
-            step = [2 * w for w in out_adj[v] if (v, w) in carried]
-            if (protected >> v) & 1 or v not in through:
-                step.append(y - 1)
-        else:  # from exit(u) along any arc u->v, or back along v's internal arc
-            step = [2 * u + 1 for u in in_adj[v] if (alive >> u) & 1]
-            if v in through:
-                step.append(y + 1)
-        for x in step:
-            if x not in side:
-                side.add(x)
-                queue.append(x)
-    # a source's nodes never reach the sink (that would be an augmenting
-    # path) and the sink's entry is in the set, so neither is ever cut
-    cut = 0
-    for y in side:
-        if y & 1 and y - 1 not in side:
-            cut |= 1 << (y >> 1)
-    return flow, cut
+    # Sink side of the residual graph, the nodes that can still reach the
+    # sink, grown backwards to a fixpoint: side_in holds entry nodes,
+    # side_out exit nodes.  A source's nodes never join (that would be an
+    # augmenting path) and the sink's entry is in from the start, so
+    # neither is ever cut.
+    side_in = new_in = 1 << sink
+    side_out = 0
+    while new_in:
+        # exit(u) -> entry(w) along any arc u -> w; exit(w) -> entry(w) back
+        # along w's internal arc if it carries a unit
+        new_out = new_in & through
+        rest = new_in
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            new_out |= in_mask[low.bit_length() - 1]
+        new_out &= alive & ~side_out
+        side_out |= new_out
+        # entry(u) -> exit(u) if u has room; entry(w) -> exit(u) back along
+        # a flow arc u -> w, which only a vertex with flow has
+        new_in = new_out & ~through
+        rest = new_out & through
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            new_in |= out_flow[low.bit_length() - 1]
+        new_in &= ~side_in
+        side_in |= new_in
+    return flow, side_out & ~side_in
 
 
 def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
@@ -225,19 +251,12 @@ def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[i
     Flow that circulates away from s is never reached and is ignored.
     """
     _check_endpoints(g, s, t, symmetric=False)
-    _, _, carried = _max_flow(g, g.full_mask, 1 << s, t, limit)
-    firsts: list[int] = []
-    succ: dict[int, int] = {}
-    for u, v in carried:
-        if u == s:
-            firsts.append(v)
-        else:
-            succ[u] = v
+    _, _, out_flow, _ = _max_flow(g, g.full_mask, 1 << s, t, limit)
     paths = []
-    for v in sorted(firsts):
+    for v in iter_vertices(out_flow[s]):
         path = [s, v]
         while v != t:
-            v = succ[v]
+            v = out_flow[v].bit_length() - 1
             path.append(v)
         paths.append(tuple(path))
     return paths

@@ -20,7 +20,9 @@ operations on 128-bit lanes; the block is then transposed into one column
 per vertex (bit t set iff the vertex is red in trial t), and bit-sliced
 counters over those columns find the trials with at least p red vertices and
 at least p - b red vertices that have k red in-neighbours.  Only those
-trials, in increasing order, are run one at a time.
+trials, in increasing order, are run one at a time, and each takes its
+deficient set (red vertices with fewer than k red in-neighbours) from the
+block's columns instead of counting it again.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def knapsack_select(
 
 
 def search_with_coloring(
-    g: DirectedGraph, k: int, b: int, p: int, red: Mask
+    g: DirectedGraph, k: int, b: int, p: int, red: Mask, deficient: Mask | None = None
 ) -> Solution | None:
     """Evaluate one coloring: component summaries, then knapsack assembly.
 
@@ -222,23 +224,29 @@ def search_with_coloring(
     could assemble falls short of p, so they could not succeed either.  Any
     returned solution is verified before it leaves this function, so a hit is
     always sound no matter how the coloring was produced.
+
+    ``deficient``, when given, must be the set of red vertices with fewer
+    than k red in-neighbours, for a coloring already known to pass the first
+    two bounds; seeded mode reads both off its block filter.
     """
-    if red.bit_count() < p:
-        return None  # every core assembled here lies inside the red set
-    red &= g.full_mask
-    # A red vertex's red in-neighbours lie in its own red component, so it is
-    # deficient in its component iff it is deficient in the whole red set.
-    in_mask = g.in_mask
-    deficient = 0
-    rest = red
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if (in_mask[low.bit_length() - 1] & red).bit_count() < k:
-            deficient |= low
-    # an assembly anchors each of its deficient vertices, so at most b of them
-    if (red & ~deficient).bit_count() + min(b, deficient.bit_count()) < p:
-        return None
+    if deficient is None:
+        if red.bit_count() < p:
+            return None  # every core assembled here lies inside the red set
+        red &= g.full_mask
+        # A red vertex's red in-neighbours lie in its own red component, so
+        # it is deficient in its component iff it is deficient in the whole
+        # red set.
+        in_mask = g.in_mask
+        deficient = 0
+        rest = red
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (in_mask[low.bit_length() - 1] & red).bit_count() < k:
+                deficient |= low
+        # an assembly anchors each of its deficient vertices, so at most b
+        if (red & ~deficient).bit_count() + min(b, deficient.bit_count()) < p:
+            return None
     comps: list[Mask] = []
     items: list[tuple[int, int]] = []
     free = 0
@@ -291,22 +299,13 @@ def _at_least(columns: list[Mask], threshold: int, trials: Mask) -> Mask:
     return slices[top]
 
 
-def _block_survivors(
-    g: DirectedGraph, k: int, b: int, p: int, columns: list[Mask], trials: Mask
-) -> Mask:
-    """The trials of a block that pass the first two exits of
-    ``search_with_coloring``, given one column per vertex.
-
-    A trial passes iff (red vertices that need no anchor) + min(b, red
-    vertices that do) >= p, that is iff at least p vertices are red and at
-    least p - b of them have k red in-neighbours.
-    """
-    passing = _at_least(columns, p, trials)
-    if not passing:
-        return 0
+def _block_satisfied(g: DirectedGraph, k: int, columns: list[Mask]) -> list[Mask]:
+    """Column v of the result has bit t set iff vertex v is red and has at
+    least k red in-neighbours in the block's trial t."""
     satisfied = []
     for v, nbrs in enumerate(g.in_adj):
         if len(nbrs) < k or not columns[v]:
+            satisfied.append(0)
             continue
         # more[j]: the trials in which more than j in-neighbours of v are red
         more = [0] * k
@@ -316,7 +315,43 @@ def _block_survivors(
                 more[j] |= more[j - 1] & red
             more[0] |= red
         satisfied.append(columns[v] & more[-1])
+    return satisfied
+
+
+def _block_survivors(
+    g: DirectedGraph,
+    k: int,
+    b: int,
+    p: int,
+    columns: list[Mask],
+    trials: Mask,
+    satisfied: list[Mask] | None = None,
+) -> Mask:
+    """The trials of a block that pass the first two exits of
+    ``search_with_coloring``, given one column per vertex and, optionally,
+    the block's ``_block_satisfied`` columns.
+
+    A trial passes iff (red vertices that need no anchor) + min(b, red
+    vertices that do) >= p, that is iff at least p vertices are red and at
+    least p - b of them have k red in-neighbours.
+    """
+    passing = _at_least(columns, p, trials)
+    if not passing:
+        return 0
+    if satisfied is None:
+        satisfied = _block_satisfied(g, k, columns)
     return passing & _at_least(satisfied, p - b, trials)
+
+
+def _deficient_text(columns: list[Mask], satisfied: list[Mask], size: int) -> str:
+    """The block's deficient columns (red with fewer than k red
+    in-neighbours) as one ``'0'``/``'1'`` text, the mirror of
+    ``_block_columns``: a row of ``size`` digits per vertex, last vertex
+    first, each row's last trial first.  ``text[size - 1 - t :: size]``
+    then reads trial t's deficient set most significant vertex first, which
+    is the order ``int(..., 2)`` takes."""
+    digits = f"0{size}b"
+    return "".join(format(c & ~s, digits) for c, s in zip(reversed(columns), reversed(satisfied)))
 
 
 def _seeded_trials(delta: int, q: int, eps: float, cap: int) -> tuple[int, bool]:
@@ -375,11 +410,17 @@ def bounded_core_search(
     for start in range(0, trials, _BLOCK):
         size = min(_BLOCK, trials - start)
         buf = _draw_block(cfg.seed, g.n, start, size)
-        alive = _block_survivors(g, k, b, p, _block_columns(buf, g.n), (1 << size) - 1)
+        columns = _block_columns(buf, g.n)
+        satisfied = _block_satisfied(g, k, columns)
+        alive = _block_survivors(g, k, b, p, columns, (1 << size) - 1, satisfied)
+        if not alive:
+            continue
+        text = _deficient_text(columns, satisfied, size)
         while alive:
             t = (alive & -alive).bit_length() - 1
             alive ^= 1 << t
-            sol = search_with_coloring(g, k, b, p, _block_coloring(buf, g.n, t))
+            red = _block_coloring(buf, g.n, t)
+            sol = search_with_coloring(g, k, b, p, red, int(text[size - 1 - t :: size], 2))
             if sol is not None:
                 return Verdict.yes(sol, trials=start + t + 1)
     return Verdict.no_up_to(q, trials=trials, note=note)

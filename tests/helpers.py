@@ -178,11 +178,17 @@ def cycle_closure(g: DirectedGraph) -> int:
 
 
 def coloring_trial_reference(
-    g: DirectedGraph, k: int, b: int, p: int, red: int
+    g: DirectedGraph, k: int, b: int, p: int, red: int, deficient: int | None = None
 ) -> Solution | None:
     """One coloring trial spelled out step by step: every weak component of
     the red set, a summary of each, a knapsack over every summary that needs
-    at most b anchors, and a verified assembly.  No bound and no early exit."""
+    at most b anchors, and a verified assembly.  No bound and no early exit.
+    A ``deficient`` set handed in by the caller is checked, not used: it must
+    hold the red vertices with fewer than k red in-neighbours."""
+    if deficient is not None:
+        assert deficient == vset(
+            v for v in vertices_of(red & g.full_mask) if (g.in_mask[v] & red).bit_count() < k
+        )
     summaries = []
     remaining = red & g.full_mask
     while remaining:
@@ -241,16 +247,16 @@ def bounded_search_reference(inst: Instance, q: int, cfg: SearchConfig) -> Verdi
     return Verdict.no_up_to(q, trials=trials, note=note)
 
 
-def min_vertex_cut_reference(
+def split_graph_flow(
     g: DirectedGraph, alive: int, sources: int, sink: int, limit: int
-) -> tuple[int, int] | None:
-    """Minimum vertex cut closest to the sink, by max flow on an explicit
-    split graph: node 2v enters vertex v, node 2v+1 leaves it, the internal
-    arc has capacity 1 (``limit + 3`` for sources and the sink) and every
-    original arc has capacity ``limit + 3``.  Residual capacities live in a
-    dict keyed by node pairs.  None when the cut exceeds ``limit``."""
-    if (sources >> sink) & 1:
-        return None
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """Max flow from ``sources`` to ``sink`` inside ``alive`` on an explicit
+    split graph, stopped once it exceeds ``limit``: node 2v enters vertex v,
+    node 2v+1 leaves it, the internal arc has capacity 1 (``limit + 3`` for
+    sources and the sink) and every original arc has capacity ``limit + 3``.
+    Returns the flow value and the residual capacities, a dict keyed by
+    node pairs; an arc's flow is the residual capacity of its reverse.
+    The sink must not be a source."""
     big = limit + 3
     super_src = 2 * g.n
     sink_node = 2 * sink
@@ -301,9 +307,20 @@ def min_vertex_cut_reference(
             cap[(b, a)] += bottleneck
             b = a
         flow += bottleneck
+    return flow, cap
+
+
+def min_vertex_cut_reference(
+    g: DirectedGraph, alive: int, sources: int, sink: int, limit: int
+) -> tuple[int, int] | None:
+    """Minimum vertex cut closest to the sink, read off the residual graph
+    of ``split_graph_flow``.  None when the cut exceeds ``limit``."""
+    if (sources >> sink) & 1:
+        return None
+    flow, cap = split_graph_flow(g, alive, sources, sink, limit)
     if flow > limit:
         return None
-
+    sink_node = 2 * sink
     preds: dict[int, list[int]] = {}
     for a, b in cap:
         preds.setdefault(b, []).append(a)
@@ -322,6 +339,28 @@ def min_vertex_cut_reference(
         if v != sink and 2 * v + 1 in sink_side and 2 * v not in sink_side:
             cut |= 1 << v
     return flow, cut
+
+
+def disjoint_paths_reference(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
+    """Internally vertex-disjoint s-t paths read off the flow of
+    ``split_graph_flow``: from each flow arc out of s, follow the one flow
+    arc out of each vertex until t.  As many paths as the flow value, which
+    is limit + 1 when the flow exceeds the limit."""
+    if g.has_arc(s, t):
+        raise ValueError("s and t are adjacent")
+    _, cap = split_graph_flow(g, g.full_mask, 1 << s, t, limit)
+
+    def heads(u: int) -> list[int]:
+        return [w for w in g.out_adj[u] if cap.get((2 * w, 2 * u + 1), 0) > 0]
+
+    paths = []
+    for v in heads(s):
+        path = [s, v]
+        while v != t:
+            (v,) = heads(v)
+            path.append(v)
+        paths.append(tuple(path))
+    return paths
 
 
 def without_arcs_reference(g: DirectedGraph, deleted) -> DirectedGraph:

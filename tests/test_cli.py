@@ -131,6 +131,19 @@ def test_verify_tampered_solution(capsys, path_file, tmp_path):
     assert "in-degree" in report["violation"]
 
 
+def test_verify_rejects_booleans_as_vertex_ids(capsys, path_file, tmp_path):
+    # true would otherwise read as vertex 1 and make this a valid solution
+    sol_file = tmp_path / "sol.json"
+    for payload in ({"anchors": [True], "core": [True, 2]}, {"anchors": [1], "core": [1, 2, False]}):
+        sol_file.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "verify", path_file, str(sol_file), "--b", "1", "--k", "1", "--p", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert "vertex ids must be integers" in err
+
+
 def test_gen_sat_then_oracle(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")

@@ -11,8 +11,13 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.separators import _min_vertex_cut, disjoint_paths
-from helpers import min_vertex_cut_reference, random_digraph, random_digraph_degree_capped
+from dakc.separators import _max_flow, _min_vertex_cut, disjoint_paths
+from helpers import (
+    disjoint_paths_reference,
+    min_vertex_cut_reference,
+    random_digraph,
+    random_digraph_degree_capped,
+)
 
 
 def _enumerate_by_definition(g, s, t, h):
@@ -189,3 +194,69 @@ def test_disjoint_paths_are_a_maximum_flow():
         assert len(paths) == (limit + 1 if ref is None else ref[0])
         several += len(paths) >= 2
     assert several >= draws // 10
+
+
+def _check_flow_state(g, alive, sources, sink, state):
+    """The mask flow state is a feasible flow: each flow arc is an arc of
+    the graph inside ``alive``, the per-vertex tail and head masks agree
+    (so an arc carries at most one unit), an unprotected vertex has at most
+    one unit in, as much out, and is in ``through`` exactly when it carries
+    one, and the value leaves the sources and enters the sink."""
+    flow, through, out_flow, in_flow = state
+    protected = sources | (1 << sink)
+    assert through & ~alive == 0 and through & protected == 0
+    for v in range(g.n):
+        assert out_flow[v] & ~(g.out_mask[v] & alive) == 0
+        assert in_flow[v] & ~(g.in_mask[v] & alive) == 0
+        assert in_flow[v] == vset(u for u in range(g.n) if (out_flow[u] >> v) & 1)
+        if not (protected >> v) & 1:
+            assert in_flow[v].bit_count() == out_flow[v].bit_count() == (through >> v) & 1
+    assert flow == sum(out_flow[v].bit_count() for v in vertices_of(sources))
+    assert flow == in_flow[sink].bit_count()
+    assert all(in_flow[v] == 0 for v in vertices_of(sources))
+
+
+def test_max_flow_state_is_a_unit_flow_of_the_reference_value():
+    # random alive sets and one to three sources; the caller of the flow
+    # step keeps the sources and the sink alive and rules out an arc from a
+    # source straight to the sink
+    rng = random.Random(229)
+    draws = 2000
+    done = several = stopped = 0
+    while done < draws:
+        n = rng.randint(3, 12)
+        g = random_digraph(rng, n, rng.uniform(0.2, 0.7))
+        sink = rng.randrange(n)
+        sources = vset(rng.sample([v for v in range(n) if v != sink], min(n - 1, rng.randint(1, 3))))
+        if g.in_mask[sink] & sources:
+            continue
+        done += 1
+        alive = rng.getrandbits(n) | sources | (1 << sink) if rng.random() < 0.7 else g.full_mask
+        limit = rng.randint(0, 4)
+        state = _max_flow(g, alive, sources, sink, limit)
+        _check_flow_state(g, alive, sources, sink, state)
+        ref = min_vertex_cut_reference(g, alive, sources, sink, limit)
+        assert state[0] == (limit + 1 if ref is None else ref[0])
+        several += state[0] >= 2
+        stopped += ref is None
+    assert several >= draws // 8 and stopped >= draws // 8
+
+
+def test_second_path_cancels_flow_on_an_arc_into_vertex_zero():
+    # s = 1, t = 7.  The one shortest path 1-2-0-7 takes the first unit; the
+    # second enters 0 over 1-3-6-0, goes back along the used arc 2 -> 0 to
+    # 2's exit and leaves over 2-4-5-7.  The cancelled arc ends in vertex 0,
+    # the id that an encoding of backward steps as ~v would confuse with a
+    # -1 sentinel
+    arcs = [(1, 2), (2, 0), (0, 7), (1, 3), (3, 6), (6, 0), (2, 4), (4, 5), (5, 7)]
+    g = DirectedGraph.from_arcs(8, arcs)
+    state = _max_flow(g, g.full_mask, 1 << 1, 7, 3)
+    _check_flow_state(g, g.full_mask, 1 << 1, 7, state)
+    flow, through, out_flow, in_flow = state
+    assert flow == 2 and through == vset([0, 2, 3, 4, 5, 6])
+    assert out_flow[2] == vset([4]) and in_flow[0] == vset([6])
+    assert disjoint_paths(g, 1, 7, 3) == [(1, 2, 4, 5, 7), (1, 3, 6, 0, 7)]
+    assert disjoint_paths_reference(g, 1, 7, 3) == disjoint_paths(g, 1, 7, 3)
+    assert _min_vertex_cut(g, g.full_mask, 1 << 1, 7, 3) == min_vertex_cut_reference(
+        g, g.full_mask, 1 << 1, 7, 3
+    )

@@ -22,6 +22,7 @@ from dakc import (
 from helpers import (
     coloring_trial_reference,
     cycle_graph,
+    disjoint_paths_reference,
     min_vertex_cut_reference,
     path_graph,
     random_dag_degree_capped,
@@ -243,8 +244,9 @@ def _kernel_pool(regime: str, rng: random.Random, size: int) -> list[Instance]:
 @pytest.mark.parametrize("regime", ["high", "half", "stage3", "dag"])
 def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     # whole verdicts, trial counts and notes included, with the coloring
-    # trial, the min vertex cut and the stage-3 arc deletion swapped for
-    # their plain references; the capped seeded NOs must stay the same too
+    # trial, the min vertex cut, the stage-3 disjoint paths and the stage-3
+    # arc deletion swapped for their plain references; the capped seeded NOs
+    # must stay the same too
     cfg = SearchConfig(trial_cap=500)
 
     def solve(inst):
@@ -259,6 +261,7 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     monkeypatch.setattr(solver_bounded, "search_with_coloring", coloring_trial_reference)
     monkeypatch.setattr(separators, "_min_vertex_cut", min_vertex_cut_reference)
     monkeypatch.setattr(solver_degree, "_without_arcs", without_arcs_reference)
+    monkeypatch.setattr(solver_degree, "disjoint_paths", disjoint_paths_reference)
     assert got == [solve(inst) for inst in pool]
     assert sum(v.is_yes for v in got) >= len(pool) // 10
     if regime != "stage3":
