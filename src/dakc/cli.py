@@ -171,8 +171,7 @@ def _dispatch(inst: Instance, solver: str, cfg: SearchConfig, allow_oracle: bool
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
         return replace(nrm, solver="normalize")
-    delta = nrm.graph.max_degree()
-    if nrm.k == 1 or 2 * nrm.k >= delta:
+    if nrm.k == 1 or 2 * nrm.k >= nrm.graph.max_degree():
         return solve_by_degree(nrm, cfg)
     if is_acyclic(nrm.graph):
         return replace(solve_dag(nrm, cfg), solver="dag")
@@ -321,10 +320,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_seps(args) -> int:
-    parsed = parse_instance_text(_read_text(args.instance))
-    seps = enumerate_important_separators(
-        parsed.graph, args.s - 1, args.t - 1, args.h
-    )
+    g = parse_instance_text(_read_text(args.instance)).graph
+    # checked here, where the ids are still the 1-based ones the user typed
+    if not (1 <= args.s <= g.n and 1 <= args.t <= g.n):
+        raise ValueError(f"s={args.s}, t={args.t} out of range 1..{g.n}")
+    seps = enumerate_important_separators(g, args.s - 1, args.t - 1, args.h)
     _emit(
         {
             "s": args.s,

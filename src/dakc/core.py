@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graph import DirectedGraph, Mask, iter_vertices, vertices_of, vset
+from .graph import DirectedGraph, Mask, vertices_of, vset
 
 
 class OracleBudgetError(RuntimeError):
@@ -154,8 +154,14 @@ def solution_violation(inst: Instance, sol: Solution) -> str | None:
         return f"anchor count {sol.anchors.bit_count()} exceeds budget {inst.b}"
     if sol.core.bit_count() < inst.p:
         return f"core size {sol.core.bit_count()} is below target {inst.p}"
-    for v in iter_vertices(sol.core & ~sol.anchors):
-        if (g.in_mask[v] & sol.core).bit_count() < inst.k:
+    # every arc out of the core, counted at its head: a core vertex's count
+    # is its in-degree inside the core
+    inside = [0] * g.n
+    for u in vertices_of(sol.core):
+        for w in g.out_adj[u]:
+            inside[w] += 1
+    for v in vertices_of(sol.core & ~sol.anchors):
+        if inside[v] < inst.k:
             return f"non-anchor vertex {v + 1} has in-degree below {inst.k} inside the core"
     return None
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, eq, itemgetter, lt, mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -24,8 +26,26 @@ def vset(vertices: Iterable[int]) -> Mask:
     return mask
 
 
+# bytes.translate table taking the digits "0" and "1" to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# the largest mask of one 64-bit word
+_WORD = (1 << 64) - 1
+
+
 def vertices_of(mask: Mask) -> list[int]:
-    """List the members of a vertex-set mask in increasing order."""
+    """List the members of a vertex-set mask in increasing order.
+
+    Each step of the bit loop costs time in the length of the mask, so a
+    mask longer than one word with at least one member per 16 bits is read
+    in one linear pass over its binary digits instead, lowest bit first.  On
+    a 3,000-bit mask that pass measured faster than the loop from about 200
+    members on.  A one-word mask takes the loop without counting its
+    members, since most calls (the oracle's withdrawals) pass a few members
+    of a small graph.
+    """
+    if mask > _WORD and mask.bit_count() * 16 > mask.bit_length():
+        bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+        return list(compress(range(len(bits)), bits))
     out = []
     while mask:
         low = mask & -mask
@@ -57,49 +77,65 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """A simple loop-free digraph with sorted in/out adjacency lists.
+    """A simple loop-free digraph with sorted out-adjacency lists.
 
     Immutable after construction; instances are safe to share between
     concurrent workers.  Use :meth:`from_arcs` rather than the raw
     constructor so the invariants (no loops, no duplicate arcs, sorted
-    adjacency, in/out consistency) are enforced.
+    adjacency) are enforced.  The out-adjacency fixes the graph, so equality
+    and hashing cover ``(n, out_adj)``; the in-adjacency and every other
+    table is built from it on first use.
     """
 
     n: int
     out_adj: tuple[tuple[int, ...], ...]
-    in_adj: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "DirectedGraph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc ({u},{v})")
-            seen.add((u, v))
-        return cls._from_checked(*_sorted_adjacency(n, seen))
+        arcs = list(arcs)
+        ordered = sorted(arcs)
+        tails = list(map(itemgetter(0), ordered))
+        heads = list(map(itemgetter(1), ordered))
+        # sorted, the tails run from least to greatest and duplicates are neighbours
+        if ordered and (
+            tails[0] < 0
+            or tails[-1] >= n
+            or min(heads) < 0
+            or max(heads) >= n
+            or any(map(eq, tails, heads))
+            or any(map(eq, ordered, islice(ordered, 1, None)))
+        ):
+            raise ValueError(_first_bad_arc(n, arcs))
+        return cls._from_checked(_grouped(heads, _tally(n, tails)))
 
     @classmethod
-    def _from_checked(
-        cls, out_adj: Sequence[tuple[int, ...]], in_adj: Sequence[tuple[int, ...]], **tables
-    ) -> "DirectedGraph":
-        """Wrap adjacency lists that already hold every invariant (in range,
-        no loops, no duplicates, sorted, in/out consistent), checking nothing
-        again.  For callers that validated the arcs themselves.
+    def _from_checked(cls, out_adj: Sequence[tuple[int, ...]], **tables) -> "DirectedGraph":
+        """Wrap out-adjacency lists that already hold every invariant (in
+        range, no loops, no duplicates, sorted), checking nothing again.  For
+        callers that validated the arcs themselves.
 
-        ``tables`` presets cached tables (``out_mask``, ``in_degrees``, ...)
-        that the caller already holds for this graph, so they are not
-        rebuilt.  A cached property keeps its value in the instance dict,
-        which a frozen dataclass leaves writable.
+        ``tables`` presets cached tables (``in_adj``, ``out_mask``,
+        ``in_degrees``, ...) that the caller already holds for this graph, so
+        they are not rebuilt.  A cached property keeps its value in the
+        instance dict, which a frozen dataclass leaves writable.
         """
-        g = cls(n=len(out_adj), out_adj=tuple(out_adj), in_adj=tuple(in_adj))
+        g = cls(n=len(out_adj), out_adj=tuple(out_adj))
         g.__dict__.update(tables)
         return g
+
+    @cached_property
+    def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted in-adjacency lists.  The arcs are read by ascending tail, so
+        each head's tails arrive in ascending order.  One list per head,
+        filled by appends, measured three times as fast as a stable sort of
+        the arcs by head cut into slices."""
+        into: list[list[int]] = [[] for _ in range(self.n)]
+        for u, nbrs in enumerate(self.out_adj):
+            for v in nbrs:
+                into[v].append(u)
+        return tuple(map(tuple, into))
 
     @cached_property
     def out_mask(self) -> tuple[Mask, ...]:
@@ -116,11 +152,11 @@ class DirectedGraph:
 
     @cached_property
     def in_degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.in_adj)
+        return tuple(_tally(self.n, chain.from_iterable(self.out_adj)))
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.out_adj)
+        return tuple(map(len, self.out_adj))
 
     @cached_property
     def in_degree_below(self) -> tuple[Mask, ...]:
@@ -140,7 +176,7 @@ class DirectedGraph:
         return (1 << self.n) - 1
 
     def arc_count(self) -> int:
-        return sum(len(a) for a in self.out_adj)
+        return sum(map(len, self.out_adj))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u, nbrs in enumerate(self.out_adj):
@@ -158,23 +194,41 @@ class DirectedGraph:
 
     @cached_property
     def _max_degree(self) -> int:
-        return max((i + o for i, o in zip(self.in_degrees, self.out_degrees)), default=0)
+        return max(map(add, self.in_degrees, self.out_degrees), default=0)
 
 
-def _sorted_adjacency(
-    n: int, arcs: Iterable[tuple[int, int]]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Sorted out- and in-adjacency lists of arcs that are already checked.
+def _grouped(values: Iterable[int], sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """``values`` cut into consecutive tuples of the given sizes: the
+    adjacency tuples of checked arcs listed in ascending (tail, head) order,
+    given their heads and each vertex's out-degree.  The tuples are slices of
+    one tuple of the values, so no list is made per vertex."""
+    ends = list(accumulate(sizes, initial=0))
+    values = tuple(values)
+    return tuple(map(values.__getitem__, map(slice, ends, islice(ends, 1, None))))
 
-    The arcs are appended in sorted order, so every list comes out sorted;
-    one sort of the arcs is linear on the sorted arcs of canonical text.
-    """
-    out: list[list[int]] = [[] for _ in range(n)]
-    into: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(arcs):
-        out[u].append(v)
-        into[v].append(u)
-    return list(map(tuple, out)), list(map(tuple, into))
+
+def _tally(n: int, keys: Iterable[int]) -> list[int]:
+    """How often each id ``0..n-1`` occurs among ``keys``.  A plain loop:
+    ``Counter`` plus a lookup per id measured twice as slow."""
+    counts = [0] * n
+    for key in keys:
+        counts[key] += 1
+    return counts
+
+
+def _first_bad_arc(n: int, arcs: Iterable[tuple[int, int]]) -> str:
+    """What is wrong with the first arc, in the given order, that is out of
+    range, a loop, or a repeat."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"arc ({u},{v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if (u, v) in seen:
+            return f"duplicate arc ({u},{v})"
+        seen.add((u, v))
+    raise AssertionError("every arc is valid")
 
 
 def to_bidirected(n: int, edges: Iterable[tuple[int, int]]) -> DirectedGraph:
@@ -204,13 +258,14 @@ _MIRRORED = (
 def reverse(g: DirectedGraph) -> DirectedGraph:
     """The graph with every arc flipped.
 
-    Every mask or degree table that ``g`` has already built is handed over
-    swapped (the reverse's ``out_mask`` is ``g.in_mask``), not rebuilt.
+    Its in-adjacency is ``g.out_adj``, and every mask or degree table that
+    ``g`` has already built is handed over swapped (the reverse's
+    ``out_mask`` is ``g.in_mask``), not rebuilt.
     """
     built = g.__dict__
     return DirectedGraph._from_checked(
         g.in_adj,
-        g.out_adj,
+        in_adj=g.out_adj,
         **{name: built[mirror] for name, mirror in _MIRRORED if mirror in built},
     )
 
@@ -406,19 +461,30 @@ def _parse_canonical(text: str) -> ParsedInstance | None:
     try:
         n, m = int(n_text), int(m_text)
         tokens = arc_block.split()
-        us = list(map(_ZERO_BASED, map(int, tokens[1::3])))
-        vs = list(map(_ZERO_BASED, map(int, tokens[2::3])))
+        # 1-based ids, checked and ordered as they are; only the heads are
+        # shifted, as they go into the adjacency
+        us = list(map(int, tokens[1::3]))
+        vs = list(map(int, tokens[2::3]))
         params = None if q_text[0] is None else tuple(map(int, q_text))
     except ValueError:  # a digit string beyond int's limit
         return None
     if (
         len(us) != m
-        or us and (min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n)
-        or any(map(int.__eq__, us, vs))
-        or len(set(zip(us, vs))) != m
+        or us and (min(min(us), min(vs)) < 1 or max(max(us), max(vs)) > n)
+        or any(map(eq, us, vs))
     ):
         return None
-    graph = DirectedGraph._from_checked(*_sorted_adjacency(n, zip(us, vs)))
+    # serialize_instance writes the arcs strictly increasing, which also
+    # rules out repeats; other orders are sorted, and a repeat is left to
+    # the line reader to name
+    keys = list(map(add, map(mul, us, repeat(n)), vs))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        arcs = sorted(zip(us, vs))
+        if any(map(eq, arcs, islice(arcs, 1, None))):
+            return None
+        us, vs = map(itemgetter(0), arcs), map(itemgetter(1), arcs)
+    sizes = islice(_tally(n + 1, us), 1, None)  # ids are 1-based
+    graph = DirectedGraph._from_checked(_grouped(map(_ZERO_BASED, vs), sizes))
     return ParsedInstance(graph=graph, params=params)
 
 
@@ -479,7 +545,9 @@ def _parse_lines(text: str) -> ParsedInstance:
     if len(arcs) != m:
         raise ParseError(0, "arc-count", f"problem line promises {m} arcs, found {len(arcs)}")
     # every arc line was checked above, so no check runs a second time
-    graph = DirectedGraph._from_checked(*_sorted_adjacency(n, arcs))
+    arcs.sort()
+    sizes = _tally(n, map(itemgetter(0), arcs))
+    graph = DirectedGraph._from_checked(_grouped(map(itemgetter(1), arcs), sizes))
     return ParsedInstance(graph=graph, params=params)
 
 

@@ -154,7 +154,7 @@ def _without_arcs(g: DirectedGraph, deleted: frozenset[tuple[int, int]]) -> Dire
         out_mask[u] ^= 1 << v
         in_mask[v] ^= 1 << u
     return DirectedGraph._from_checked(
-        out_adj, in_adj, out_mask=tuple(out_mask), in_mask=tuple(in_mask)
+        out_adj, in_adj=tuple(in_adj), out_mask=tuple(out_mask), in_mask=tuple(in_mask)
     )
 
 
@@ -319,9 +319,9 @@ def solve_by_degree(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
         return replace(nrm, solver="normalize")
-    delta = nrm.graph.max_degree()
     if nrm.k == 1:
         return replace(solve_k1(nrm), solver="k1")
+    delta = nrm.graph.max_degree()
     if 2 * nrm.k > delta:
         return replace(solve_high_k(nrm, cfg=cfg), solver="high")
     if 2 * nrm.k == delta:

@@ -9,18 +9,19 @@ worth anchoring, and choosing which to anchor is a partial set cover over
 their reach sets, taken within the residual.
 
 The bank, the sources and their reach sets depend on the graph alone, not on
-b or p.  All the reach sets come from one sweep over the residual in reverse
-topological order.  They are computed once per graph and kept in a memo that
-holds the graph weakly, so repeated solves on one graph (the bisection steps
-of ``dakc max``) share them and an entry dies with its graph.
+b or p, and all three come from one sweep: peeling at threshold 1 is Kahn's
+algorithm from the sources.  The plan is built once per graph and kept in
+the graph's own table dict, so repeated solves on one graph (the bisection
+steps of ``dakc max``) share it and it dies with its graph.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
-from .core import Instance, Solution, Verdict, normalize, peel
+from .core import Instance, Solution, Verdict, normalize
 from .graph import DirectedGraph, Mask, vertices_of, vset
 
 
@@ -87,35 +88,30 @@ class _Plan:
     reach_sets: tuple[Mask, ...]
 
 
-# keyed weakly so that a plan never keeps its graph alive
-_plans: "weakref.WeakKeyDictionary[DirectedGraph, _Plan]" = weakref.WeakKeyDictionary()
-
-
 def _plan(g: DirectedGraph) -> _Plan:
-    plan = _plans.get(g)
+    # kept where the graph keeps its cached tables, which equality ignores
+    plan = g.__dict__.get("k1_plan")
     if plan is None:
-        # peeling at threshold 1 deletes every in-degree-0 vertex first, so
-        # the residual sources are all of them
-        sources = tuple(vertices_of(g.in_degree_below[1]))
-        plan = _plans[g] = _Plan(
-            banked=peel(g, 1), sources=sources, reach_sets=_residual_reach(g, sources)
-        )
+        plan = g.__dict__["k1_plan"] = _sweep(g)
     return plan
 
 
-def _residual_reach(g: DirectedGraph, sources: tuple[int, ...]) -> tuple[Mask, ...]:
-    """Each source's reach set within the residual, all in one sweep.
+def _sweep(g: DirectedGraph) -> _Plan:
+    """The plan of ``g`` in one sweep.
 
-    The residual is closed under predecessors, so a residual vertex keeps
-    its whole in-degree there, and Kahn's algorithm from the sources orders
-    exactly the residual topologically (a banked vertex keeps a banked
-    predecessor and is never released).  In reverse order, a vertex reaches
+    Peeling at threshold 1 deletes a vertex once its in-degree drops to 0,
+    which is Kahn's algorithm started from the sources, the vertices of
+    in-degree 0.  So the released vertices are exactly the residual, in
+    topological order, and the bank is everything never released (a banked
+    vertex keeps a banked predecessor).  In reverse order, a vertex reaches
     itself and whatever its residual successors reach; a banked successor
-    adds nothing, as its entry stays 0.
+    adds nothing, as its entry stays 0.  Every residual vertex has a source
+    among its ancestors, so the sources' reach sets cover the residual.
     """
     out_adj = g.out_adj
     indeg = list(g.in_degrees)
-    order = list(sources)
+    order = list(compress(range(g.n), map(not_, indeg)))
+    sources = tuple(order)
     for v in order:
         for w in out_adj[v]:
             indeg[w] -= 1
@@ -127,7 +123,11 @@ def _residual_reach(g: DirectedGraph, sources: tuple[int, ...]) -> tuple[Mask, .
         for w in out_adj[v]:
             mask |= reach_of[w]
         reach_of[v] = mask
-    return tuple(reach_of[s] for s in sources)
+    reach_sets = tuple(reach_of[s] for s in sources)
+    residual = 0
+    for mask in reach_sets:
+        residual |= mask
+    return _Plan(banked=g.full_mask & ~residual, sources=sources, reach_sets=reach_sets)
 
 
 def solve_k1(inst: Instance) -> Verdict:

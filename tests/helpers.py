@@ -33,7 +33,7 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.graph import lift_mask
+from dakc.graph import iter_vertices, lift_mask
 
 
 def random_digraph(rng: random.Random, n: int, arc_prob: float) -> DirectedGraph:
@@ -44,6 +44,40 @@ def random_digraph(rng: random.Random, n: int, arc_prob: float) -> DirectedGraph
         if u != v and rng.random() < arc_prob
     ]
     return DirectedGraph.from_arcs(n, arcs)
+
+
+def adjacency_reference(
+    n: int, arcs
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Sorted out- and in-adjacency of an arc list, one list per vertex."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(arcs):
+        out[u].append(v)
+        into[v].append(u)
+    return tuple(map(tuple, out)), tuple(map(tuple, into))
+
+
+def vertices_of_reference(mask: int) -> list[int]:
+    """The members of a mask, bit by bit."""
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def solution_violation_reference(inst: Instance, sol: Solution) -> str | None:
+    """``solution_violation`` reading each non-anchor's in-neighbour mask."""
+    g = inst.graph
+    if sol.core & ~g.full_mask or sol.anchors & ~g.full_mask:
+        return "solution names vertices outside the graph"
+    if sol.anchors & ~sol.core:
+        return "anchors are not a subset of the core"
+    if sol.anchors.bit_count() > inst.b:
+        return f"anchor count {sol.anchors.bit_count()} exceeds budget {inst.b}"
+    if sol.core.bit_count() < inst.p:
+        return f"core size {sol.core.bit_count()} is below target {inst.p}"
+    for v in iter_vertices(sol.core & ~sol.anchors):
+        if (g.in_mask[v] & sol.core).bit_count() < inst.k:
+            return f"non-anchor vertex {v + 1} has in-degree below {inst.k} inside the core"
+    return None
 
 
 def random_digraph_degree_capped(

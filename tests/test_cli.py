@@ -197,6 +197,16 @@ def test_seps_command(capsys, tmp_path):
     assert report["separators"] == [[2]]
 
 
+def test_seps_range_error_names_ids_as_typed(capsys, tmp_path):
+    f = tmp_path / "three.gr"
+    f.write_text(PATH3)
+    for s, t in ((0, 3), (1, 4), (4, 1), (-1, 2)):
+        code, out, err = run(capsys, "seps", str(f), "--s", str(s), "--t", str(t), "--h", "1")
+        assert (code, out, err) == (4, "", f"dakc: s={s}, t={t} out of range 1..3\n")
+    code, out, _ = run(capsys, "seps", str(f), "--s", "1", "--t", "3", "--h", "1")
+    assert code == 0 and json.loads(out)["separators"] == [[2]]
+
+
 def test_max_command(capsys, path_file):
     code, out, _ = run(capsys, "max", path_file, "--b", "1", "--k", "1")
     assert code == 0
@@ -208,10 +218,10 @@ def test_max_command(capsys, path_file):
 
 def test_max_matches_oracle_on_random_k1_graphs(capsys, tmp_path, monkeypatch):
     # the largest p the oracle answers YES to, tried p by p; every bisection
-    # step of one max run shares one k = 1 plan, so the bank is peeled once
-    peels = []
-    real_peel = solver_k1.peel
-    monkeypatch.setattr(solver_k1, "peel", lambda *a: peels.append(a) or real_peel(*a))
+    # step of one max run shares one k = 1 plan, so the plan is swept once
+    sweeps = []
+    real_sweep = solver_k1._sweep
+    monkeypatch.setattr(solver_k1, "_sweep", lambda *a: sweeps.append(a) or real_sweep(*a))
     rng = random.Random(79)
     planned = 0
     for i in range(40):
@@ -220,7 +230,7 @@ def test_max_matches_oracle_on_random_k1_graphs(capsys, tmp_path, monkeypatch):
         b = rng.randint(0, 3)
         f = tmp_path / f"g{i}.gr"
         f.write_text(serialize_instance(g))
-        peels.clear()
+        sweeps.clear()
         code, out, _ = run(capsys, "max", str(f), "--b", str(b), "--k", "1")
         assert code == 0
         expect = max(
@@ -228,8 +238,8 @@ def test_max_matches_oracle_on_random_k1_graphs(capsys, tmp_path, monkeypatch):
             default=0,
         )
         assert json.loads(out)["max_p"] == expect
-        assert len(peels) <= 1
-        planned += len(peels)
+        assert len(sweeps) <= 1
+        planned += len(sweeps)
     assert planned >= 20
 
 

@@ -11,6 +11,7 @@ from dakc import (
     normalize,
     oracle_solve,
     peel,
+    solution_violation,
     to_bidirected,
     verify_solution,
     vertices_of,
@@ -32,6 +33,7 @@ from helpers import (
     path_graph,
     peel_in_order,
     random_digraph,
+    solution_violation_reference,
     random_restricted_cnf,
     undirected_akc_brute_force,
 )
@@ -201,6 +203,41 @@ def test_oracle_witness_is_first_in_size_lex_order():
     g = path_graph(4)
     v = oracle_solve(Instance(graph=g, b=2, k=1, p=4))
     assert v.solution.anchors == vset([0])
+
+
+def test_solution_violation_matches_reference():
+    # valid witnesses from a peel, random cores, and each valid witness
+    # perturbed four ways; the first violation's message must match exactly
+    rng = random.Random(149)
+    messages = set()
+    for _ in range(500):
+        n = rng.randint(1, 14)
+        g = random_digraph(rng, n, rng.uniform(0.05, 0.5))
+        k = rng.randint(1, 3)
+        anchors = vset(v for v in range(n) if rng.random() < 0.3)
+        core = peel(g, k, anchors)
+        p = rng.randint(1, max(1, core.bit_count()))
+        inst = Instance(graph=g, b=anchors.bit_count(), k=k, p=p)
+        members = vertices_of(core)
+        guarded = [v for v in vertices_of(anchors) if (g.in_mask[v] & core).bit_count() < k]
+        cases = [
+            (inst, Solution(anchors=anchors, core=core)),
+            (inst, Solution(anchors=anchors & core, core=rng.getrandbits(n))),
+            (inst, Solution(anchors=anchors, core=core | 1 << (n + rng.randint(0, 70)))),
+        ]
+        if members:
+            v = rng.choice(members)
+            cases.append((inst, Solution(anchors=anchors & ~(1 << v), core=core & ~(1 << v))))
+        if anchors:
+            tight = Instance(graph=g, b=anchors.bit_count() - 1, k=k, p=1)
+            cases.append((tight, Solution(anchors=anchors, core=core)))
+        if guarded:
+            cases.append((inst, Solution(anchors=anchors & ~(1 << rng.choice(guarded)), core=core)))
+        for case in cases:
+            got = solution_violation(*case)
+            assert got == solution_violation_reference(*case)
+            messages.add(got if got is None else got.split(" ")[0])
+    assert messages == {None, "solution", "anchors", "anchor", "core", "non-anchor"}
 
 
 def _peel_state(g, k, core):

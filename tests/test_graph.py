@@ -18,7 +18,8 @@ from dakc import (
     vset,
     weakly_connected_components,
 )
-from helpers import random_digraph
+from dakc.solver_degree import _without_arcs
+from helpers import adjacency_reference, random_digraph, vertices_of_reference
 
 
 def test_parse_path():
@@ -101,6 +102,10 @@ CANONICAL = "p dakc 4 3\na 1 2\na 2 3\na 3 4\nq 1 1 3\n"
         (CANONICAL.replace("p dakc 4 3", "p dakc 4 4"), (0, "arc-count")),
         (CANONICAL.replace("p dakc 4 3", "p dakc 4 2"), (0, "arc-count")),
         (CANONICAL.replace("q 1 1 3", "a 1 2\nq 1 1 3"), (5, "duplicate-arc")),
+        (CANONICAL.replace("a 1 2\na 2 3", "a 2 3\na 1 2"), None),
+        ("p dakc 3 3\na 1 3\na 1 2\na 3 2\n", None),
+        (CANONICAL.replace("p dakc 4 3\na 1 2", "p dakc 4 4\na 1 2\na 1 2"), (3, "duplicate-arc")),
+        (CANONICAL.replace("p dakc 4 3\na 1 2\na 2 3", "p dakc 4 4\na 2 3\na 1 2\na 2 3"), (4, "duplicate-arc")),
         (CANONICAL.replace("a 1 2\n", "a 1 2\np dakc 4 3\n"), (3, "header")),
         (CANONICAL + "q 1 1 3\n", (6, "params")),
         ("q 1 1 3\n" + CANONICAL[:-8], (1, "header")),
@@ -120,6 +125,96 @@ def test_parse_off_canonical_text_matches_line_reader(text, expect):
         assert not isinstance(got, tuple)
     else:
         assert got[:2] == expect
+
+
+def test_canonical_text_out_of_order_takes_the_fast_path(monkeypatch):
+    rng = random.Random(101)
+    texts = []
+    for _ in range(60):
+        n = rng.randint(2, 20)
+        arcs = list(random_digraph(rng, n, rng.uniform(0.1, 0.4)).arcs())
+        rng.shuffle(arcs)
+        texts.append("".join([f"p dakc {n} {len(arcs)}\n", *(f"a {u + 1} {v + 1}\n" for u, v in arcs)]))
+    expected = [graph._parse_lines(t) for t in texts]
+    monkeypatch.setattr(graph, "_parse_lines", None)
+    assert [parse_instance_text(t) for t in texts] == expected
+
+
+def test_lazy_tables_match_arc_list_reference():
+    # every way to build a graph yields the adjacency and degrees of its arc
+    # list, and the in-adjacency is built on first use only
+    rng = random.Random(131)
+    for _ in range(150):
+        n = rng.randint(0, 14)
+        arcs = list(random_digraph(rng, n, rng.uniform(0.0, 0.5)).arcs())
+        rng.shuffle(arcs)
+        lines = "".join(f"a {u + 1} {v + 1}\n" for u, v in arcs)
+        text = f"p dakc {n} {len(arcs)}\n{lines}"
+        g = DirectedGraph.from_arcs(n, arcs)
+        deleted = frozenset(a for a in arcs if rng.random() < 0.3)
+        built = [
+            (g, arcs),
+            (parse_instance_text(serialize_instance(g)).graph, arcs),
+            (parse_instance_text(text).graph, arcs),
+            (graph._parse_lines("c line reader\n" + text).graph, arcs),
+            (reverse(g), [(v, u) for u, v in arcs]),
+            (_without_arcs(g, deleted), [a for a in arcs if a not in deleted]),
+        ]
+        for h, h_arcs in built:
+            out_adj, in_adj = adjacency_reference(n, h_arcs)
+            assert h.n == n and h.out_adj == out_adj and h.in_adj == in_adj
+            assert h.in_degrees == tuple(map(len, in_adj))
+            assert h.out_degrees == tuple(map(len, out_adj))
+            assert h.max_degree() == max(map(len, map(tuple.__add__, in_adj, out_adj)), default=0)
+            same = DirectedGraph.from_arcs(n, h_arcs)
+            assert h == same and hash(h) == hash(same)
+        fresh = (DirectedGraph.from_arcs(n, arcs), parse_instance_text(text).graph)
+        assert all("in_adj" not in h.__dict__ for h in fresh)
+
+
+def test_from_arcs_names_the_first_bad_arc():
+    def old_message(n, arcs):
+        seen = set()
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                return f"arc ({u},{v}) out of range for n={n}"
+            if u == v:
+                return f"self-loop at vertex {u}"
+            if (u, v) in seen:
+                return f"duplicate arc ({u},{v})"
+            seen.add((u, v))
+        return None
+
+    rng = random.Random(137)
+    bad = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        arcs = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 8))]
+        expect = old_message(n, arcs)
+        if expect is None:
+            assert DirectedGraph.from_arcs(n, arcs).out_adj == adjacency_reference(n, arcs)[0]
+        else:
+            bad += 1
+            with pytest.raises(ValueError) as exc:
+                DirectedGraph.from_arcs(n, arcs)
+            assert str(exc.value) == expect
+    assert bad >= 200
+
+
+def test_vertices_of_matches_bit_loop():
+    rng = random.Random(139)
+    # one full word takes the loop, one bit more the linear pass
+    masks = [0, 1, 1 << 4999, (1 << 64) - 1, (1 << 65) - 1]
+    for count in (1, 15, 16, 17, 63, 64, 65, 66):
+        masks.append(vset(rng.sample(range(count + 5), count)))
+        masks.append(vset(rng.sample(range(5000), count)))
+    for density in (0.5, 0.9, 1.0):
+        masks.append(vset(v for v in range(5000) if rng.random() < density))
+    for count in (30, 65, 200, 2000):
+        # the top bit far above the rest
+        masks.append(vset(rng.sample(range(3000), count)) | 1 << rng.randint(10_000, 20_000))
+    for mask in masks:
+        assert vertices_of(mask) == vertices_of_reference(mask)
 
 
 def test_parse_error_names_line():

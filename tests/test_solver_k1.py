@@ -168,8 +168,9 @@ def test_plan_memo_keeps_graphs_apart_and_never_alive():
 
 
 def test_plan_reach_sweep_matches_one_walk_per_source():
-    # one reverse-topological sweep over the residual must give every source
-    # the set a walk confined to the residual finds
+    # one sweep must bank what threshold-1 peeling keeps, take the in-degree-0
+    # vertices as sources, and give every source the set a walk confined to
+    # the residual finds
     rng = random.Random(71)
     graphs = []
     for _ in range(100):
@@ -189,6 +190,8 @@ def test_plan_reach_sweep_matches_one_walk_per_source():
     banking = sharing = 0
     for g in graphs:
         plan = _plan(g)
+        assert plan.banked == peel(g, 1)
+        assert plan.sources == tuple(v for v in range(g.n) if not g.in_degrees[v])
         residual = g.full_mask & ~plan.banked
         walks = tuple(reach(g, 1 << s, "forward", within=residual) for s in plan.sources)
         assert plan.reach_sets == walks
