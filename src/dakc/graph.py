@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, itemgetter, lt, mul
+from operator import add, eq, lt, mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -96,8 +96,7 @@ class DirectedGraph:
             raise ValueError("vertex count must be nonnegative")
         arcs = list(arcs)
         ordered = sorted(arcs)
-        tails = list(map(itemgetter(0), ordered))
-        heads = list(map(itemgetter(1), ordered))
+        tails, heads = zip(*ordered) if ordered else ((), ())
         # sorted, the tails run from least to greatest and duplicates are neighbours
         if ordered and (
             tails[0] < 0
@@ -108,7 +107,7 @@ class DirectedGraph:
             or any(map(eq, ordered, islice(ordered, 1, None)))
         ):
             raise ValueError(_first_bad_arc(n, arcs))
-        return cls._from_checked(_grouped(heads, _tally(n, tails)))
+        return cls._from_checked(_out_adjacency(n, tails, heads))
 
     @classmethod
     def _from_checked(cls, out_adj: Sequence[tuple[int, ...]], **tables) -> "DirectedGraph":
@@ -197,14 +196,14 @@ class DirectedGraph:
         return max(map(add, self.in_degrees, self.out_degrees), default=0)
 
 
-def _grouped(values: Iterable[int], sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """``values`` cut into consecutive tuples of the given sizes: the
-    adjacency tuples of checked arcs listed in ascending (tail, head) order,
-    given their heads and each vertex's out-degree.  The tuples are slices of
-    one tuple of the values, so no list is made per vertex."""
-    ends = list(accumulate(sizes, initial=0))
-    values = tuple(values)
-    return tuple(map(values.__getitem__, map(slice, ends, islice(ends, 1, None))))
+def _out_adjacency(n: int, tails: Iterable[int], heads: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The out-adjacency lists of the checked arcs ``tails[i] -> heads[i]``,
+    listed in ascending (tail, head) order.  Each vertex's list is a slice of
+    one tuple of the heads, cut at the running sums of the out-degrees, so no
+    list is made per vertex."""
+    ends = list(accumulate(_tally(n, tails), initial=0))
+    heads = tuple(heads)
+    return tuple(map(heads.__getitem__, map(slice, ends, islice(ends, 1, None))))
 
 
 def _tally(n: int, keys: Iterable[int]) -> list[int]:
@@ -461,30 +460,22 @@ def _parse_canonical(text: str) -> ParsedInstance | None:
     try:
         n, m = int(n_text), int(m_text)
         tokens = arc_block.split()
-        # 1-based ids, checked and ordered as they are; only the heads are
-        # shifted, as they go into the adjacency
-        us = list(map(int, tokens[1::3]))
-        vs = list(map(int, tokens[2::3]))
+        tails = list(map(_ZERO_BASED, map(int, tokens[1::3])))
+        heads = list(map(_ZERO_BASED, map(int, tokens[2::3])))
         params = None if q_text[0] is None else tuple(map(int, q_text))
     except ValueError:  # a digit string beyond int's limit
         return None
-    if (
-        len(us) != m
-        or us and (min(min(us), min(vs)) < 1 or max(max(us), max(vs)) > n)
-        or any(map(eq, us, vs))
-    ):
+    # serialize_instance writes the arcs in strictly ascending order, which
+    # also rules out repeats.  Other orders and failed checks are left to the
+    # line reader, which sorts the arcs and names the line of an error.
+    if len(tails) != m or tails and (min(heads) < 0 or max(heads) >= n or any(map(eq, tails, heads))):
         return None
-    # serialize_instance writes the arcs strictly increasing, which also
-    # rules out repeats; other orders are sorted, and a repeat is left to
-    # the line reader to name
-    keys = list(map(add, map(mul, us, repeat(n)), vs))
-    if not all(map(lt, keys, islice(keys, 1, None))):
-        arcs = sorted(zip(us, vs))
-        if any(map(eq, arcs, islice(arcs, 1, None))):
-            return None
-        us, vs = map(itemgetter(0), arcs), map(itemgetter(1), arcs)
-    sizes = islice(_tally(n + 1, us), 1, None)  # ids are 1-based
-    graph = DirectedGraph._from_checked(_grouped(map(_ZERO_BASED, vs), sizes))
+    # with every head in 0..n-1, u * n + v orders the arcs as (u, v) does, so
+    # ascending keys also put the least and greatest tail first and last
+    keys = list(map(add, map(mul, tails, repeat(n)), heads))
+    if not all(map(lt, keys, islice(keys, 1, None))) or tails and (tails[0] < 0 or tails[-1] >= n):
+        return None
+    graph = DirectedGraph._from_checked(_out_adjacency(n, tails, heads))
     return ParsedInstance(graph=graph, params=params)
 
 
@@ -546,8 +537,8 @@ def _parse_lines(text: str) -> ParsedInstance:
         raise ParseError(0, "arc-count", f"problem line promises {m} arcs, found {len(arcs)}")
     # every arc line was checked above, so no check runs a second time
     arcs.sort()
-    sizes = _tally(n, map(itemgetter(0), arcs))
-    graph = DirectedGraph._from_checked(_grouped(map(itemgetter(1), arcs), sizes))
+    tails, heads = zip(*arcs) if arcs else ((), ())
+    graph = DirectedGraph._from_checked(_out_adjacency(n, tails, heads))
     return ParsedInstance(graph=graph, params=params)
 
 

@@ -127,19 +127,6 @@ def test_parse_off_canonical_text_matches_line_reader(text, expect):
         assert got[:2] == expect
 
 
-def test_canonical_text_out_of_order_takes_the_fast_path(monkeypatch):
-    rng = random.Random(101)
-    texts = []
-    for _ in range(60):
-        n = rng.randint(2, 20)
-        arcs = list(random_digraph(rng, n, rng.uniform(0.1, 0.4)).arcs())
-        rng.shuffle(arcs)
-        texts.append("".join([f"p dakc {n} {len(arcs)}\n", *(f"a {u + 1} {v + 1}\n" for u, v in arcs)]))
-    expected = [graph._parse_lines(t) for t in texts]
-    monkeypatch.setattr(graph, "_parse_lines", None)
-    assert [parse_instance_text(t) for t in texts] == expected
-
-
 def test_lazy_tables_match_arc_list_reference():
     # every way to build a graph yields the adjacency and degrees of its arc
     # list, and the in-adjacency is built on first use only
