@@ -3,7 +3,7 @@
 Four regimes get specialized algorithms: threshold 1 (cycle banking plus
 partial set cover over source reach sets), 2k above the maximum degree
 (cores are small, bounded search settles it), 2k equal to the maximum degree
-(separator-guided guessing), and DAGs (bounded search with sink peeling).
+(separator-guided guessing), and DAGs (one bounded search at the target size).
 """
 
 import random

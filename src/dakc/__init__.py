@@ -58,6 +58,7 @@ from .separators import (
 )
 from .solver_bounded import (
     ComponentSummary,
+    SearchBudgetError,
     SearchConfig,
     bounded_core_search,
     coloring_stream,
@@ -87,6 +88,7 @@ __all__ = [
     "OracleBudgetError",
     "ParseError",
     "ParsedInstance",
+    "SearchBudgetError",
     "SearchConfig",
     "SeparatorSet",
     "SetCoverInstance",

@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--p", type=int, default=None, help="target core size")
 
     def add_search(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=("seeded", "exhaustive"), default="seeded")
+        p.add_argument("--mode", choices=("seeded", "exhaustive"), default="exhaustive")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eps", type=float, default=0.01, help="seeded-mode failure probability")
         p.add_argument("--trial-cap", type=int, default=100_000)

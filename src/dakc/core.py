@@ -59,7 +59,7 @@ class Verdict:
     solution whose core has at most ``bound`` vertices (with failure
     probability at most the configured epsilon in seeded mode, exactly in
     exhaustive mode).  ``note`` carries warnings such as a trial-cap hit;
-    ``trials`` the number of colorings evaluated, where that is meaningful.
+    ``trials`` the number of colorings a seeded search evaluated.
     """
 
     kind: str

@@ -1,12 +1,33 @@
-"""Random-separation search for solutions whose core stays small.
+"""Bounded-core search: find a solution, or certify that none has a core
+whose pieces all have at most q vertices.
 
-One trial two-colors the vertices and keeps the red side: if some solution
-core of size at most q has all its vertices red and every outside neighbour
-blue, the core shows up as a union of weakly connected red components.  Each
-surviving component contributes (anchors it would need, vertices it brings),
-and a knapsack over those summaries assembles a witness.  Enough seeded
-trials drive the failure probability below a configured epsilon; exhaustive
-mode scans all 2^n colorings and is exact.
+Exhaustive mode (the default) is an exact search over connected sets.  The
+unanchored core K0 = ``peel(G, k)`` is banked first: adding it to any
+solution core keeps a solution, so some solution contains it.  Call a weak
+component of the rest of such a core a piece.  A piece member's
+in-neighbours in the core lie in its own piece or in K0, so the member is
+deficient (fewer than k in-neighbours in piece | K0) exactly when it needs
+an anchor.  A piece with no deficient member would join K0, so every piece
+holds at least one.  A solution therefore exists iff at most b pairwise
+disjoint pieces have deficient counts summing to at most b and sizes
+summing to at least p - |K0|; their deficient members are the anchors.
+Disjoint pieces may still be adjacent: merging raises in-degrees only.
+
+Pieces of at most q vertices are enumerated with ESU (Wernicke, 2006) over
+the undirected neighbourhoods of G - K0, each connected set once, from an
+explicit stack.  A branch that already holds more than b members deficient
+in everything it can still reach is cut.  A piece of at least p - |K0|
+vertices answers at once; otherwise a depth-first search combines disjoint
+pieces, largest first.  The enumerated sets, pieces and unions alike, are
+capped, and the cap raises instead of answering.
+
+Seeded mode is random separation (Cai, Chan & Chan, 2006).  One trial
+two-colors the vertices and keeps the red side: if some solution core of
+size at most q has all its vertices red and every outside neighbour blue,
+the core shows up as a union of weakly connected red components.  Each
+surviving component contributes (anchors it would need, vertices it
+brings), and a knapsack over those summaries assembles a witness.  Enough
+trials drive the failure probability below a configured epsilon.
 
 Most trials miss, so a trial stops as soon as an upper bound on what it can
 assemble falls short of p: first the red count, then the red vertices that
@@ -32,8 +53,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .core import Instance, Solution, Verdict, normalize, verify_solution
-from .graph import DirectedGraph, Mask, weakly_connected_components
+from .core import Instance, Solution, Verdict, normalize, peel, verify_solution
+from .graph import DirectedGraph, Mask, iter_vertices, weakly_connected_components
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -136,20 +157,29 @@ def _block_coloring(buf: bytes, n: int, t: int) -> Mask:
     return mask & ((1 << n) - 1)
 
 
+class SearchBudgetError(RuntimeError):
+    """The piece search would enumerate more sets than its configured cap."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the bounded search.
 
-    ``failure_prob`` is the acceptable probability that a seeded-mode run
-    misses an existing small-core solution; exhaustive mode ignores it but is
-    refused above ``exhaustive_limit`` vertices.
+    ``mode`` picks the engine.  ``"exhaustive"``, the default, is the exact
+    piece search; ``exhaustive_limit`` caps the sets it enumerates (pieces
+    and unions of pieces), and reaching the cap raises ``SearchBudgetError``
+    instead of answering.  ``"seeded"`` runs random-separation trials drawn
+    from ``seed``: ``failure_prob`` is the acceptable probability that it
+    misses an existing small-core solution, and ``trial_cap`` bounds the
+    trial count, with a note on the verdict when the cap bites.  Each mode
+    ignores the other's knobs.
     """
 
-    mode: str = "seeded"
+    mode: str = "exhaustive"
     seed: int = 0
     failure_prob: float = 0.01
     trial_cap: int = 100_000
-    exhaustive_limit: int = 20
+    exhaustive_limit: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.mode not in ("seeded", "exhaustive"):
@@ -354,6 +384,108 @@ def _deficient_text(columns: list[Mask], satisfied: list[Mask], size: int) -> st
     return "".join(format(c & ~s, digits) for c, s in zip(reversed(columns), reversed(satisfied)))
 
 
+def _spend(counter: list[int], cap: int) -> None:
+    """Count one more enumerated set against the cap."""
+    counter[0] += 1
+    if counter[0] > cap:
+        raise SearchBudgetError(f"piece search refused: more than {cap} sets to enumerate")
+
+
+def _pieces(
+    g: DirectedGraph, k: int, b: int, q: int, banked: Mask, counter: list[int], cap: int
+) -> Iterator[tuple[Mask, Mask]]:
+    """Every piece of at most q vertices outside ``banked``, as (piece,
+    deficient members): a connected set of ``g.und_mask`` with at most b
+    members that have fewer than k in-neighbours in piece | banked.
+
+    A set comes from the root of its lowest vertex.  A branch is the ESU
+    state (sub, ext, nbr): ``sub`` is connected, ``ext`` the vertices it may
+    add next, and ``nbr`` its closed neighbourhood; ``above`` holds the
+    vertices outside ``banked`` past the root.  A child adds one vertex w of
+    ``ext``, which the later siblings drop from their ``ext``, and w's
+    neighbours inside ``above`` and outside ``nbr`` join its ``ext``.  So
+    every set a branch reaches lies inside sub | ext | (above & ~nbr).  A
+    member's in-neighbours all lie in ``nbr``, so a member with fewer than k
+    in-neighbours in sub | ext | banked is deficient in every set the branch
+    reaches, and a branch with more than b such members is cut.  Each branch
+    counts in ``counter[0]``, and a branch past ``cap`` raises.
+    """
+    und, in_mask = g.und_mask, g.in_mask
+    free = g.full_mask & ~banked
+    for root in iter_vertices(free):
+        above = free >> root + 1 << root + 1
+        start = 1 << root
+        stack = [(start, und[root] & above, start | und[root], 1)]
+        while stack:
+            sub, ext, nbr, size = stack.pop()
+            _spend(counter, cap)
+            room = sub | ext | banked
+            inside = sub | banked
+            deficient = 0
+            stuck = 0
+            rest = sub
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = in_mask[low.bit_length() - 1]
+                if (row & inside).bit_count() < k:
+                    deficient |= low
+                    if (row & room).bit_count() < k:
+                        stuck += 1
+                        if stuck > b:
+                            break
+            if stuck > b:
+                continue
+            if deficient.bit_count() <= b:
+                yield sub, deficient
+            if size < q:
+                rest = ext
+                while rest:
+                    w = rest & -rest
+                    rest ^= w
+                    row = und[w.bit_length() - 1]
+                    stack.append((sub | w, rest | (row & above & ~nbr), nbr | row, size + 1))
+
+
+def _piece_search(
+    g: DirectedGraph, k: int, b: int, p: int, q: int, cap: int
+) -> Solution | None:
+    """A solution whose core is K0 = ``peel(g, k)`` plus at most b disjoint
+    pieces of at most q vertices each, or None if there is none; raises
+    ``SearchBudgetError`` past ``cap`` enumerated sets."""
+    banked = peel(g, k)
+    need = p - banked.bit_count()
+    if need <= 0:
+        return Solution(anchors=0, core=banked)
+    counter = [0]
+    found = []
+    for piece, deficient in _pieces(g, k, b, q, banked, counter, cap):
+        size = piece.bit_count()
+        if size >= need:
+            return Solution(anchors=deficient, core=banked | piece)
+        found.append((size, piece, deficient, deficient.bit_count()))
+    found.sort(key=lambda item: -item[0])
+    # depth-first over unions of disjoint pieces, largest pieces first; every
+    # piece costs at least one anchor, so from a piece of ``size`` on at most
+    # size * budget more vertices can join
+    stack = [(0, 0, 0, b, need)]
+    while stack:
+        first, core, anchors, budget, short = stack.pop()
+        children = []
+        for i in range(first, len(found)):
+            size, piece, deficient, cost = found[i]
+            if size * budget < short:
+                break
+            if cost > budget or piece & core:
+                continue
+            if size >= short:
+                return Solution(anchors=anchors | deficient, core=banked | core | piece)
+            _spend(counter, cap)
+            children.append((i + 1, core | piece, anchors | deficient, budget - cost, short - size))
+        stack.extend(reversed(children))
+    return None
+
+
 def _seeded_trials(delta: int, q: int, eps: float, cap: int) -> tuple[int, bool]:
     """Trial count giving miss probability <= eps, given per-trial success of
     at least 2^-((delta+1)q); returns (count, capped?)."""
@@ -372,9 +504,12 @@ def bounded_core_search(
     """Find a solution, or certify that none has a core of at most q vertices.
 
     YES always carries a verified witness and may legitimately have a core
-    larger than q (a lucky coloring can isolate a big component).  NO_UP_TO(q)
-    is exact in exhaustive mode; in seeded mode it holds up to the configured
-    failure probability, or carries a warning note when the trial cap bit.
+    larger than q (the banked core K0, several pieces, or a lucky coloring
+    that isolates a big component).  NO_UP_TO(q) is exact in exhaustive
+    mode, which reports no trial count and raises ``SearchBudgetError``
+    rather than answer past its set cap; in seeded mode it holds up to the
+    configured failure probability, or carries a warning note when the
+    trial cap bit.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -387,17 +522,12 @@ def bounded_core_search(
         return Verdict.no_up_to(q, note=nrm.note)
     g, b, k, p = nrm.graph, nrm.b, nrm.k, nrm.p
     if cfg.mode == "exhaustive":
-        if g.n > cfg.exhaustive_limit:
-            raise ValueError(
-                f"exhaustive coloring enumeration refused: n={g.n} exceeds "
-                f"the configured limit of {cfg.exhaustive_limit}"
-            )
-        total = 1 << g.n
-        for red in range(total):
-            sol = search_with_coloring(g, k, b, p, red)
-            if sol is not None:
-                return Verdict.yes(sol, trials=red + 1)
-        return Verdict.no_up_to(q, trials=total)
+        sol = _piece_search(g, k, b, p, q, cfg.exhaustive_limit)
+        if sol is None:
+            return Verdict.no_up_to(q)
+        if not verify_solution(Instance(graph=g, b=b, k=k, p=p), sol):
+            raise RuntimeError("internal error: piece search assembled an invalid solution")
+        return Verdict.yes(sol)
     delta = g.max_degree()
     trials, capped = _seeded_trials(delta, q, cfg.failure_prob, cfg.trial_cap)
     note = (

@@ -1,23 +1,15 @@
-"""Exact solver for acyclic inputs: bounded search at the target size, else
-peel a sink and repeat.
+"""Exact solver for acyclic inputs: one bounded search at the target size.
 
-A sink is joined to no later vertex, so a solution core of more than p
-vertices stays a solution after dropping the sink; searching for cores of
-exactly-target size between sink removals therefore loses nothing.
+A sink of a core (a core vertex with no out-neighbour in the core) supplies
+no in-arc to the rest of it, so dropping it leaves a solution.  A core of
+more than p vertices thus shrinks to exactly p, and a search for cores of at
+most p vertices decides the instance.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from .core import Instance, Solution, Verdict, normalize, peel
-from .graph import (
-    DirectedGraph,
-    Mask,
-    induced_subgraph,
-    lift_mask,
-    strongly_connected_components,
-)
+from .core import Instance, Verdict, normalize, peel
+from .graph import DirectedGraph, Mask, strongly_connected_components
 from .solver_bounded import SearchConfig, bounded_core_search
 
 
@@ -61,43 +53,13 @@ def require_acyclic(g: DirectedGraph) -> None:
     raise CyclicGraphError(_find_cycle(g, comp))
 
 
-def solve_dag(
-    inst: Instance,
-    cfg: SearchConfig | None = None,
-    sink_choice: Callable[[list[int]], int] | None = None,
-) -> Verdict:
-    """Exact YES/NO for DAGs (exhaustive coloring mode; epsilon-bounded otherwise).
-
-    ``sink_choice`` overrides which sink gets removed each round (default:
-    lowest index).  The verdict does not depend on the choice; the hook exists
-    so tests can demonstrate exactly that, and is not part of the public
-    contract.
-    """
+def solve_dag(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
+    """Exact YES/NO for DAGs (exhaustive mode; epsilon-bounded in seeded mode)."""
     require_acyclic(inst.graph)
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
         return nrm
-    b, k, p = nrm.b, nrm.k, nrm.p
-    cur = nrm.graph
-    to_parent = tuple(range(cur.n))
-    total_trials = 0
-    last_note = ""
-    while True:
-        res = bounded_core_search(Instance(graph=cur, b=b, k=k, p=p), p, cfg)
-        total_trials += res.trials or 0
-        last_note = res.note or last_note
-        if res.is_yes:
-            lifted = Solution(
-                anchors=lift_mask(res.solution.anchors, to_parent),
-                core=lift_mask(res.solution.core, to_parent),
-            )
-            return Verdict.yes(lifted, trials=total_trials, note=res.note)
-        if cur.n == p:
-            return Verdict.no(trials=total_trials, note=last_note)
-        sinks = [v for v in range(cur.n) if cur.out_degrees[v] == 0]
-        drop = sinks[0] if sink_choice is None else sink_choice(sinks)
-        if drop not in sinks:
-            raise ValueError(f"sink_choice returned {drop}, which is not a sink")
-        sub = induced_subgraph(cur, cur.full_mask & ~(1 << drop))
-        to_parent = tuple(to_parent[old] for old in sub.to_parent)
-        cur = sub.graph
+    res = bounded_core_search(nrm, nrm.p, cfg)
+    if res.is_yes:
+        return res
+    return Verdict.no(trials=res.trials, note=res.note)

@@ -464,34 +464,54 @@ def stage3_reference(inst: Instance, delta: int):
     return Verdict.no(trials=0), calls
 
 
+def ring_digraph(
+    rng: random.Random, n: int, delta: int, window: int, acyclic: bool = False
+) -> DirectedGraph:
+    """Arcs join ring vertices at most ``window`` apart, in both directions,
+    added in random order while both ends have total degree below ``delta``;
+    locality makes small anchored cores common.  ``acyclic`` keeps only the
+    arcs that go up a random ranking of the vertices."""
+    rank = list(range(n))
+    if acyclic:
+        rng.shuffle(rank)
+    pairs = [(u, (u + d) % n) for u in range(n) for d in range(1, window + 1)]
+    pairs += [(v, u) for u, v in pairs]
+    if acyclic:
+        pairs = [(u, v) for u, v in pairs if rank[u] < rank[v]]
+    rng.shuffle(pairs)
+    degree = [0] * n
+    arcs = []
+    for u, v in pairs:
+        if degree[u] < delta and degree[v] < delta:
+            arcs.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return DirectedGraph.from_arcs(n, arcs)
+
+
+def largest_feasible(g: DirectedGraph, b: int, k: int) -> int:
+    """The largest p the oracle answers YES for, at least b."""
+    best = b
+    while best < g.n and oracle_solve(Instance(graph=g, b=b, k=k, p=best + 1)).is_yes:
+        best += 1
+    return best
+
+
 def ring_instance(rng: random.Random) -> Instance:
     """A seeded instance on which ``solve_half_k`` reaches stage 3 unforced.
 
-    Arcs join ring vertices at most two apart, in both directions, added in
-    random order while both ends have total degree below 4; locality makes
-    small anchored cores common.  n is 22-30, max degree 4, k = 2, b = 1, and
-    p is p* or p* + 1, where p* > b is the largest p the oracle answers YES
-    for.  n > (4p + 1) * b, so the bounded stage cannot cover every core size.
+    A ``ring_digraph`` of window 2 with n 22-30, max degree 4, k = 2, b = 1,
+    and p is p* or p* + 1, where p* > b is the largest p the oracle answers
+    YES for.  n > (4p + 1) * b, so the bounded stage cannot cover every core
+    size.
     """
     b, k, delta = 1, 2, 4
     while True:
         n = rng.randint(22, 30)
-        pairs = [(u, (u + d) % n) for u in range(n) for d in (1, 2)]
-        pairs += [(v, u) for u, v in pairs]
-        rng.shuffle(pairs)
-        degree = [0] * n
-        arcs = []
-        for u, v in pairs:
-            if degree[u] < delta and degree[v] < delta:
-                arcs.append((u, v))
-                degree[u] += 1
-                degree[v] += 1
-        g = DirectedGraph.from_arcs(n, arcs)
+        g = ring_digraph(rng, n, delta, 2)
         if g.max_degree() != delta:
             continue
-        best = b
-        while best < n and oracle_solve(Instance(graph=g, b=b, k=k, p=best + 1)).is_yes:
-            best += 1
+        best = largest_feasible(g, b, k)
         p = best + rng.randint(0, 1)
         if best > b and n > (delta * p + 1) * b:
             return Instance(graph=g, b=b, k=k, p=p)

@@ -6,18 +6,26 @@ import pytest
 from dakc import (
     DirectedGraph,
     Instance,
+    SearchBudgetError,
     SearchConfig,
     bounded_core_search,
     coloring_stream,
     knapsack_select,
+    oracle_solve,
+    peel,
     red_components,
     search_with_coloring,
+    solve_dag,
+    solve_half_k,
+    solve_high_k,
+    strip_special_components,
     verify_solution,
     vertices_of,
     vset,
 )
 from dakc.solver_bounded import (
     _BLOCK,
+    _pieces,
     _block_coloring,
     _block_columns,
     _block_survivors,
@@ -27,8 +35,10 @@ from helpers import (
     bounded_search_reference,
     coloring_trial_reference,
     cycle_graph,
+    largest_feasible,
     path_graph,
     random_digraph_degree_capped,
+    ring_digraph,
     solution_exists_with_core_at_most,
 )
 
@@ -54,10 +64,12 @@ def test_bounded_search_requires_q_at_least_p():
 
 
 def test_exhaustive_mode_refuses_large_graphs():
+    # a set cap below what the piece search must enumerate raises; it never
+    # answers NO
     g = path_graph(6)
     cfg = SearchConfig(mode="exhaustive", exhaustive_limit=5)
-    with pytest.raises(ValueError, match="refused"):
-        bounded_core_search(Instance(graph=g, b=1, k=1, p=2), 6, cfg)
+    with pytest.raises(SearchBudgetError, match="refused"):
+        bounded_core_search(Instance(graph=g, b=1, k=1, p=6), 6, cfg)
 
 
 def test_knapsack_examples():
@@ -235,8 +247,10 @@ def _planted_cycle(rng: random.Random) -> tuple[Instance, int]:
 
 @pytest.mark.parametrize("mode", ["seeded", "exhaustive"])
 def test_bounded_search_matches_per_trial_reference(mode):
-    # whole verdicts, trial counts and notes included, with caps above the
-    # block length; some hits land before the first block boundary, some after
+    # seeded: whole verdicts, trial counts and notes included, with caps
+    # above the block length; some hits land before the first block
+    # boundary, some after.  exhaustive: the piece search decides as the
+    # loop over all 2^n colorings does, and every YES verifies.
     rng = random.Random(227)
     got, expect = [], []
     for i in range(150):
@@ -250,10 +264,159 @@ def test_bounded_search_matches_per_trial_reference(mode):
             q = rng.randint(p, n)
         cap = rng.randint(_BLOCK + 1, 3 * _BLOCK)
         cfg = SearchConfig(mode=mode, seed=rng.getrandbits(65) - 2**64, failure_prob=1e-9, trial_cap=cap)
-        got.append(bounded_core_search(inst, q, cfg))
+        verdict = bounded_core_search(inst, q, cfg)
+        if verdict.is_yes:
+            assert verify_solution(inst, verdict.solution)
+        got.append(verdict)
         expect.append(bounded_search_reference(inst, q, cfg))
+    assert sum(v.kind == "no_up_to" for v in got) >= 15
+    if mode == "exhaustive":
+        assert [v.kind for v in got] == [v.kind for v in expect]
+        return
     assert got == expect
     hits = [v.trials for v in got if v.is_yes and v.trials is not None]
     assert sum(t <= _BLOCK for t in hits) >= 10
     assert sum(t > _BLOCK for t in hits) >= 10
-    assert sum(v.kind == "no_up_to" for v in got) >= 15
+
+
+def _connected(g, mask: int) -> bool:
+    seen = mask & -mask
+    frontier = seen
+    while frontier:
+        grown = 0
+        for v in vertices_of(frontier):
+            grown |= g.und_mask[v]
+        frontier = grown & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def test_pieces_match_subset_search():
+    # the pieces against every connected set outside the banked core with at
+    # most b deficient members, by subset search
+    rng = random.Random(263)
+    total = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        k, b = rng.randint(1, 3), rng.randint(0, 2)
+        g = random_digraph_degree_capped(rng, n, rng.randint(2, 5), rng.uniform(0.3, 0.9))
+        banked = peel(g, k)
+        q = rng.randint(1, n)
+        got = list(_pieces(g, k, b, q, banked, [0], 10**9))
+        expect = []
+        for sub in range(1, 1 << n):
+            if sub & banked or sub.bit_count() > q or not _connected(g, sub):
+                continue
+            deficient = vset(
+                v for v in vertices_of(sub) if (g.in_mask[v] & (sub | banked)).bit_count() < k
+            )
+            if deficient.bit_count() <= b:
+                expect.append((sub, deficient))
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(expect)
+        total += len(got)
+    assert total >= 1000
+
+
+def test_piece_search_cuts_branches_that_cannot_hold_a_piece():
+    # on a path out of vertex 0 at b = 0, every root lacks an in-neighbour
+    # it could still add, so each root is cut at once: n sets in all, where
+    # an uncut search would walk n (n + 1) / 2
+    g = path_graph(40)
+    cfg = SearchConfig(exhaustive_limit=40)
+    v = bounded_core_search(Instance(graph=g, b=0, k=1, p=1), 40, cfg)
+    assert v.kind == "no_up_to"
+
+
+def test_piece_search_banks_the_unanchored_core():
+    # pieces against subset search, on graphs where peel(G, k) keeps
+    # vertices unanchored: the banked core joins every witness, and the
+    # pieces around it still decide exactly
+    rng = random.Random(251)
+    banked = needs_pieces = beyond = 0
+    while banked < 200:
+        n = rng.randint(3, 10)
+        k = rng.randint(1, 2)
+        g = random_digraph_degree_capped(rng, n, rng.randint(2, 4), rng.uniform(0.4, 0.9))
+        unanchored = peel(g, k)
+        if not unanchored:
+            continue
+        banked += 1
+        p = rng.randint(min(n, unanchored.bit_count() + 1), n)
+        inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=p)
+        q = rng.randint(p, n)
+        verdict = bounded_core_search(inst, q)
+        exists_small = solution_exists_with_core_at_most(inst, q)
+        if verdict.is_yes:
+            assert verify_solution(inst, verdict.solution)
+        else:
+            assert verdict.kind == "no_up_to" and not exists_small
+            beyond += 1
+        if exists_small:
+            assert verdict.is_yes
+            needs_pieces += unanchored.bit_count() < p
+    assert needs_pieces >= 50
+    assert beyond >= 20
+
+
+def _ring_pool(regime: str, rng: random.Random, count: int) -> list[Instance]:
+    # shaped like the bounded-regimes workload: degree-capped rings with the
+    # regime's exact max degree, p = p* or p* + 1 with b < p* < n
+    pool = []
+    while len(pool) < count:
+        if regime == "high":
+            k, delta, b = rng.choice([(2, 3, 1), (2, 3, 2), (3, 5, 2)])
+            g = ring_digraph(rng, rng.randint(18, 26), delta, 2)
+        elif regime == "half":
+            k, delta, b = 2, 4, rng.randint(1, 2)
+            g = ring_digraph(rng, rng.randint(22, 30), delta, 2)
+        else:
+            k, delta, b = 2, 5, 2
+            g = ring_digraph(rng, rng.randint(12, 16), delta, 3, acyclic=True)
+        if g.max_degree() != delta:
+            continue
+        best = largest_feasible(g, b, k)
+        if b < best < g.n:
+            pool.append(Instance(graph=g, b=b, k=k, p=best + len(pool) % 2))
+    return pool
+
+
+@pytest.mark.parametrize("regime", ["high", "half", "dag"])
+def test_piece_search_stages_match_oracle_on_rings(regime):
+    # each stage that runs the piece search, against the oracle, on graphs
+    # shaped like the benchmark's; the half-k probe is run as solve_half_k
+    # runs it, on the stripped instance up to its size bound
+    pool = _ring_pool(regime, random.Random(257), 24)
+    probe_yes = 0
+    for inst in pool:
+        expect = oracle_solve(inst)
+        if regime == "high":
+            got = solve_high_k(inst)
+        elif regime == "dag":
+            got = solve_dag(inst)
+        else:
+            got = solve_half_k(inst)
+            reduced = strip_special_components(inst).instance
+            q = (inst.graph.max_degree() * reduced.p + 1) * reduced.b
+            probe = bounded_core_search(reduced, min(q, reduced.graph.n))
+            if probe.is_yes:
+                assert verify_solution(reduced, probe.solution)
+                probe_yes += 1
+            else:
+                assert probe.kind == "no_up_to"
+        assert got.kind == expect.kind
+        if got.is_yes:
+            assert verify_solution(inst, got.solution)
+    assert sum(v.is_yes for v in map(oracle_solve, pool)) == len(pool) // 2
+    if regime == "half":
+        assert probe_yes >= len(pool) // 4
+
+
+def test_piece_search_runs_without_recursion():
+    # a 1,200-vertex path into vertex 0: from root 0 the search walks one
+    # branch 1,200 sets deep before any cut, far past the recursion limit,
+    # and the set cap then stops it with an error, never a NO
+    g = DirectedGraph.from_arcs(1200, [(v + 1, v) for v in range(1199)])
+    cfg = SearchConfig(exhaustive_limit=5000)
+    with pytest.raises(SearchBudgetError):
+        bounded_core_search(Instance(graph=g, b=0, k=1, p=1), 1200, cfg)

@@ -247,7 +247,7 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     # trial, the min vertex cut, the stage-3 disjoint paths and the stage-3
     # arc deletion swapped for their plain references; the capped seeded NOs
     # must stay the same too
-    cfg = SearchConfig(trial_cap=500)
+    cfg = SearchConfig(mode="seeded", trial_cap=500)
 
     def solve(inst):
         if regime == "high":
@@ -343,7 +343,7 @@ def test_half_k_unforced_stage3_matches_oracle(monkeypatch):
     # bounded stage miss YES answers that stage 3 must then find
     calls, _ = _record_stage3(monkeypatch)
     rng = random.Random(241)
-    cfg = SearchConfig(trial_cap=20)
+    cfg = SearchConfig(mode="seeded", trial_cap=20)
     reached = {"yes": 0, "no": 0}
     for _ in range(30):
         inst = ring_instance(rng)
