@@ -264,17 +264,17 @@ def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[i
 
 def _is_important_std(rev: DirectedGraph, src: int, sink: int, sep: Mask) -> bool:
     """Importance in the standard orientation (maximize reach of ``src``),
-    checked in polynomial time: S must be a minimal separator and must equal
-    the minimum src-side cut closest to the sink for its own reach set.
+    checked with one min cut: S must separate and must equal the minimum
+    cut closest to the sink from its own reach set (Marx 2006).
+
+    Minimality needs no check of its own.  A proper subset of S that
+    separates src from the sink also cuts the reach set from the sink, since
+    src reaches that set without passing S, so the minimum cut is smaller
+    than S and cannot equal it.
     """
-    alive = rev.full_mask & ~sep
-    reached = reach(rev, 1 << src, "forward", within=alive)
+    reached = reach(rev, 1 << src, "forward", within=rev.full_mask & ~sep)
     if (reached >> sink) & 1:
         return False
-    for v in iter_vertices(sep):
-        without = reach(rev, 1 << src, "forward", within=rev.full_mask & ~(sep & ~(1 << v)))
-        if not (without >> sink) & 1:
-            return False  # v is redundant, so sep is not minimal
     res = _min_vertex_cut(rev, rev.full_mask, reached, sink, limit=sep.bit_count())
     return res is not None and res[1] == sep
 

@@ -452,11 +452,14 @@ def _piece_search(
 ) -> Solution | None:
     """A solution whose core is K0 = ``peel(g, k)`` plus at most b disjoint
     pieces of at most q vertices each, or None if there is none; raises
-    ``SearchBudgetError`` past ``cap`` enumerated sets."""
+    ``SearchBudgetError`` past ``cap`` enumerated sets.  Every piece holds a
+    deficient member, or K0 would contain it, so at b = 0 K0 alone answers."""
     banked = peel(g, k)
     need = p - banked.bit_count()
     if need <= 0:
         return Solution(anchors=0, core=banked)
+    if b == 0:
+        return None
     counter = [0]
     found = []
     for piece, deficient in _pieces(g, k, b, q, banked, counter, cap):

@@ -120,17 +120,15 @@ def solve_high_k(
 
 
 def _deletion_choices(g: DirectedGraph, v: int, k: int) -> list[tuple[int, ...]]:
-    """Ways to delete some of v's in-arcs while keeping at least k of them.
+    """Ways to delete at least one of v's in-arcs while keeping at least k.
 
-    Empty deletion is allowed; a vertex with fewer than k in-arcs has no
-    valid choice at all, which kills any boundary guess containing it.
+    Only a vertex with more than k in-arcs has a choice; stage 3 offers no
+    other vertex as a boundary, so every boundary vertex deletes something
+    and each deletion set arises from the boundary of its own heads alone.
     """
     nbrs = g.in_adj[v]
-    room = len(nbrs) - k
-    if room < 0:
-        return []
     out: list[tuple[int, ...]] = []
-    for size in range(room + 1):
+    for size in range(1, len(nbrs) - k + 1):
         out.extend(combinations(nbrs, size))
     return out
 
@@ -174,6 +172,13 @@ def solve_half_k(
     candidate is verified against the original graph, so wrong guesses can
     only cost time, never correctness.
 
+    A boundary vertex with exactly k in-arcs deletes nothing and one with
+    fewer kills the guess, so the boundary is drawn from the vertices with
+    more than k in-arcs, each deleting at least one.  Every deletion set then
+    comes from one boundary, its heads, and the inner enumeration depends on
+    t and the deletion set alone, so each boundary is expanded once per t,
+    under the first separator that offers it.  Repeats could only fail again.
+
     Most deletion sets cannot yield an anchor set, and one max flow per t
     finds them.  ``disjoint_paths`` gives internally vertex-disjoint s-t
     paths of the augmented graph; a deletion set removes arcs of the reduced
@@ -181,9 +186,9 @@ def solve_half_k(
     t counts) survives.  With more than b survivors every s-t cut is larger
     than b and the inner enumeration would return nothing, so that deletion
     set is skipped.  The same count, over the paths with an arc into any
-    vertex it may touch, skips a whole separator or boundary guess at once.
-    The calls that remain run in the same order, so the answer and witness
-    do not change.
+    vertex it may touch, skips a whole t, separator or boundary guess at
+    once.  The calls that remain run in the order of their first occurrence
+    in the plain guessing loop, so the answer and witness do not change.
 
     ``force_stage3`` skips the bounded stage; it exists for tests that probe
     the guessing stage in isolation and is not part of the public contract.
@@ -225,7 +230,8 @@ def solve_half_k(
     source_arcs = [(s_idx, v) for v in range(g1.n) if g1.in_degrees[v] < k]
     aug = DirectedGraph.from_arcs(g1.n + 1, list(g1.arcs()) + source_arcs)
     sep_budget = (delta * (k - 1) + 1) * b
-    choices: dict[int, list[tuple[int, ...]]] = {}
+    movable = vset(v for v in range(g1.n) if g1.in_degrees[v] > k)
+    choices = {v: _deletion_choices(g1, v, k) for v in iter_vertices(movable)}
     for t in range(g1.n):
         if g1.in_degrees[t] < k:
             continue
@@ -246,46 +252,35 @@ def solve_half_k(
                 hit |= into[v]
             return hit.bit_count() >= need
 
+        if not cuts_enough(iter_vertices(movable)):
+            continue
+        expanded: set[tuple[int, ...]] = set()
         for sep_star in enumerate_important_separators(aug, s_idx, t, sep_budget):
             inside = (
                 reach(g1, 1 << t, "backward", within=g1.full_mask & ~sep_star.vertices)
                 | sep_star.vertices
             )
-            # candidates for the core's in-boundary: vertices that could have
-            # an in-neighbour outside the core, or that the separator must
-            # already shield
-            dset = 0
-            for v in iter_vertices(inside):
-                if g1.in_degrees[v] > k or (g1.in_mask[v] & inside).bit_count() < k:
-                    dset |= 1 << v
-            d_list = vertices_of(dset)
+            # candidates for the core's in-boundary: the vertices inside
+            # that can lose an in-arc from outside the core
+            d_list = vertices_of(inside & movable)
             if not cuts_enough(d_list):
                 continue
-            tried: set[frozenset[tuple[int, int]]] = set()
             for size in range(min(delta * b, len(d_list)) + 1):
                 for boundary in combinations(d_list, size):
-                    if not cuts_enough(boundary):
+                    if boundary in expanded or not cuts_enough(boundary):
                         continue
-                    for v in boundary:
-                        if v not in choices:
-                            choices[v] = _deletion_choices(g1, v, k)
-                    choice_lists = [choices[v] for v in boundary]
-                    if any(not c for c in choice_lists):
-                        continue
-                    for assignment in product(*choice_lists):
+                    expanded.add(boundary)
+                    for assignment in product(*(choices[v] for v in boundary)):
                         deleted = frozenset(
                             (u, v)
                             for v, gone in zip(boundary, assignment)
                             for u in gone
                         )
-                        if deleted in tried:
-                            continue
                         hit = 0
                         for arc in deleted:
                             hit |= path_bit.get(arc, 0)
                         if hit.bit_count() < need:
                             continue
-                        tried.add(deleted)
                         f_aug = _without_arcs(aug, deleted)
                         for sep_hat in enumerate_important_separators(
                             f_aug, s_idx, t, b

@@ -74,11 +74,11 @@ def test_solve_auto_routes_dags_beyond_degree_regimes(capsys, tmp_path):
 
 
 def test_piece_search_cap_exits_4_and_prints_no_answer(capsys, tmp_path, monkeypatch):
-    # a 3-vertex path into vertex 1 has no core at b = 0; a set cap below the
-    # search's 3 sets must end the run with exit 4, never with a NO
+    # two 2-vertex paths have no 3-vertex core at b = 1; a set cap below the
+    # search's 6 sets must end the run with exit 4, never with a NO
     f = tmp_path / "into.gr"
-    f.write_text("p dakc 3 2\na 2 1\na 3 2\n")
-    argv = ("solve", str(f), "--b", "0", "--k", "1", "--p", "1", "--solver", "dag")
+    f.write_text("p dakc 4 2\na 2 1\na 4 3\n")
+    argv = ("solve", str(f), "--b", "1", "--k", "1", "--p", "3", "--solver", "dag")
     assert run(capsys, *argv)[0] == 1
     monkeypatch.setattr(cli, "SearchConfig", partial(cli.SearchConfig, exhaustive_limit=2))
     code, out, err = run(capsys, *argv)

@@ -11,7 +11,8 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.separators import _max_flow, _min_vertex_cut, disjoint_paths
+from dakc.graph import reverse
+from dakc.separators import _is_important_std, _max_flow, _min_vertex_cut, disjoint_paths
 from helpers import (
     disjoint_paths_reference,
     min_vertex_cut_reference,
@@ -118,6 +119,34 @@ def test_enumeration_matches_definition_on_random_graphs():
             for v in vertices_of(sep):
                 assert not is_separator(g, s, t, sep & ~(1 << v))
         checked += 1
+
+
+def test_one_cut_importance_check_matches_definition():
+    # the enumerator's filter against the brute-force definition on every
+    # set of at most 3 vertices, separators that are not minimal included:
+    # a min cut equal to S already rules out a smaller separator inside S
+    rng = random.Random(47)
+    important = non_minimal = 0
+    for _ in range(300):
+        n = rng.randint(4, 8)
+        g = random_digraph(rng, n, rng.uniform(0.15, 0.5))
+        pair = _random_nonadjacent_pair(rng, g)
+        if pair is None:
+            continue
+        s, t = pair
+        rev = reverse(g)
+        others = [v for v in range(n) if v != s and v != t]
+        for r in range(min(3, len(others)) + 1):
+            for combo in combinations(others, r):
+                sep = vset(combo)
+                got = _is_important_std(rev, t, s, sep)
+                assert got == is_important(g, s, t, sep, 3)
+                important += got
+                non_minimal += is_separator(g, s, t, sep) and any(
+                    is_separator(g, s, t, sep & ~(1 << v)) for v in combo
+                )
+    assert important >= 250
+    assert non_minimal >= 2500
 
 
 def test_min_vertex_cut_walks_back_through_used_vertices():

@@ -413,10 +413,24 @@ def test_piece_search_stages_match_oracle_on_rings(regime):
 
 
 def test_piece_search_runs_without_recursion():
-    # a 1,200-vertex path into vertex 0: from root 0 the search walks one
-    # branch 1,200 sets deep before any cut, far past the recursion limit,
-    # and the set cap then stops it with an error, never a NO
+    # a 1,200-vertex path into vertex 0: from root 0 every set has one
+    # deficient member, its far end, so at b = 1 the search walks one branch
+    # past depth 1,100, beyond the recursion limit, and the set cap then
+    # stops it with an error, never a NO
     g = DirectedGraph.from_arcs(1200, [(v + 1, v) for v in range(1199)])
-    cfg = SearchConfig(exhaustive_limit=5000)
+    cfg = SearchConfig(exhaustive_limit=1100)
     with pytest.raises(SearchBudgetError):
-        bounded_core_search(Instance(graph=g, b=0, k=1, p=1), 1200, cfg)
+        bounded_core_search(Instance(graph=g, b=1, k=1, p=1200), 1200, cfg)
+
+
+def test_piece_search_at_b0_answers_from_the_unanchored_core():
+    # every piece holds a deficient member, so at b = 0 no piece qualifies
+    # and the unanchored core alone decides: no set is enumerated, and a
+    # cap of 0 still answers
+    g = DirectedGraph.from_arcs(1200, [(v + 1, v) for v in range(1199)])
+    cfg = SearchConfig(exhaustive_limit=0)
+    v = bounded_core_search(Instance(graph=g, b=0, k=1, p=1), 1200, cfg)
+    assert v.kind == "no_up_to"
+    ring = cycle_graph(5)
+    v = bounded_core_search(Instance(graph=ring, b=0, k=1, p=5), 5, cfg)
+    assert v.is_yes and v.solution.core == ring.full_mask

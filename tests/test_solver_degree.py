@@ -302,13 +302,16 @@ def _record_stage3(monkeypatch) -> tuple[list, dict]:
 
 
 def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
-    # the flow-path pruning against the unpruned loop, one inner call at a
-    # time: the calls that run are the reference's in order, and every one
-    # it skips finds no separator there.  Verdict kinds against the oracle
-    # can miss a wrong skip, since a YES often has several witnesses.
+    # the pruned guessing against the unpruned loop, one inner call at a
+    # time.  The reference repeats a (t, deleted) pair under later
+    # separators of the same t, and each repeat finds what its first call
+    # found.  The calls that run are the reference's first calls in order,
+    # and every first call skipped finds no separator there.  Verdict kinds
+    # against the oracle can miss a wrong skip, since a YES often has
+    # several witnesses.
     calls, paths_of = _record_stage3(monkeypatch)
     rng = random.Random(239)
-    skipped = cut_into_t = 0
+    skipped = repeated = cut_into_t = 0
     for _ in range(80):
         n = rng.randint(6, 11)
         k = rng.choice([1, 2])
@@ -320,10 +323,15 @@ def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
         ran = [c for c in calls if c[1] is not None]
         expect, ref = stage3_reference(inst, 2 * k)
         assert got == expect
-        assert [c for c in ran if c[2]] == [c for c in ref if c[2]]
+        first: dict = {}
+        for t, deleted, seps in ref:
+            assert first.setdefault((t, deleted), seps) == seps
+        firsts = [(t, deleted, seps) for (t, deleted), seps in first.items()]
+        repeated += len(ref) - len(firsts)
+        assert [c for c in ran if c[2]] == [c for c in firsts if c[2]]
         left = iter(ran)
         nxt = next(left, None)
-        for call in ref:
+        for call in firsts:
             if call == nxt:
                 nxt = next(left, None)
             else:
@@ -334,7 +342,28 @@ def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
             if seps and any((path[-2], t) in deleted for path in paths_of.get(t, ())):
                 cut_into_t += 1
     assert skipped >= 1000
+    assert repeated >= 100
     assert cut_into_t >= 20
+
+
+def test_stage3_runs_each_deletion_guess_once_per_t(monkeypatch):
+    # the inner enumeration depends on t and the deletion set alone, so
+    # within one solve no pair runs it twice, whichever separators and
+    # boundaries offer that deletion set again
+    calls, _ = _record_stage3(monkeypatch)
+    rng = random.Random(251)
+    inner = 0
+    for _ in range(60):
+        n = rng.randint(6, 11)
+        k = rng.choice([1, 2])
+        g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.4, 0.9))
+        inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
+        del calls[:]
+        solve_half_k(inst, max_degree=2 * k, cfg=EXH, force_stage3=True)
+        pairs = [(t, deleted) for t, deleted, _ in calls if deleted is not None]
+        assert len(pairs) == len(set(pairs))
+        inner += len(pairs)
+    assert inner >= 1000
 
 
 def test_half_k_unforced_stage3_matches_oracle(monkeypatch):
