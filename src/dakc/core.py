@@ -99,7 +99,8 @@ def peel(g: DirectedGraph, k: int, anchors: Mask = 0) -> Mask:
     monotone), so a work queue seeded with the initially deficient vertices
     computes it in O(n + m) (Batagelj & Zaversnik, 2003).  That queue is
     ``_withdraw`` started from the whole graph, where every vertex is an
-    anchor, withdrawing every vertex outside ``anchors``.
+    anchor, withdrawing every vertex outside ``anchors``.  It passes no
+    floor, so the queue always runs to the end.
     """
     if k <= 0:
         return g.full_mask
@@ -115,10 +116,18 @@ def _whole_graph(g: DirectedGraph, k: int) -> tuple[Mask, Mask, list[int]]:
 
 
 def _withdraw(
-    g: DirectedGraph, k: int, core: Mask, weak: Mask, indeg: list[int], anchors: Mask, drop: Mask
-) -> tuple[Mask, Mask]:
+    g: DirectedGraph,
+    k: int,
+    core: Mask,
+    weak: Mask,
+    indeg: list[int],
+    anchors: Mask,
+    drop: Mask,
+    floor: int = 0,
+) -> tuple[Mask, Mask] | None:
     """Withdraw the anchors ``drop`` from a peel: ``peel(g, k, anchors)`` and
-    its weak set, given the state of ``peel(g, k, anchors | drop)``.
+    its weak set, given the state of ``peel(g, k, anchors | drop)``, or None
+    once that peel is known to hold fewer than ``floor`` vertices.
 
     The state is ``core``, that peel; ``weak``, its members whose in-degree
     inside it is below ``k`` (all of them anchors); and ``indeg``, every
@@ -128,8 +137,16 @@ def _withdraw(
     and an anchor becomes weak.  So each deleted vertex is queued exactly
     once, the queue is the deleted set, and the work is the out-arcs of the
     deleted vertices.
+
+    The queue stops as soon as it holds more than ``|core| - floor``
+    vertices.  The withdrawal then returns None and leaves ``indeg`` part
+    updated, so a caller that passes a floor must throw ``indeg`` away on
+    None.  With the default floor of 0 the queue never stops.
     """
     queue = vertices_of(drop & weak)
+    room = core.bit_count() - floor
+    if len(queue) > room:
+        return None
     out_adj = g.out_adj
     last = k - 1
     for v in queue:
@@ -140,6 +157,8 @@ def _withdraw(
                     weak |= 1 << w
                 else:
                     queue.append(w)
+                    if len(queue) > room:
+                        return None
     return core ^ vset(queue), weak & ~drop
 
 
@@ -218,6 +237,11 @@ def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
     candidate position's bound lacks one anchor, and a leaf's core lacks
     every candidate after its own, so each comes from the previous state by
     ``_withdraw``; a child or a leaf works on its own copy of the in-degrees.
+    Each withdrawal takes ``p`` as its floor: the search asks only whether a
+    bound or a leaf keeps ``p`` vertices, so a cascade stops as soon as it
+    has deleted more than ``|core| - p``.  A stopped bound ends its loop and
+    a stopped leaf is a miss, so both drop the in-degrees it left part
+    updated, and the search cuts exactly the branches a full cascade cuts.
 
     Exponential all the same: refuses to start if the count of all anchor
     subsets of size at most b, over every vertex, exceeds ``cap``.  Banking
@@ -252,15 +276,16 @@ def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
         this call owns ``indeg``."""
         for i in range(start, len(cand) - need + 1):
             if i > start:
-                core, weak = _withdraw(g, k, core, weak, indeg, chosen | rest[i], 1 << cand[i - 1])
-                if core.bit_count() < p:
+                bound = _withdraw(g, k, core, weak, indeg, chosen | rest[i], 1 << cand[i - 1], p)
+                if bound is None:
                     # later positions' bounds are smaller still
                     return None
+                core, weak = bound
             anchors = chosen | 1 << cand[i]
             if need == 1:
-                leaf = _withdraw(g, k, core, weak, indeg.copy(), anchors, rest[i + 1])[0]
-                if leaf.bit_count() >= p:
-                    return Solution(anchors=anchors, core=leaf)
+                leaf = _withdraw(g, k, core, weak, indeg.copy(), anchors, rest[i + 1], p)
+                if leaf is not None:
+                    return Solution(anchors=anchors, core=leaf[0])
             else:
                 hit = first_hit(anchors, i + 1, need - 1, core, weak, indeg.copy())
                 if hit is not None:

@@ -273,6 +273,45 @@ def test_withdraw_matches_peel_of_the_smaller_anchor_set():
     assert removing >= 600
 
 
+def test_withdraw_with_a_floor_stops_only_below_it():
+    # the same nested chains, each step with a random floor: a peel of at
+    # least floor vertices comes back exact, a smaller one as None, and a
+    # stopped queue leaves the in-degrees short of the full withdrawal's
+    rng = random.Random(67)
+    exact_at_floor = stopped = stopped_early = 0
+    for _ in range(600):
+        n = rng.randint(1, 14)
+        g = random_digraph(rng, n, rng.uniform(0.1, 0.5))
+        k = rng.randint(1, 3)
+        anchors = vset(v for v in range(n) if rng.random() < 0.6)
+        core = peel_in_order(g, k, anchors, rng)
+        weak, indeg = _peel_state(g, k, core)
+        while anchors:
+            kept = vset(v for v in vertices_of(anchors) if rng.random() < 0.6)
+            expected = peel_in_order(g, k, kept, rng)
+            size = expected.bit_count()
+            floor = rng.choice((0, size, size + 1, rng.randint(0, n + 1)))
+            trial = indeg.copy()
+            got = _withdraw(g, k, core, weak, trial, kept, anchors & ~kept, floor)
+            if size < floor:
+                assert got is None
+                stopped += 1
+                got = _withdraw(g, k, core, weak, indeg, kept, anchors & ~kept)
+                stopped_early += trial != indeg
+            else:
+                exact_at_floor += size == floor
+                indeg = trial
+            core, weak = got
+            anchors = kept
+            assert core == expected
+            expected_weak, expected_indeg = _peel_state(g, k, expected)
+            assert weak == expected_weak
+            assert all(indeg[v] == expected_indeg[v] for v in vertices_of(core))
+    assert exact_at_floor >= 600
+    assert stopped >= 800
+    assert stopped_early >= 250
+
+
 def _gadget_pool():
     """Reduction gadgets with K0 = 0, small enough for ``oracle_reference``,
     each asked at several budgets up to 4 and several targets."""

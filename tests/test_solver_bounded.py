@@ -319,13 +319,16 @@ def test_pieces_match_subset_search():
 
 
 def test_piece_search_cuts_branches_that_cannot_hold_a_piece():
-    # on a path out of vertex 0 at b = 0, every root lacks an in-neighbour
-    # it could still add, so each root is cut at once: n sets in all, where
-    # an uncut search would walk n (n + 1) / 2
+    # on a path out of vertex 0 at k = 2, no member can reach 2
+    # in-neighbours, so every 2-vertex branch holds 2 stuck members, more
+    # than b = 1, and is cut at once: n roots and n - 1 pairs, 79 sets in
+    # all, where an uncut search would walk n (n + 1) / 2
     g = path_graph(40)
-    cfg = SearchConfig(exhaustive_limit=40)
-    v = bounded_core_search(Instance(graph=g, b=0, k=1, p=1), 40, cfg)
+    inst = Instance(graph=g, b=1, k=2, p=2)
+    v = bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=79))
     assert v.kind == "no_up_to"
+    with pytest.raises(SearchBudgetError):
+        bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=78))
 
 
 def test_piece_search_banks_the_unanchored_core():
