@@ -188,8 +188,36 @@ def _mask_list(mask) -> list[int]:
     return [v + 1 for v in vertices_of(mask)]
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` at nesting ``indent``, the same text.
+    ``indent=2`` runs the pure-Python encoder, so each list or dict that
+    holds no list or dict goes to the C encoder in one call, with the line
+    break and the indent in its item separator."""
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return json.dumps(value)
+    if not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, items))):
+        text = json.dumps(value, separators=(",\n" + inner, ": "))
+    elif isinstance(value, dict):
+        # '{"key": null}' less its last five characters is '{"key": ', so
+        # every key is written exactly as json writes it
+        text = "{" + (",\n" + inner).join(
+            json.dumps({key: None})[1:-5] + _json_text(item, inner)
+            for key, item in value.items()
+        ) + "}"
+    else:
+        text = "[" + (",\n" + inner).join(_json_text(item, inner) for item in value) + "]"
+    return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    print(_json_text(report))
 
 
 def _check_witness(inst: Instance, sol: Solution) -> None:

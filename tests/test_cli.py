@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_k1
-from dakc.cli import _build_parser, main
+from dakc.cli import _build_parser, _json_text, main
 from dakc.core import anchor_subset_count
 from dakc.graph import serialize_instance
 from helpers import cycle_with_pendants, random_digraph
@@ -210,6 +210,55 @@ def test_seps_command(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["separators"] == [[2]]
+
+
+# s = 1 and t = 9 have two important separators of size at most 3
+SEPS9 = (
+    "p dakc 9 27\na 1 3\na 1 4\na 1 6\na 2 1\na 2 3\na 2 4\na 2 9\na 3 2\na 3 4\n"
+    "a 3 6\na 3 8\na 4 8\na 5 3\na 5 6\na 6 1\na 6 4\na 6 5\na 7 1\na 7 3\n"
+    "a 7 6\na 7 8\na 8 2\na 8 4\na 8 5\na 9 2\na 9 3\na 9 5\n"
+)
+
+
+def test_reports_print_as_indented_json(capsys, tmp_path):
+    # each command's report is written list by list through the C encoder,
+    # and still prints exactly the text of json.dumps(report, indent=2)
+    odd = tmp_path / 'dir "é\\ü€'
+    odd.mkdir()
+    path, seps, tri = odd / "path.gr", odd / "seps.gr", odd / "tri.ug"
+    path.write_text(PATH3)
+    seps.write_text(SEPS9)
+    tri.write_text("p ug 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    sol = odd / "sol.json"
+    sol.write_text(json.dumps({"anchors": [], "core": [1, 2, 3]}))
+    params = ("--b", "1", "--k", "1", "--p", "3")
+    reports = {}
+    for argv in (
+        ("solve", str(path), *params),
+        ("solve", str(path), "--b", "0", "--k", "1", "--p", "1"),
+        ("max", str(path), "--b", "1", "--k", "1"),
+        ("verify", str(path), str(sol), *params),
+        ("gen", "clique", str(tri), "--b", "2", "--k", "2", "-o", str(odd / "clique.gr")),
+        ("seps", str(seps), "--s", "1", "--t", "9", "--h", "3"),
+    ):
+        _, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        reports[argv[0], report.get("answer")] = report
+    assert reports["solve", "no"]["anchors"] is None
+    assert "in-degree" in reports["verify", None]["violation"]
+    assert "é" in reports["gen", None]["instance"]
+    assert reports["seps", None]["separators"] == [[2], [3, 4]]
+    for value in (
+        {},
+        [],
+        {"empty": [], "nothing": {}, "none": None},
+        [[], [[]], [[1, 2], [3]], {"deep": [{"x": [None, True, 1.5]}]}],
+        'tab\t "quote" back\\ é € \U0001f600',
+        {1: [2], 2.5: {"a": 0}, True: None, None: "x"},
+        (1, (2, 3)),
+    ):
+        assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_seps_range_error_names_ids_as_typed(capsys, tmp_path):

@@ -318,17 +318,77 @@ def test_pieces_match_subset_search():
     assert total >= 1000
 
 
+def _pieces_reference(g, k, b, q, banked):
+    # plain ESU in the order _pieces walks it, each branch cut only by its
+    # own stuck test once popped; returns the pieces in order, the branches
+    # that pass the test, and the roots and the children that fail it
+    und, in_mask = g.und_mask, g.in_mask
+    free = g.full_mask & ~banked
+    pieces, passed, cut_roots, cut_children = [], 0, 0, 0
+    for root in vertices_of(free):
+        above = free >> root + 1 << root + 1
+        stack = [(1 << root, und[root] & above, 1 << root | und[root])]
+        while stack:
+            sub, ext, nbr = stack.pop()
+            room = sub | ext | banked
+            deficient = vset(
+                v for v in vertices_of(sub) if (in_mask[v] & (sub | banked)).bit_count() < k
+            )
+            stuck = sum((in_mask[v] & room).bit_count() < k for v in vertices_of(deficient))
+            if stuck > b:
+                if sub.bit_count() == 1:
+                    cut_roots += 1
+                else:
+                    cut_children += 1
+                continue
+            passed += 1
+            if deficient.bit_count() <= b:
+                pieces.append((sub, deficient))
+            if sub.bit_count() < q:
+                rest = ext
+                for w in vertices_of(ext):
+                    rest ^= 1 << w
+                    stack.append((sub | 1 << w, rest | (und[w] & above & ~nbr), nbr | und[w]))
+    return pieces, passed, cut_roots, cut_children
+
+
+def test_pieces_match_plain_search_in_order_and_count():
+    # the same pieces in the same order as a search that pushes every child
+    # and cuts it once popped, and a count of exactly the branches that pass
+    # the stuck test plus the roots that fail it: a parent pushes no child
+    # that its own test would cut
+    rng = random.Random(271)
+    counted = roots_cut = never_pushed = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        k, b = rng.randint(1, 3), rng.randint(0, 3)
+        g = random_digraph_degree_capped(rng, n, rng.randint(2, 5), rng.uniform(0.3, 0.9))
+        banked = peel(g, k)
+        q = rng.randint(1, n)
+        counter = [0]
+        got = list(_pieces(g, k, b, q, banked, counter, 10**9))
+        expect, passed, cut_roots, cut_children = _pieces_reference(g, k, b, q, banked)
+        assert got == expect
+        assert counter[0] == passed + cut_roots
+        counted += counter[0]
+        roots_cut += cut_roots
+        never_pushed += cut_children
+    assert counted >= 30000 and roots_cut >= 1500
+    assert never_pushed >= 20000
+
+
 def test_piece_search_cuts_branches_that_cannot_hold_a_piece():
     # on a path out of vertex 0 at k = 2, no member can reach 2
-    # in-neighbours, so every 2-vertex branch holds 2 stuck members, more
-    # than b = 1, and is cut at once: n roots and n - 1 pairs, 79 sets in
-    # all, where an uncut search would walk n (n + 1) / 2
+    # in-neighbours, so every 2-vertex branch would hold 2 stuck members,
+    # more than b = 1: each root decides that for its one child and never
+    # pushes it, so only the n roots are counted, where an uncut search
+    # would walk n (n + 1) / 2 sets
     g = path_graph(40)
     inst = Instance(graph=g, b=1, k=2, p=2)
-    v = bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=79))
+    v = bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=40))
     assert v.kind == "no_up_to"
     with pytest.raises(SearchBudgetError):
-        bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=78))
+        bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=39))
 
 
 def test_piece_search_banks_the_unanchored_core():
