@@ -69,6 +69,7 @@ from .solver_bounded import (
 from .solver_dag import CyclicGraphError, solve_dag
 from .solver_degree import (
     Stripped,
+    solve,
     solve_by_degree,
     solve_half_k,
     solve_high_k,
@@ -122,6 +123,7 @@ __all__ = [
     "search_with_coloring",
     "serialize_instance",
     "solution_violation",
+    "solve",
     "solve_by_degree",
     "solve_dag",
     "solve_half_k",

@@ -1,5 +1,7 @@
 """Command-line front end: solve, oracle, verify, gen, seps, and max.
 
+solve, oracle and max answer through ``dakc.solve``, which leaves every
+witness unchecked; each YES is verified here, once, before it is reported.
 Reports are JSON on stdout with vertex ids rendered 1-based to match the
 instance files.  Exit codes are a stable contract: 0 yes / valid, 1 no /
 invalid, 2 unsupported regime, 3 input or parse failure, 4 usage or runtime
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -20,8 +21,6 @@ from .core import (
     OracleBudgetError,
     Solution,
     Verdict,
-    normalize,
-    oracle_solve,
     solution_violation,
     verify_solution,
 )
@@ -44,9 +43,7 @@ from .reductions import (
 )
 from .separators import enumerate_important_separators
 from .solver_bounded import SearchConfig
-from .solver_dag import is_acyclic, solve_dag
-from .solver_degree import solve_by_degree
-from .solver_k1 import solve_k1
+from .solver_degree import solve
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -157,33 +154,6 @@ def _config(args) -> SearchConfig:
     )
 
 
-def _dispatch(inst: Instance, solver: str, cfg: SearchConfig, allow_oracle: bool, cap: int) -> Verdict:
-    if solver == "oracle":
-        return replace(oracle_solve(inst, cap=cap), solver="oracle")
-    if solver == "k1":
-        return replace(solve_k1(inst), solver="k1")
-    if solver == "degree":
-        return solve_by_degree(inst, cfg)
-    if solver == "dag":
-        return replace(solve_dag(inst, cfg), solver="dag")
-    # auto: prefer the specialized solvers, then the DAG route, then the
-    # oracle when explicitly allowed
-    nrm = normalize(inst)
-    if isinstance(nrm, Verdict):
-        return replace(nrm, solver="normalize")
-    if nrm.k == 1 or 2 * nrm.k >= nrm.graph.max_degree():
-        return solve_by_degree(nrm, cfg)
-    if is_acyclic(nrm.graph):
-        return replace(solve_dag(nrm, cfg), solver="dag")
-    if allow_oracle:
-        return replace(oracle_solve(nrm, cap=cap), solver="oracle")
-    return Verdict.unsupported(
-        "k >= 2 with max degree above 2k on a cyclic graph is W[2]-hard in the "
-        "anchor budget and no specialized solver applies; rerun with "
-        "--allow-oracle to use the exhaustive oracle"
-    )
-
-
 def _mask_list(mask) -> list[int]:
     return [v + 1 for v in vertices_of(mask)]
 
@@ -228,7 +198,7 @@ def _check_witness(inst: Instance, sol: Solution) -> None:
         raise RuntimeError("internal error: solver returned an unverifiable solution")
 
 
-def _answer_report(inst: Instance, verdict: Verdict, seed: int | None) -> tuple[dict, int]:
+def _emit_answer(inst: Instance, verdict: Verdict, seed: int | None) -> int:
     if verdict.kind == "unsupported":
         answer, code = "unsupported", EXIT_UNSUPPORTED
     elif verdict.is_yes:
@@ -250,23 +220,20 @@ def _answer_report(inst: Instance, verdict: Verdict, seed: int | None) -> tuple[
         "trials": verdict.trials,
         "note": verdict.note,
     }
-    return report, code
+    _emit(report)
+    return code
 
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args)
-    verdict = _dispatch(inst, args.solver, _config(args), args.allow_oracle, args.cap)
-    report, code = _answer_report(inst, verdict, args.seed)
-    _emit(report)
-    return code
+    verdict = solve(inst, _config(args), solver=args.solver, allow_oracle=args.allow_oracle, cap=args.cap)
+    return _emit_answer(inst, verdict, args.seed)
 
 
 def _cmd_oracle(args) -> int:
     inst = _load_instance(args)
-    verdict = replace(oracle_solve(inst, cap=args.cap), solver="oracle")
-    report, code = _answer_report(inst, verdict, None)
-    _emit(report)
-    return code
+    verdict = solve(inst, solver="oracle", cap=args.cap)
+    return _emit_answer(inst, verdict, None)
 
 
 def _cmd_verify(args) -> int:
@@ -374,9 +341,8 @@ def _cmd_max(args) -> int:
     lo, hi = 1, g.n
     while lo <= hi:
         mid = (lo + hi) // 2
-        verdict = _dispatch(
-            Instance(graph=g, b=b, k=k, p=mid), args.solver, cfg, args.allow_oracle, args.cap
-        )
+        step = Instance(graph=g, b=b, k=k, p=mid)
+        verdict = solve(step, cfg, solver=args.solver, allow_oracle=args.allow_oracle, cap=args.cap)
         if verdict.kind == "unsupported":
             _emit({"answer": "unsupported", "note": verdict.note})
             return EXIT_UNSUPPORTED

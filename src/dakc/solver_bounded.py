@@ -542,13 +542,13 @@ def bounded_core_search(
 ) -> Verdict:
     """Find a solution, or certify that none has a core of at most q vertices.
 
-    YES always carries a verified witness and may legitimately have a core
-    larger than q (the banked core K0, several pieces, or a lucky coloring
-    that isolates a big component).  NO_UP_TO(q) is exact in exhaustive
-    mode, which reports no trial count and raises ``SearchBudgetError``
-    rather than answer past its set cap; in seeded mode it holds up to the
-    configured failure probability, or carries a warning note when the
-    trial cap bit.
+    YES carries a witness that the caller verifies (the CLI checks each YES
+    it prints, once); its core may legitimately be larger than q (the banked
+    core K0, several pieces, or a lucky coloring that isolates a big
+    component).  NO_UP_TO(q) is exact in exhaustive mode, which reports no
+    trial count and raises ``SearchBudgetError`` rather than answer past its
+    set cap; in seeded mode it holds up to the configured failure
+    probability, or carries a warning note when the trial cap bit.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -564,8 +564,6 @@ def bounded_core_search(
         sol = _piece_search(g, k, b, p, q, cfg.exhaustive_limit)
         if sol is None:
             return Verdict.no_up_to(q)
-        if not verify_solution(Instance(graph=g, b=b, k=k, p=p), sol):
-            raise RuntimeError("internal error: piece search assembled an invalid solution")
         return Verdict.yes(sol)
     delta = g.max_degree()
     trials, capped = _seeded_trials(delta, q, cfg.failure_prob, cfg.trial_cap)

@@ -1,5 +1,5 @@
 """Solvers for instances whose in-degree threshold is large next to the
-maximum degree, plus the dispatcher that routes by regime.
+maximum degree, plus ``solve``, which routes every instance by regime.
 
 With 2k above the maximum degree, every non-anchor drains more in-arcs than
 it can return, so a degree-sum argument caps any core at (max_degree + 1) * b
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 
-from .core import Instance, Solution, Verdict, normalize, verify_solution
+from .core import Instance, Solution, Verdict, normalize, oracle_solve, verify_solution
 from .graph import (
     DirectedGraph,
     Mask,
@@ -32,6 +32,7 @@ from .graph import (
 )
 from .separators import disjoint_paths, enumerate_important_separators
 from .solver_bounded import SearchConfig, bounded_core_search
+from .solver_dag import is_acyclic, solve_dag
 from .solver_k1 import solve_k1
 
 
@@ -304,13 +305,31 @@ def solve_half_k(
 
 
 def solve_by_degree(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
-    """Route an instance to the solver whose regime covers it.
+    """``solve`` by degree regime alone, with no DAG or oracle fallback."""
+    return solve(inst, cfg, solver="degree")
 
-    k = 1 always works; otherwise 2k against the graph's maximum degree
-    decides between the capped-core and boundary-guessing solvers.  For
-    k >= 2 with 2k below the maximum degree no exact routine is offered (the
-    regime is W[2]-hard in the anchor budget) and the verdict says so.
-    """
+
+def solve(
+    inst: Instance,
+    cfg: SearchConfig | None = None,
+    *,
+    solver: str = "auto",
+    allow_oracle: bool = False,
+    cap: int = 10_000_000,
+) -> Verdict:
+    """Run the named solver and stamp its name on the verdict, whose witness
+    the caller verifies.  ``"degree"`` and ``"auto"`` normalize once and route
+    by regime: k = 1, then 2k against the maximum degree.  A maximum degree
+    above 2k is W[2]-hard in the anchor budget; there ``"auto"`` goes on to
+    the DAG solver and, with ``allow_oracle``, the oracle capped at ``cap``."""
+    if solver == "oracle":
+        return replace(oracle_solve(inst, cap=cap), solver="oracle")
+    if solver == "k1":
+        return replace(solve_k1(inst), solver="k1")
+    if solver == "dag":
+        return replace(solve_dag(inst, cfg), solver="dag")
+    if solver not in ("degree", "auto"):
+        raise ValueError(f"unknown solver {solver!r}")
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
         return replace(nrm, solver="normalize")
@@ -318,11 +337,21 @@ def solve_by_degree(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
         return replace(solve_k1(nrm), solver="k1")
     delta = nrm.graph.max_degree()
     if 2 * nrm.k > delta:
-        return replace(solve_high_k(nrm, cfg=cfg), solver="high")
+        return replace(solve_high_k(nrm, delta, cfg), solver="high")
     if 2 * nrm.k == delta:
-        return replace(solve_half_k(nrm, cfg=cfg), solver="half")
+        return replace(solve_half_k(nrm, delta, cfg), solver="half")
+    if solver == "degree":
+        return Verdict.unsupported(
+            "no exact routine for k >= 2 with max degree above 2k (that regime is "
+            "W[2]-hard in the anchor budget); the exhaustive oracle handles small "
+            "instances"
+        )
+    if is_acyclic(nrm.graph):
+        return replace(solve_dag(nrm, cfg), solver="dag")
+    if allow_oracle:
+        return replace(oracle_solve(nrm, cap=cap), solver="oracle")
     return Verdict.unsupported(
-        "no exact routine for k >= 2 with max degree above 2k (that regime is "
-        "W[2]-hard in the anchor budget); the exhaustive oracle handles small "
-        "instances"
+        "k >= 2 with max degree above 2k on a cyclic graph is W[2]-hard in the "
+        "anchor budget and no specialized solver applies; rerun with "
+        "--allow-oracle to use the exhaustive oracle"
     )

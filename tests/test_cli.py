@@ -4,11 +4,16 @@ from functools import partial
 
 import pytest
 
-from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_k1
+from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_degree, solver_k1
 from dakc.cli import _build_parser, _json_text, main
 from dakc.core import anchor_subset_count
 from dakc.graph import serialize_instance
-from helpers import cycle_with_pendants, random_digraph
+from helpers import (
+    cycle_with_pendants,
+    random_dag_degree_capped,
+    random_digraph,
+    random_digraph_degree_capped,
+)
 
 PATH3 = "p dakc 3 2\na 1 2\na 2 3\n"
 
@@ -358,8 +363,9 @@ def test_unverifiable_witness_fails_solve_and_max(capsys, monkeypatch, tmp_path)
     # its source lacks an in-arc, so every such claim is false
     f = tmp_path / "path.gr"
     f.write_text("p dakc 3 2\na 1 2\na 2 3\nq 0 1 2\n")
+    # patched where dakc.solve looks it up
     monkeypatch.setattr(
-        cli, "solve_k1", lambda inst: Verdict.yes(Solution(anchors=0, core=(1 << inst.p) - 1))
+        solver_degree, "solve_k1", lambda inst: Verdict.yes(Solution(anchors=0, core=(1 << inst.p) - 1))
     )
     for command in ("solve", "max"):
         code, out, err = run(capsys, command, str(f), "--solver", "k1")
@@ -392,3 +398,23 @@ def test_each_reported_yes_is_verified_once(capsys, monkeypatch, tmp_path):
                 seen.add((argv[-1], yes))
             assert code in (0, 1) and len(calls) == (1 if yes else 0)
     assert seen >= {("solve", True), ("solve", False), ("max", True), ("max", False), ("oracle", True)}
+    # k = 2 on degree-capped graphs: the piece search answers for the
+    # high-k, half-k and DAG routes
+    routes = set()
+    for i in range(60):
+        n = rng.randint(3, 10)
+        draw = random_dag_degree_capped if i % 3 == 2 else random_digraph_degree_capped
+        g = draw(rng, n, (3, 4, 5)[i % 3], rng.uniform(0.5, 0.9))
+        f = tmp_path / f"d{i}.gr"
+        f.write_text(serialize_instance(g, (rng.randint(1, 2), 2, rng.randint(3, n))))
+        for command in ("solve", "max"):
+            calls.clear()
+            code, out, _ = run(capsys, command, str(f))
+            report = json.loads(out)
+            if command == "max":
+                yes = report["max_p"] >= 1
+            else:
+                yes = report["answer"] == "yes"
+                routes.add((report["solver"], yes))
+            assert code in (0, 1) and len(calls) == (1 if yes else 0)
+    assert routes >= {("high", True), ("half", True), ("dag", True)}

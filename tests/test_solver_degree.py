@@ -4,12 +4,14 @@ import pytest
 
 from dakc import separators, solver_bounded, solver_degree
 from dakc import (
+    CyclicGraphError,
     DirectedGraph,
     Instance,
     SearchConfig,
     Stripped,
     Verdict,
     oracle_solve,
+    solve,
     solve_by_degree,
     solve_dag,
     solve_half_k,
@@ -208,6 +210,84 @@ def test_dispatch_matches_oracle_on_low_degree_graphs():
         assert got.kind == expect.kind
         if got.is_yes:
             assert verify_solution(inst, got.solution)
+
+
+
+def _expected_route(inst: Instance, solver: str, allow_oracle: bool) -> str:
+    g, b, k, p = inst.graph, inst.b, inst.k, inst.p
+    if p > g.n or b >= p or k == 0:
+        return "normalize"
+    if k == 1:
+        return "k1"
+    if 2 * k > g.max_degree():
+        return "high"
+    if 2 * k == g.max_degree():
+        return "half"
+    if solver == "degree":
+        return "unsupported"
+    if _acyclic_by_sinks(g):
+        return "dag"
+    return "oracle" if allow_oracle else "unsupported"
+
+
+def _acyclic_by_sinks(g: DirectedGraph) -> bool:
+    # a graph is acyclic iff repeatedly deleting sinks empties it
+    alive = set(range(g.n))
+    while True:
+        sinks = {v for v in alive if not any(w in alive for w in g.out_adj[v])}
+        if not sinks:
+            return not alive
+        alive -= sinks
+
+
+def test_solve_routes_match_oracle_and_stamp_the_route():
+    rng = random.Random(409)
+    seen = set()
+    for i in range(240):
+        n = rng.randint(1, 9)
+        delta = rng.randint(1, 5)
+        draw = random_dag_degree_capped if i % 2 else random_digraph_degree_capped
+        g = draw(rng, n, delta, rng.uniform(0.3, 0.9))
+        inst = Instance(graph=g, b=rng.randint(0, 2), k=rng.choice([1, 2, 3]), p=rng.randint(1, n + 1))
+        expect = oracle_solve(inst)
+        for solver, allow_oracle in (("auto", True), ("auto", False), ("degree", False)):
+            got = solve(inst, EXH, solver=solver, allow_oracle=allow_oracle)
+            route = _expected_route(inst, solver, allow_oracle)
+            seen.add(route)
+            if route == "unsupported":
+                assert got.kind == "unsupported" and got.solver is None
+                continue
+            assert got.solver == route and got.kind == expect.kind
+            if got.is_yes:
+                assert verify_solution(inst, got.solution)
+        assert solve_by_degree(inst, EXH) == solve(inst, EXH, solver="degree")
+    assert seen == {"normalize", "k1", "high", "half", "dag", "oracle", "unsupported"}
+
+
+def test_solve_named_solvers_skip_normalize():
+    # b >= p: normalize would answer YES, but a named solver runs as is
+    cyc = Instance(graph=cycle_graph(3), b=3, k=2, p=3)
+    with pytest.raises(ValueError, match="k = 1"):
+        solve(cyc, solver="k1")
+    with pytest.raises(CyclicGraphError):
+        solve(cyc, solver="dag")
+    got = solve(cyc, solver="oracle")
+    assert got.is_yes and got.solver == "oracle"
+    assert solve(cyc).solver == "normalize" and solve(cyc, solver="degree").solver == "normalize"
+    with pytest.raises(ValueError, match="unknown solver"):
+        solve(cyc, solver="pieces")
+
+
+def test_solve_unsupported_notes_name_their_way_out():
+    # max degree 5 with k = 2 on a cyclic graph: no exact routine applies
+    fan = DirectedGraph.from_arcs(7, [(i, 5) for i in range(5)] + [(5, 6), (6, 5)])
+    inst = Instance(graph=fan, b=1, k=2, p=4)
+    by_degree = solve(inst, solver="degree")
+    auto = solve(inst)
+    assert by_degree.kind == auto.kind == "unsupported"
+    assert "exhaustive oracle handles small instances" in by_degree.note
+    assert "--allow-oracle" in auto.note and auto.note != by_degree.note
+    assert solve(inst, solver="auto", allow_oracle=True).solver == "oracle"
 
 
 def test_without_arcs_matches_a_rebuilt_graph():
