@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graph import DirectedGraph, Mask, vertices_of, vset
+from .graph import DirectedGraph, Mask, vertices_of
 
 
 class OracleBudgetError(RuntimeError):
@@ -136,17 +136,22 @@ def _withdraw(
     arc that takes it from ``k`` to ``k - 1``: a non-anchor is queued there,
     and an anchor becomes weak.  So each deleted vertex is queued exactly
     once, the queue is the deleted set, and the work is the out-arcs of the
-    deleted vertices.
+    deleted vertices.  The deleted set is also built as a mask, ``gone``, as
+    vertices are queued, so no list is turned back into a mask.  The seed
+    is read into the queue by ``vertices_of``, which reads a dense mask
+    longer than one word, such as ``peel``'s on a large graph, in linear
+    time.
 
     The queue stops as soon as it holds more than ``|core| - floor``
     vertices.  The withdrawal then returns None and leaves ``indeg`` part
     updated, so a caller that passes a floor must throw ``indeg`` away on
     None.  With the default floor of 0 the queue never stops.
     """
-    queue = vertices_of(drop & weak)
+    gone = drop & weak
     room = core.bit_count() - floor
-    if len(queue) > room:
+    if gone.bit_count() > room:
         return None
+    queue = vertices_of(gone)
     out_adj = g.out_adj
     last = k - 1
     for v in queue:
@@ -157,9 +162,10 @@ def _withdraw(
                     weak |= 1 << w
                 else:
                     queue.append(w)
+                    gone |= 1 << w
                     if len(queue) > room:
                         return None
-    return core ^ vset(queue), weak & ~drop
+    return core ^ gone, weak & ~drop
 
 
 def solution_violation(inst: Instance, sol: Solution) -> str | None:

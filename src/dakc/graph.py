@@ -40,8 +40,7 @@ def vertices_of(mask: Mask) -> list[int]:
     in one linear pass over its binary digits instead, lowest bit first.  On
     a 3,000-bit mask that pass measured faster than the loop from about 200
     members on.  A one-word mask takes the loop without counting its
-    members, since most calls (the oracle's withdrawals) pass a few members
-    of a small graph.
+    members, since there the loop's steps are cheap whatever the count.
     """
     if mask > _WORD and mask.bit_count() * 16 > mask.bit_length():
         bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)

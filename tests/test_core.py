@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -273,43 +274,90 @@ def test_withdraw_matches_peel_of_the_smaller_anchor_set():
     assert removing >= 600
 
 
+def _withdraw_chain(rng, g, k, anchors, kept, core, tally):
+    """Withdraw down a chain of nested anchor sets from ``core``, the peel of
+    ``anchors``: to ``kept`` first, then to random subsets, each step from the
+    state the previous one left and with a random floor.  A peel of at least
+    floor vertices must come back exact, a smaller one as None; a stopped
+    queue is then rerun with no floor.  ``tally`` counts the cases."""
+    weak, indeg = _peel_state(g, k, core)
+    while anchors:
+        drop = anchors & ~kept
+        tally["straddled"] += (drop & weak) >> 63 & 3 == 3
+        tally["past_word"] += (drop & weak).bit_length() > 64
+        expected = peel_in_order(g, k, kept, rng)
+        size = expected.bit_count()
+        floor = rng.choice((0, size, size + 1, rng.randint(0, g.n + 1)))
+        trial = indeg.copy()
+        got = _withdraw(g, k, core, weak, trial, kept, drop, floor)
+        if size < floor:
+            assert got is None
+            tally["stopped"] += 1
+            got = _withdraw(g, k, core, weak, indeg, kept, drop)
+            tally["stopped_early"] += trial != indeg
+        else:
+            tally["exact_at_floor"] += size == floor
+            indeg = trial
+        core, weak = got
+        anchors = kept
+        assert core == expected
+        expected_weak, expected_indeg = _peel_state(g, k, expected)
+        assert weak == expected_weak
+        assert all(indeg[v] == expected_indeg[v] for v in vertices_of(core))
+        kept = vset(v for v in vertices_of(anchors) if rng.random() < 0.6)
+
+
 def test_withdraw_with_a_floor_stops_only_below_it():
     # the same nested chains, each step with a random floor: a peel of at
     # least floor vertices comes back exact, a smaller one as None, and a
     # stopped queue leaves the in-degrees short of the full withdrawal's
     rng = random.Random(67)
-    exact_at_floor = stopped = stopped_early = 0
+    tally = Counter()
     for _ in range(600):
         n = rng.randint(1, 14)
         g = random_digraph(rng, n, rng.uniform(0.1, 0.5))
         k = rng.randint(1, 3)
         anchors = vset(v for v in range(n) if rng.random() < 0.6)
         core = peel_in_order(g, k, anchors, rng)
-        weak, indeg = _peel_state(g, k, core)
-        while anchors:
-            kept = vset(v for v in vertices_of(anchors) if rng.random() < 0.6)
-            expected = peel_in_order(g, k, kept, rng)
-            size = expected.bit_count()
-            floor = rng.choice((0, size, size + 1, rng.randint(0, n + 1)))
-            trial = indeg.copy()
-            got = _withdraw(g, k, core, weak, trial, kept, anchors & ~kept, floor)
-            if size < floor:
-                assert got is None
-                stopped += 1
-                got = _withdraw(g, k, core, weak, indeg, kept, anchors & ~kept)
-                stopped_early += trial != indeg
-            else:
-                exact_at_floor += size == floor
-                indeg = trial
-            core, weak = got
-            anchors = kept
-            assert core == expected
-            expected_weak, expected_indeg = _peel_state(g, k, expected)
-            assert weak == expected_weak
-            assert all(indeg[v] == expected_indeg[v] for v in vertices_of(core))
-    assert exact_at_floor >= 600
-    assert stopped >= 800
-    assert stopped_early >= 250
+        kept = vset(v for v in vertices_of(anchors) if rng.random() < 0.6)
+        _withdraw_chain(rng, g, k, anchors, kept, core, tally)
+    assert tally["exact_at_floor"] >= 600
+    assert tally["stopped"] >= 800
+    assert tally["stopped_early"] >= 250
+
+
+def test_withdraw_past_one_word_matches_peel():
+    # the floor test's chains on graphs of 65 to 300 vertices, so seeds and
+    # cores run past one 64-bit word.  A window of source vertices around
+    # bits 63 and 64 is anchored, so it is weak, and the first step drops
+    # all of it: that seed straddles the word boundary.  Each graph's own
+    # peel seed, every deficient non-anchor, is checked too; some are long
+    # and dense, so ``vertices_of`` reads them in its linear pass.
+    rng = random.Random(73)
+    tally = Counter()
+    dense_peels = 0
+    for _ in range(12):
+        n = rng.randint(65, 300)
+        lo = rng.randint(57, 63)
+        window = range(lo, rng.randint(65, 70))
+        arcs = [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and v not in window and rng.random() < 2.5 / n
+        ]
+        g = DirectedGraph.from_arcs(n, arcs)
+        k = rng.randint(1, 3)
+        anchors = vset(window) | vset(v for v in range(n) if rng.random() < 0.6)
+        seed = g.in_degree_below[k] & ~anchors
+        dense_peels += seed.bit_length() > 64 and seed.bit_count() * 16 > seed.bit_length()
+        core = peel(g, k, anchors)
+        assert core == peel_in_order(g, k, anchors, rng)
+        _withdraw_chain(rng, g, k, anchors, anchors & ~vset(window), core, tally)
+    assert tally["straddled"] == 12
+    assert tally["past_word"] >= 80
+    assert tally["stopped"] >= 50
+    assert dense_peels >= 6
 
 
 def _gadget_pool():
