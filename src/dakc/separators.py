@@ -15,13 +15,17 @@ search grows a mask of entry nodes and a mask of exit nodes from the graph's
 ``out_mask``/``in_mask`` rows, a level at a time.  One flow step,
 ``_max_flow``, serves two readers: ``_min_vertex_cut`` takes the sink side of
 its residual graph, and ``disjoint_paths`` follows its flow from s to t into
-internally vertex-disjoint paths.
+internally vertex-disjoint paths.  The flow step reads only the rows, so a
+caller may patch a copy of them in place, and it may start from paths
+already known to be disjoint instead of from zero: half-k stage 3 repairs
+one flow per deletion guess that way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .graph import DirectedGraph, Mask, iter_vertices, reach, reverse, vertices_of, vset
 
@@ -105,10 +109,22 @@ def is_important(g: DirectedGraph, s: int, t: int, sep: Mask, h: int) -> bool:
 
 
 def _max_flow(
-    g: DirectedGraph, alive: Mask, sources: Mask, sink: int, limit: int
+    out_mask: Sequence[Mask],
+    in_mask: Sequence[Mask],
+    alive: Mask,
+    sources: Mask,
+    sink: int,
+    limit: int,
+    start: Sequence[tuple[int, ...]] = (),
 ) -> tuple[int, Mask, list[Mask], list[Mask]]:
-    """Augment a unit at a time from ``sources`` to ``sink`` inside ``alive``,
-    stopping at the maximum or at ``limit + 1`` units, whichever comes first.
+    """Augment a unit at a time from ``sources`` to ``sink`` inside ``alive``
+    of the graph with rows ``out_mask`` and ``in_mask``, stopping at the
+    maximum or at ``limit + 1`` units, whichever comes first.
+
+    The flow starts from ``start``: paths from a source to the sink inside
+    ``alive``, over arcs of the graph, that share no vertex but their ends,
+    one unit each.  Augmenting paths repair any feasible flow into a
+    maximum one, so the value does not depend on the start.
 
     Returns ``(flow, through, out_flow, in_flow)``: the flow value, the
     unprotected vertices whose internal arc carries a unit, and per vertex v
@@ -117,12 +133,17 @@ def _max_flow(
     out an arc straight from a source to the sink, which would carry
     unbounded flow, and a sink that is a source or not alive.
     """
-    out_mask, in_mask = g.out_mask, g.in_mask
     sink_bit = 1 << sink
     through = 0
-    out_flow = [0] * g.n
-    in_flow = [0] * g.n
-    flow = 0
+    out_flow = [0] * len(out_mask)
+    in_flow = [0] * len(out_mask)
+    for path in start:
+        for u, w in zip(path, path[1:]):
+            out_flow[u] |= 1 << w
+            in_flow[w] |= 1 << u
+        for v in path[1:-1]:
+            through |= 1 << v
+    flow = len(start)
     while flow <= limit:
         # Breadth-first search for a shortest augmenting path, a level at a
         # time: entries[i] holds the entry nodes first reached after 2i
@@ -205,7 +226,7 @@ def _min_vertex_cut(
     in_mask = g.in_mask
     if in_mask[sink] & sources:
         return None  # an arc straight from a source to the sink: no cut exists
-    flow, through, out_flow, _ = _max_flow(g, alive, sources, sink, limit)
+    flow, through, out_flow, _ = _max_flow(g.out_mask, in_mask, alive, sources, sink, limit)
     if flow > limit:
         return None
 
@@ -251,7 +272,7 @@ def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[i
     Flow that circulates away from s is never reached and is ignored.
     """
     _check_endpoints(g, s, t, symmetric=False)
-    _, _, out_flow, _ = _max_flow(g, g.full_mask, 1 << s, t, limit)
+    _, _, out_flow, _ = _max_flow(g.out_mask, g.in_mask, g.full_mask, 1 << s, t, limit)
     paths = []
     for v in iter_vertices(out_flow[s]):
         path = [s, v]

@@ -19,9 +19,12 @@ explicit stack.  A branch that already holds more than b members deficient
 in everything it can still reach is cut, and the parent makes that cut
 before the push: what its members can still reach only shrinks along its
 children, so it counts down each member's spare in-neighbours from one
-child to the next and pushes only the children that survive.  A piece of at
-least p - |K0| vertices answers at once; otherwise a depth-first search
-combines disjoint pieces, largest first.  The enumerated sets, pieces and
+child to the next and pushes only the children that survive.  A branch with
+exactly b such members spends the whole budget on them, so it is also cut
+when an anchored peel of what it can reach drops one of its members or
+leaves fewer than p - |K0| vertices outside K0.  A piece of at least
+p - |K0| vertices answers at once; otherwise a depth-first search combines
+disjoint pieces, largest first.  The enumerated sets, pieces and
 unions alike, are capped, and the cap raises instead of answering.
 
 Seeded mode is random separation (Cai, Chan & Chan, 2006).  One trial
@@ -394,12 +397,58 @@ def _spend(counter: list[int], cap: int) -> None:
         raise SearchBudgetError(f"piece search refused: more than {cap} sets to enumerate")
 
 
+def _holds_piece(
+    g: DirectedGraph, k: int, sub: Mask, room: Mask, stuck: Mask, banked: Mask, need: int
+) -> bool:
+    """Whether ``peel`` of ``room`` with the anchors ``stuck | banked`` keeps
+    every member of ``sub`` and at least ``need`` vertices outside ``banked``.
+
+    Vertices are dropped a round at a time, every vertex that lacks k
+    in-neighbours among the survivors at once, and a round looks again only
+    at the out-neighbours of the vertices the round before dropped.  The
+    peel is confluent, so the rounds reach it; the survivors only shrink, so
+    the test fails as soon as a member of ``sub`` drops or too few are left.
+    """
+    if (room & ~banked).bit_count() < need:
+        return False
+    in_mask, out_mask = g.in_mask, g.out_mask
+    keep = stuck | banked
+    alive = room
+    check = room & ~keep
+    while check:
+        drop = 0
+        while check:
+            low = check & -check
+            check ^= low
+            if (in_mask[low.bit_length() - 1] & alive).bit_count() < k:
+                drop |= low
+        alive ^= drop
+        if drop & sub or (alive & ~banked).bit_count() < need:
+            return False
+        while drop:
+            low = drop & -drop
+            drop ^= low
+            check |= out_mask[low.bit_length() - 1]
+        check &= alive & ~keep
+    return (alive & ~banked).bit_count() >= need
+
+
 def _pieces(
-    g: DirectedGraph, k: int, b: int, q: int, banked: Mask, counter: list[int], cap: int
+    g: DirectedGraph,
+    k: int,
+    b: int,
+    q: int,
+    banked: Mask,
+    counter: list[int],
+    cap: int,
+    need: int,
 ) -> Iterator[tuple[Mask, Mask]]:
-    """Every piece of at most q vertices outside ``banked``, as (piece,
-    deficient members): a connected set of ``g.und_mask`` with at most b
-    members that have fewer than k in-neighbours in piece | banked.
+    """Every piece of at most q vertices outside ``banked = peel(g, k)``
+    that can take part in a solution with ``need`` vertices beyond
+    ``banked``, as (piece, deficient members): a connected set of
+    ``g.und_mask`` with at most b members that have fewer than k
+    in-neighbours in piece | banked.  With ``need`` at most 1 that is every
+    piece.
 
     A set comes from the root of its lowest vertex.  A branch is the ESU
     state (sub, ext, nbr): ``sub`` is connected, ``ext`` the vertices it may
@@ -412,7 +461,18 @@ def _pieces(
     in-neighbours in sub | ext | banked is stuck: deficient in every set the
     branch reaches.  A branch with more than b stuck members is cut.
 
-    The parent makes that cut for its children, which are never pushed.  A
+    A branch with exactly b stuck members is tested further.  Every piece X
+    it reaches has those b deficient members and no other, so X | banked is
+    a core with the stuck members as anchors, and it lies inside ``peel`` of
+    the vertices the branch can reach plus ``banked``, with those anchors and
+    with ``banked`` kept; ``_holds_piece`` computes that peel.  If the peel
+    drops a member of ``sub``, the branch reaches no piece.  If fewer than
+    ``need`` vertices outside ``banked`` survive it, every piece the branch
+    reaches is smaller than ``need`` and spends the whole budget, so it can
+    neither answer alone nor join another piece, which costs at least one
+    anchor more.  Either way the branch is cut.
+
+    The parent makes the stuck cut for its children, which are never pushed.  A
     child's new ``ext`` lies outside ``nbr``, so an old member's room in
     child w_i is sub | banked | {w_i, ..., w_last}, and shrinks along the
     siblings.  Each deficient member that is not yet stuck keeps its spare
@@ -422,8 +482,9 @@ def _pieces(
     exactly b, a child survives iff w itself is not stuck.  The survivors
     are pushed in the same order as an uncut search, so the pieces come out
     in the same order.  Each popped branch counts in ``counter[0]``, and a
-    branch past ``cap`` raises; only a root, which has no parent, can be
-    popped and then cut.
+    branch past ``cap`` raises; a root, which has no parent, can be popped
+    and then fail the stuck test, and any branch can be popped and then fail
+    the peel test.
     """
     und, in_mask, out_mask = g.und_mask, g.in_mask, g.out_mask
     free = g.full_mask & ~banked
@@ -437,6 +498,7 @@ def _pieces(
             room = sub | ext | banked
             inside = sub | banked
             deficient = 0
+            stuck_set = 0
             stuck = 0
             # deficient members not yet stuck, and their in-neighbours in
             # room beyond k
@@ -454,10 +516,15 @@ def _pieces(
                         watched |= low
                         spare[low] = slack
                     else:
+                        stuck_set |= low
                         stuck += 1
                         if stuck > b:
                             break
             if stuck > b:
+                continue
+            if stuck == b and not _holds_piece(
+                g, k, sub, room | (above & ~nbr), stuck_set, banked, need
+            ):
                 continue
             if deficient.bit_count() <= b:
                 yield sub, deficient
@@ -489,7 +556,10 @@ def _piece_search(
     """A solution whose core is K0 = ``peel(g, k)`` plus at most b disjoint
     pieces of at most q vertices each, or None if there is none; raises
     ``SearchBudgetError`` past ``cap`` enumerated sets.  Every piece holds a
-    deficient member, or K0 would contain it, so at b = 0 K0 alone answers."""
+    deficient member, or K0 would contain it, so at b = 0 K0 alone answers.
+    ``_pieces`` is told the ``need = p - |K0|`` vertices still missing, and
+    leaves out the pieces that spend the whole budget on fewer than that:
+    such a piece can neither answer nor share a union with another."""
     banked = peel(g, k)
     need = p - banked.bit_count()
     if need <= 0:
@@ -498,7 +568,7 @@ def _piece_search(
         return None
     counter = [0]
     found = []
-    for piece, deficient in _pieces(g, k, b, q, banked, counter, cap):
+    for piece, deficient in _pieces(g, k, b, q, banked, counter, cap, need):
         size = piece.bit_count()
         if size >= need:
             return Solution(anchors=deficient, core=banked | piece)

@@ -30,7 +30,7 @@ from .graph import (
     vset,
     weakly_connected_components,
 )
-from .separators import disjoint_paths, enumerate_important_separators
+from .separators import _max_flow, disjoint_paths, enumerate_important_separators
 from .solver_bounded import SearchConfig, bounded_core_search
 from .solver_dag import is_acyclic, solve_dag
 from .solver_k1 import solve_k1
@@ -157,6 +157,30 @@ def _without_arcs(g: DirectedGraph, deleted: frozenset[tuple[int, int]]) -> Dire
     )
 
 
+def _cut_fits(
+    out_rows: list[Mask],
+    in_rows: list[Mask],
+    deleted: frozenset[tuple[int, int]],
+    s: int,
+    t: int,
+    b: int,
+    paths: list[tuple[int, ...]],
+) -> bool:
+    """Whether at most b vertices separate s from t once the arcs
+    ``deleted`` are gone from the graph whose rows are ``out_rows`` and
+    ``in_rows``, given internally vertex-disjoint s-t ``paths`` that use none
+    of those arcs.  Those paths start the flow, so only the units they miss
+    are augmented; the rows are patched in place for it and restored."""
+    for u, v in deleted:
+        out_rows[u] ^= 1 << v
+        in_rows[v] ^= 1 << u
+    flow = _max_flow(out_rows, in_rows, (1 << len(out_rows)) - 1, 1 << s, t, b, paths)[0]
+    for u, v in deleted:
+        out_rows[u] ^= 1 << v
+        in_rows[v] ^= 1 << u
+    return flow <= b
+
+
 def solve_half_k(
     inst: Instance,
     max_degree: int | None = None,
@@ -181,15 +205,22 @@ def solve_half_k(
     under the first separator that offers it.  Repeats could only fail again.
 
     Most deletion sets cannot yield an anchor set, and one max flow per t
-    finds them.  ``disjoint_paths`` gives internally vertex-disjoint s-t
-    paths of the augmented graph; a deletion set removes arcs of the reduced
-    graph only, so each path none of whose arcs it removes (a path's arc into
-    t counts) survives.  With more than b survivors every s-t cut is larger
-    than b and the inner enumeration would return nothing, so that deletion
-    set is skipped.  The same count, over the paths with an arc into any
-    vertex it may touch, skips a whole t, separator or boundary guess at
-    once.  The calls that remain run in the order of their first occurrence
-    in the plain guessing loop, so the answer and witness do not change.
+    rules out most of them cheaply.  ``disjoint_paths`` gives internally
+    vertex-disjoint s-t paths of the augmented graph; a deletion set removes
+    arcs of the reduced graph only, so each path none of whose arcs it
+    removes (a path's arc into t counts) survives.  With more than b
+    survivors every s-t cut is larger than b and the inner enumeration would
+    return nothing, so that deletion set is skipped.  The same count, over
+    the paths with an arc into any vertex it may touch, skips a whole t,
+    separator or boundary guess at once, and each deletion choice's path
+    bits are read once per t, so an assignment that cuts too few paths never
+    builds its arc set.  A deletion set that passes the count is decided by
+    one flow repair: ``_cut_fits`` starts a max flow from its surviving
+    paths, on the augmented graph's rows with the set's arcs taken out, and
+    only a set whose cut is at most b builds its graph and runs the inner
+    enumeration.  The calls that remain run in the order of their first
+    occurrence in the plain guessing loop, so the answer and witness do not
+    change.
 
     ``force_stage3`` skips the bounded stage; it exists for tests that probe
     the guessing stage in isolation and is not part of the public contract.
@@ -233,6 +264,8 @@ def solve_half_k(
     sep_budget = (delta * (k - 1) + 1) * b
     movable = vset(v for v in range(g1.n) if g1.in_degrees[v] > k)
     choices = {v: _deletion_choices(g1, v, k) for v in iter_vertices(movable)}
+    # aug's rows, which each _cut_fits call patches and restores
+    out_rows, in_rows = list(aug.out_mask), list(aug.in_mask)
     for t in range(g1.n):
         if g1.in_degrees[t] < k:
             continue
@@ -246,6 +279,7 @@ def solve_half_k(
             for u, v in zip(path[1:], path[2:]):
                 path_bit[u, v] = 1 << i
                 into[v] |= 1 << i
+        every = (1 << len(paths)) - 1
 
         def cuts_enough(heads) -> bool:
             hit = 0
@@ -255,6 +289,12 @@ def solve_half_k(
 
         if not cuts_enough(iter_vertices(movable)):
             continue
+        # each deletion choice with the bits of the paths it cuts; arcs into
+        # one vertex lie on distinct paths, so their bits add
+        offers = {
+            v: [(gone, sum(path_bit.get((u, v), 0) for u in gone)) for gone in choices[v]]
+            for v in iter_vertices(movable)
+        }
         expanded: set[tuple[int, ...]] = set()
         for sep_star in enumerate_important_separators(aug, s_idx, t, sep_budget):
             inside = (
@@ -271,16 +311,19 @@ def solve_half_k(
                     if boundary in expanded or not cuts_enough(boundary):
                         continue
                     expanded.add(boundary)
-                    for assignment in product(*(choices[v] for v in boundary)):
+                    for assignment in product(*(offers[v] for v in boundary)):
+                        hit = 0
+                        for _, bits in assignment:
+                            hit |= bits
+                        if hit.bit_count() < need:
+                            continue
                         deleted = frozenset(
                             (u, v)
-                            for v, gone in zip(boundary, assignment)
+                            for v, (gone, _) in zip(boundary, assignment)
                             for u in gone
                         )
-                        hit = 0
-                        for arc in deleted:
-                            hit |= path_bit.get(arc, 0)
-                        if hit.bit_count() < need:
+                        survivors = [paths[i] for i in iter_vertices(every & ~hit)]
+                        if not _cut_fits(out_rows, in_rows, deleted, s_idx, t, b, survivors):
                             continue
                         f_aug = _without_arcs(aug, deleted)
                         for sep_hat in enumerate_important_separators(

@@ -33,7 +33,7 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.graph import iter_vertices, lift_mask
+from dakc.graph import iter_vertices, lift_mask, reverse
 
 
 def random_digraph(rng: random.Random, n: int, arc_prob: float) -> DirectedGraph:
@@ -400,6 +400,19 @@ def disjoint_paths_reference(g: DirectedGraph, s: int, t: int, limit: int) -> li
 def without_arcs_reference(g: DirectedGraph, deleted) -> DirectedGraph:
     """``g`` minus the arcs in ``deleted``, rebuilt from a filtered arc list."""
     return DirectedGraph.from_arcs(g.n, [a for a in g.arcs() if a not in deleted])
+
+
+def cut_fits_reference(out_rows, in_rows, deleted, s, t, b, paths) -> bool:
+    """``solver_degree._cut_fits`` from scratch: the graph of the rows minus
+    ``deleted``, rebuilt, reversed and cut by ``min_vertex_cut_reference``
+    from t to s as the inner enumeration's first cut is; ``paths`` is not
+    read."""
+    n = len(out_rows)
+    g = without_arcs_reference(
+        DirectedGraph.from_arcs(n, [(u, w) for u in range(n) for w in vertices_of(out_rows[u])]),
+        deleted,
+    )
+    return min_vertex_cut_reference(reverse(g), g.full_mask, 1 << t, s, b) is not None
 
 
 def stage3_reference(inst: Instance, delta: int):

@@ -262,13 +262,43 @@ def test_max_flow_state_is_a_unit_flow_of_the_reference_value():
         done += 1
         alive = rng.getrandbits(n) | sources | (1 << sink) if rng.random() < 0.7 else g.full_mask
         limit = rng.randint(0, 4)
-        state = _max_flow(g, alive, sources, sink, limit)
+        state = _max_flow(g.out_mask, g.in_mask, alive, sources, sink, limit)
         _check_flow_state(g, alive, sources, sink, state)
         ref = min_vertex_cut_reference(g, alive, sources, sink, limit)
         assert state[0] == (limit + 1 if ref is None else ref[0])
         several += state[0] >= 2
         stopped += ref is None
     assert several >= draws // 8 and stopped >= draws // 8
+
+
+def test_max_flow_from_disjoint_paths_reaches_the_reference_value():
+    # started from any subset of the disjoint paths, with random arcs off
+    # those paths taken out, the flow step repairs them into a unit flow of
+    # the value the split-graph reference finds from scratch
+    rng = random.Random(233)
+    draws = 2000
+    done = started = repaired = stopped = 0
+    while done < draws:
+        n = rng.randint(3, 12)
+        g = random_digraph_degree_capped(rng, n, rng.randint(3, 6), rng.uniform(0.3, 0.9))
+        s, t = rng.sample(range(n), 2)
+        if g.has_arc(s, t):
+            continue
+        done += 1
+        paths = disjoint_paths(g, s, t, rng.randint(0, 4))
+        start = [path for path in paths if rng.random() < 0.6]
+        on_paths = {arc for path in start for arc in zip(path, path[1:])}
+        kept = [a for a in g.arcs() if a in on_paths or rng.random() < 0.8]
+        h = DirectedGraph.from_arcs(n, kept)
+        limit = rng.randint(len(start), 4)
+        state = _max_flow(h.out_mask, h.in_mask, h.full_mask, 1 << s, t, limit, start)
+        _check_flow_state(h, h.full_mask, 1 << s, t, state)
+        ref = min_vertex_cut_reference(h, h.full_mask, 1 << s, t, limit)
+        assert state[0] == (limit + 1 if ref is None else ref[0])
+        started += len(start) >= 1
+        repaired += len(start) >= 1 and state[0] > len(start)
+        stopped += ref is None
+    assert started >= draws // 8 and repaired >= draws // 16 and stopped >= draws // 20
 
 
 def test_second_path_cancels_flow_on_an_arc_into_vertex_zero():
@@ -279,7 +309,7 @@ def test_second_path_cancels_flow_on_an_arc_into_vertex_zero():
     # -1 sentinel
     arcs = [(1, 2), (2, 0), (0, 7), (1, 3), (3, 6), (6, 0), (2, 4), (4, 5), (5, 7)]
     g = DirectedGraph.from_arcs(8, arcs)
-    state = _max_flow(g, g.full_mask, 1 << 1, 7, 3)
+    state = _max_flow(g.out_mask, g.in_mask, g.full_mask, 1 << 1, 7, 3)
     _check_flow_state(g, g.full_mask, 1 << 1, 7, state)
     flow, through, out_flow, in_flow = state
     assert flow == 2 and through == vset([0, 2, 3, 4, 5, 6])

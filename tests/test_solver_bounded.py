@@ -23,8 +23,10 @@ from dakc import (
     vertices_of,
     vset,
 )
+from dakc import solver_bounded
 from dakc.solver_bounded import (
     _BLOCK,
+    _piece_search,
     _pieces,
     _block_coloring,
     _block_columns,
@@ -37,6 +39,7 @@ from helpers import (
     cycle_graph,
     largest_feasible,
     path_graph,
+    random_dag_degree_capped,
     random_digraph_degree_capped,
     ring_digraph,
     solution_exists_with_core_at_most,
@@ -302,7 +305,7 @@ def test_pieces_match_subset_search():
         g = random_digraph_degree_capped(rng, n, rng.randint(2, 5), rng.uniform(0.3, 0.9))
         banked = peel(g, k)
         q = rng.randint(1, n)
-        got = list(_pieces(g, k, b, q, banked, [0], 10**9))
+        got = list(_pieces(g, k, b, q, banked, [0], 10**9, 0))
         expect = []
         for sub in range(1, 1 << n):
             if sub & banked or sub.bit_count() > q or not _connected(g, sub):
@@ -318,13 +321,32 @@ def test_pieces_match_subset_search():
     assert total >= 1000
 
 
-def _pieces_reference(g, k, b, q, banked):
+def _anchored_peel_reference(g, k, within, anchors):
+    # the vertices of ``within`` left once every non-anchor with fewer than
+    # k in-neighbours among those left is removed, one at a time, to a
+    # fixpoint
+    alive = set(vertices_of(within))
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            if not (anchors >> v) & 1 and sum(u in alive for u in g.in_adj[v]) < k:
+                alive.remove(v)
+                changed = True
+    return vset(alive)
+
+
+def _pieces_reference(g, k, b, q, banked, need=None):
     # plain ESU in the order _pieces walks it, each branch cut only by its
-    # own stuck test once popped; returns the pieces in order, the branches
-    # that pass the test, and the roots and the children that fail it
+    # own tests once popped: the stuck test and, unless need is None, the
+    # anchored peel at exactly b stuck members.  Returns the pieces in order,
+    # the branches that pass the stuck test, the roots and the children
+    # that fail it, and the branches the peel cuts for dropping a member of
+    # the branch and for leaving fewer than need vertices
     und, in_mask = g.und_mask, g.in_mask
     free = g.full_mask & ~banked
     pieces, passed, cut_roots, cut_children = [], 0, 0, 0
+    member_cuts = size_cuts = 0
     for root in vertices_of(free):
         above = free >> root + 1 << root + 1
         stack = [(1 << root, und[root] & above, 1 << root | und[root])]
@@ -334,14 +356,22 @@ def _pieces_reference(g, k, b, q, banked):
             deficient = vset(
                 v for v in vertices_of(sub) if (in_mask[v] & (sub | banked)).bit_count() < k
             )
-            stuck = sum((in_mask[v] & room).bit_count() < k for v in vertices_of(deficient))
-            if stuck > b:
+            stuck = vset(v for v in vertices_of(deficient) if (in_mask[v] & room).bit_count() < k)
+            if stuck.bit_count() > b:
                 if sub.bit_count() == 1:
                     cut_roots += 1
                 else:
                     cut_children += 1
                 continue
             passed += 1
+            if need is not None and stuck.bit_count() == b:
+                left = _anchored_peel_reference(g, k, room | (above & ~nbr), stuck | banked)
+                if sub & ~left:
+                    member_cuts += 1
+                    continue
+                if (left & ~banked).bit_count() < need:
+                    size_cuts += 1
+                    continue
             if deficient.bit_count() <= b:
                 pieces.append((sub, deficient))
             if sub.bit_count() < q:
@@ -349,32 +379,86 @@ def _pieces_reference(g, k, b, q, banked):
                 for w in vertices_of(ext):
                     rest ^= 1 << w
                     stack.append((sub | 1 << w, rest | (und[w] & above & ~nbr), nbr | und[w]))
-    return pieces, passed, cut_roots, cut_children
+    return pieces, passed, cut_roots, cut_children, member_cuts, size_cuts
 
 
 def test_pieces_match_plain_search_in_order_and_count():
     # the same pieces in the same order as a search that pushes every child
     # and cuts it once popped, and a count of exactly the branches that pass
     # the stuck test plus the roots that fail it: a parent pushes no child
-    # that its own test would cut
+    # that its own test would cut.  The reference runs the anchored peel
+    # with its own copy of the peel, so both of the peel's cuts must fire
+    # on the same branches
     rng = random.Random(271)
-    counted = roots_cut = never_pushed = 0
-    for _ in range(2000):
+    counted = roots_cut = never_pushed = members = sizes = 0
+    for _ in range(6000):
         n = rng.randint(1, 12)
         k, b = rng.randint(1, 3), rng.randint(0, 3)
         g = random_digraph_degree_capped(rng, n, rng.randint(2, 5), rng.uniform(0.3, 0.9))
         banked = peel(g, k)
         q = rng.randint(1, n)
+        need = rng.randint(0, n)
         counter = [0]
-        got = list(_pieces(g, k, b, q, banked, counter, 10**9))
-        expect, passed, cut_roots, cut_children = _pieces_reference(g, k, b, q, banked)
+        got = list(_pieces(g, k, b, q, banked, counter, 10**9, need))
+        expect, passed, cut_roots, cut_children, member_cuts, size_cuts = _pieces_reference(
+            g, k, b, q, banked, need
+        )
         assert got == expect
         assert counter[0] == passed + cut_roots
         counted += counter[0]
         roots_cut += cut_roots
         never_pushed += cut_children
+        members += member_cuts
+        sizes += size_cuts
     assert counted >= 30000 and roots_cut >= 1500
     assert never_pushed >= 20000
+    assert members >= 10000 and sizes >= 15000
+
+
+def test_piece_cut_matches_uncut_search(monkeypatch):
+    # the piece search with the anchored peel against the same search over
+    # every piece of an uncut ESU: the same solution or the same None.  The
+    # cut keeps the uncut pieces' order, and each piece it drops spends the
+    # whole budget on fewer than need vertices
+    rng = random.Random(283)
+    uncut = {}
+
+    def uncut_pieces(g, k, b, q, banked, counter, cap, need):
+        pieces = _pieces_reference(g, k, b, q, banked)[0]
+        uncut["pieces"] = pieces
+        return iter(pieces)
+
+    done = answered = dropped = size_cuts = 0
+    while done < 1200:
+        n = rng.randint(3, 12)
+        k, b = rng.randint(1, 3), rng.randint(1, 3)
+        make = random_dag_degree_capped if done % 2 else random_digraph_degree_capped
+        g = make(rng, n, rng.randint(2, 5), rng.uniform(0.3, 0.9))
+        banked = peel(g, k)
+        if banked.bit_count() >= n:
+            continue
+        done += 1
+        p = rng.randint(banked.bit_count() + 1, n)
+        need = p - banked.bit_count()
+        q = rng.randint(1, n)
+        got = _piece_search(g, k, b, p, q, 10**9)
+        cut = list(_pieces(g, k, b, q, banked, [0], 10**9, need))
+        size_cuts += _pieces_reference(g, k, b, q, banked, need)[5]
+        with monkeypatch.context() as m:
+            m.setattr(solver_bounded, "_pieces", uncut_pieces)
+            assert got == _piece_search(g, k, b, p, q, 10**9)
+        left = iter(cut)
+        nxt = next(left, None)
+        for piece, deficient in uncut["pieces"]:
+            if (piece, deficient) == nxt:
+                nxt = next(left, None)
+                continue
+            assert piece.bit_count() < need and deficient.bit_count() == b
+            dropped += 1
+        assert nxt is None
+        answered += got is not None
+    assert answered >= 500 and done - answered >= 450
+    assert dropped >= 8000 and size_cuts >= 7000
 
 
 def test_piece_search_cuts_branches_that_cannot_hold_a_piece():

@@ -21,8 +21,10 @@ from dakc import (
     vertices_of,
     vset,
 )
+from dakc.graph import reverse
 from helpers import (
     coloring_trial_reference,
+    cut_fits_reference,
     cycle_graph,
     disjoint_paths_reference,
     min_vertex_cut_reference,
@@ -324,8 +326,9 @@ def _kernel_pool(regime: str, rng: random.Random, size: int) -> list[Instance]:
 @pytest.mark.parametrize("regime", ["high", "half", "stage3", "dag"])
 def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     # whole verdicts, trial counts and notes included, with the coloring
-    # trial, the min vertex cut, the stage-3 disjoint paths and the stage-3
-    # arc deletion swapped for their plain references; the capped seeded NOs
+    # trial, the min vertex cut, the stage-3 disjoint paths, the stage-3
+    # flow repair and the stage-3 arc deletion swapped for their plain
+    # references; the capped seeded NOs
     # must stay the same too
     cfg = SearchConfig(mode="seeded", trial_cap=500)
 
@@ -342,6 +345,7 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     monkeypatch.setattr(separators, "_min_vertex_cut", min_vertex_cut_reference)
     monkeypatch.setattr(solver_degree, "_without_arcs", without_arcs_reference)
     monkeypatch.setattr(solver_degree, "disjoint_paths", disjoint_paths_reference)
+    monkeypatch.setattr(solver_degree, "_cut_fits", cut_fits_reference)
     assert got == [solve(inst) for inst in pool]
     assert sum(v.is_yes for v in got) >= len(pool) // 10
     if regime != "stage3":
@@ -409,6 +413,8 @@ def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
         firsts = [(t, deleted, seps) for (t, deleted), seps in first.items()]
         repeated += len(ref) - len(firsts)
         assert [c for c in ran if c[2]] == [c for c in firsts if c[2]]
+        # a deletion set whose cut is at most b always has a separator
+        assert all(c[2] for c in ran)
         left = iter(ran)
         nxt = next(left, None)
         for call in firsts:
@@ -424,6 +430,41 @@ def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
     assert skipped >= 1000
     assert repeated >= 100
     assert cut_into_t >= 20
+
+
+def test_stage3_flow_repair_decides_as_a_min_cut_from_scratch(monkeypatch):
+    # every deletion set that reaches the flow repair is run exactly when
+    # the min cut of the augmented graph without its arcs, reversed as the
+    # inner enumeration takes it, is at most b; the rows come back as they
+    # were, and the repair starts from the paths the set leaves whole
+    seen = []
+    cut_fits = solver_degree._cut_fits
+
+    def spy(out_rows, in_rows, deleted, s, t, b, paths):
+        rows = (list(out_rows), list(in_rows))
+        got = cut_fits(out_rows, in_rows, deleted, s, t, b, paths)
+        assert (out_rows, in_rows) == rows
+        n = len(out_rows)
+        aug = DirectedGraph.from_arcs(n, [(u, w) for u in range(n) for w in vertices_of(out_rows[u])])
+        assert all(aug.has_arc(u, w) for u, w in deleted)
+        for path in paths:
+            assert path[0] == s and path[-1] == t
+            assert not set(zip(path, path[1:])) & deleted
+        rev = reverse(solver_degree._without_arcs(aug, deleted))
+        expect = separators._min_vertex_cut(rev, rev.full_mask, 1 << t, s, b) is not None
+        assert got == expect
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(solver_degree, "_cut_fits", spy)
+    rng = random.Random(269)
+    for _ in range(80):
+        n = rng.randint(6, 11)
+        k = rng.choice([1, 2])
+        g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.4, 0.9))
+        inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
+        solve_half_k(inst, max_degree=2 * k, cfg=EXH, force_stage3=True)
+    assert seen.count(True) >= 350 and seen.count(False) >= 150
 
 
 def test_stage3_runs_each_deletion_guess_once_per_t(monkeypatch):
