@@ -328,8 +328,7 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     # whole verdicts, trial counts and notes included, with the coloring
     # trial, the min vertex cut, the stage-3 disjoint paths, the stage-3
     # flow repair and the stage-3 arc deletion swapped for their plain
-    # references; the capped seeded NOs
-    # must stay the same too
+    # references; the capped seeded NOs must stay the same too
     cfg = SearchConfig(mode="seeded", trial_cap=500)
 
     def solve(inst):
@@ -436,7 +435,7 @@ def test_stage3_flow_repair_decides_as_a_min_cut_from_scratch(monkeypatch):
     # every deletion set that reaches the flow repair is run exactly when
     # the min cut of the augmented graph without its arcs, reversed as the
     # inner enumeration takes it, is at most b; the rows come back as they
-    # were, and the repair starts from the paths the set leaves whole
+    # were, and the paths the repair starts from avoid the set's arcs
     seen = []
     cut_fits = solver_degree._cut_fits
 
