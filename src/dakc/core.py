@@ -56,10 +56,12 @@ class Verdict:
     """Outcome of a solver run.
 
     ``no_up_to`` is only emitted by the bounded search: it asserts there is no
-    solution whose core has at most ``bound`` vertices (with failure
-    probability at most the configured epsilon in seeded mode, exactly in
-    exhaustive mode).  ``note`` carries warnings such as a trial-cap hit;
-    ``trials`` the number of colorings a seeded search evaluated.
+    solution whose core has at most ``bound`` vertices, exactly in exhaustive
+    mode.  In seeded mode it holds with failure probability at most the
+    configured epsilon, unless ``note`` reports that the trial cap bit, in
+    which case no bound is known.  ``note`` carries warnings such as a
+    trial-cap hit; ``trials`` the number of colorings a seeded search
+    evaluated.
     """
 
     kind: str

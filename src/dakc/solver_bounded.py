@@ -40,38 +40,21 @@ assemble falls short of p: first the red count, then the red vertices that
 need no anchor plus b that do, and last, once the components are known, the
 components that need no anchor plus the b largest of the others.  Only the
 trials that pass all three build the knapsack table.
-
-Seeded mode applies the first two bounds to a whole block of trials at once.
-splitmix64 is counter-based, so a block's outputs come from a few big-int
-operations on 128-bit lanes; the block is then transposed into one column
-per vertex (bit t set iff the vertex is red in trial t), and bit-sliced
-counters over those columns find the trials with at least p red vertices and
-at least p - b red vertices that have k red in-neighbours.  Only those
-trials, in increasing order, are run one at a time, and each takes its
-deficient set (red vertices with fewer than k red in-neighbours) from the
-block's columns instead of counting it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator
 
-from .core import Instance, Solution, Verdict, normalize, peel, verify_solution
+from .core import Instance, Solution, Verdict, normalize, peel
 from .graph import DirectedGraph, Mask, iter_vertices, weakly_connected_components
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-# seeded trials filtered together by the bit-sliced bounds
-_BLOCK = 1024
-
-# _BIT_TEXT[i] translates a byte to b"1" or b"0", its bit i
-_BIT_TEXT = tuple((b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8))
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -91,8 +74,8 @@ def coloring_stream(seed: int, n: int) -> Iterator[Mask]:
     splitmix64 seeded with ``seed`` (reduced mod 2^64), drawing ceil(n/64)
     consecutive 64-bit words per coloring; word j supplies bits for vertices
     64j..64j+63, least significant bit first; the mask is truncated to n bits.
-    ``bounded_core_search`` draws exactly this stream, a block of trials at
-    a time.
+    ``bounded_core_search`` draws exactly this stream, one coloring per
+    trial.
     """
     state = seed & _M64
     words = (n + 63) // 64
@@ -103,64 +86,6 @@ def coloring_stream(seed: int, n: int) -> Iterator[Mask]:
             state, word = _splitmix64(state)
             mask |= word << (64 * j)
         yield mask & keep
-
-
-@cache
-def _lane_patterns(words: int) -> tuple[int, int, int]:
-    """Lane patterns for a full block of colorings of ``words`` words each,
-    one 128-bit lane per word: 1 in every lane, i * gamma in lane i, and
-    2^64 - 1 in every lane."""
-    lanes = _BLOCK * words
-    ones = ((1 << 128 * lanes) - 1) // ((1 << 128) - 1)
-    steps = b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(lanes))
-    return ones, int.from_bytes(steps, "little"), ones * _M64
-
-
-def _draw_block(seed: int, n: int, start: int, size: int) -> bytes:
-    """The words ``coloring_stream(seed, n)`` draws for its trials ``start``
-    to ``start + size - 1``: one big-endian 128-bit lane per word, the word
-    in its low 64 bits, the last word first.
-
-    Output j of the stream mixes the state seed + (j + 1) * gamma mod 2^64,
-    so a block's states are one multiply-add of lane patterns.  Each
-    multiply follows an xor-shift masked back to the low 64 bits of every
-    lane, so the lane products stay below 2^128 and no lane carries into the
-    next.  The last xor-shift leaves bits of the next lane in each lane's
-    high half, which nothing reads.
-    """
-    words = (n + 63) // 64
-    ones, steps, low = _lane_patterns(words)
-    keep = (1 << 128 * size * words) - 1
-    base = (seed + (start * words + 1) * _GAMMA) & _M64
-    z = (base * (ones & keep) + (steps & keep)) & low
-    z = ((z ^ (z >> 30)) & low) * _MIX1 & low
-    z = ((z ^ (z >> 27)) & low) * _MIX2 & low
-    z ^= z >> 31
-    return z.to_bytes(16 * size * words, "big")
-
-
-def _block_columns(buf: bytes, n: int) -> list[Mask]:
-    """Transpose a drawn block: column v has bit t set iff vertex v is red
-    in the block's trial t."""
-    stride = 16 * ((n + 63) // 64)
-    columns = []
-    for v in range(n):
-        # v's bit lies in byte 15 - (v % 64) // 8 of the lane of word v // 64;
-        # a stride walks the trials from last to first, which is the
-        # most-significant-first order int(..., 2) reads
-        first = stride - 16 * (v >> 6) - 1 - (v >> 3 & 7)
-        columns.append(int(buf[first::stride].translate(_BIT_TEXT[v & 7]), 2))
-    return columns
-
-
-def _block_coloring(buf: bytes, n: int, t: int) -> Mask:
-    """The coloring of a drawn block's trial t, as ``coloring_stream`` yields it."""
-    words = (n + 63) // 64
-    mask = 0
-    for j in range(words):
-        end = len(buf) - 16 * (t * words + j)
-        mask |= int.from_bytes(buf[end - 8 : end], "big") << 64 * j
-    return mask & ((1 << n) - 1)
 
 
 class SearchBudgetError(RuntimeError):
@@ -251,38 +176,32 @@ def knapsack_select(
 
 
 def search_with_coloring(
-    g: DirectedGraph, k: int, b: int, p: int, red: Mask, deficient: Mask | None = None
+    g: DirectedGraph, k: int, b: int, p: int, red: Mask
 ) -> Solution | None:
     """Evaluate one coloring: component summaries, then knapsack assembly.
 
     Components needing more than b anchors are discarded outright.  The
     components and the knapsack are skipped when an upper bound on what they
-    could assemble falls short of p, so they could not succeed either.  Any
-    returned solution is verified before it leaves this function, so a hit is
-    always sound no matter how the coloring was produced.
-
-    ``deficient``, when given, must be the set of red vertices with fewer
-    than k red in-neighbours, for a coloring already known to pass the first
-    two bounds; seeded mode reads both off its block filter.
+    could assemble falls short of p, so they could not succeed either.  A
+    returned solution is unchecked; the caller verifies the witness it
+    reports.
     """
-    if deficient is None:
-        if red.bit_count() < p:
-            return None  # every core assembled here lies inside the red set
-        red &= g.full_mask
-        # A red vertex's red in-neighbours lie in its own red component, so
-        # it is deficient in its component iff it is deficient in the whole
-        # red set.
-        in_mask = g.in_mask
-        deficient = 0
-        rest = red
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if (in_mask[low.bit_length() - 1] & red).bit_count() < k:
-                deficient |= low
-        # an assembly anchors each of its deficient vertices, so at most b
-        if (red & ~deficient).bit_count() + min(b, deficient.bit_count()) < p:
-            return None
+    if red.bit_count() < p:
+        return None  # every core assembled here lies inside the red set
+    red &= g.full_mask
+    # A red vertex's red in-neighbours lie in its own red component, so it is
+    # deficient in its component iff it is deficient in the whole red set.
+    in_mask = g.in_mask
+    deficient = 0
+    rest = red
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if (in_mask[low.bit_length() - 1] & red).bit_count() < k:
+            deficient |= low
+    # an assembly anchors each of its deficient vertices, so at most b
+    if (red & ~deficient).bit_count() + min(b, deficient.bit_count()) < p:
+        return None
     comps: list[Mask] = []
     items: list[tuple[int, int]] = []
     free = 0
@@ -309,85 +228,7 @@ def search_with_coloring(
     for i in picked:
         anchors |= deficient & comps[i]
         core |= comps[i]
-    sol = Solution(anchors=anchors, core=core)
-    if not verify_solution(Instance(graph=g, b=b, k=k, p=p), sol):
-        raise RuntimeError("internal error: coloring trial assembled an invalid solution")
-    return sol
-
-
-def _at_least(columns: list[Mask], threshold: int, trials: Mask) -> Mask:
-    """The trials (bits of ``trials``) in which at least ``threshold`` >= 1
-    of the columns have their bit set.
-
-    A bit-sliced counter starts every trial at 2^top - threshold and adds
-    the columns with ripple carries.  With 2^top above both the threshold
-    and the column count, bit ``top`` of the counter is set exactly when the
-    count reaches the threshold, and no carry ever leaves it.
-    """
-    top = max(threshold, len(columns)).bit_length()
-    offset = (1 << top) - threshold
-    slices = [trials if offset >> i & 1 else 0 for i in range(top + 1)]
-    for carry in columns:
-        i = 0
-        while carry:
-            slices[i], carry = slices[i] ^ carry, slices[i] & carry
-            i += 1
-    return slices[top]
-
-
-def _block_satisfied(g: DirectedGraph, k: int, columns: list[Mask]) -> list[Mask]:
-    """Column v of the result has bit t set iff vertex v is red and has at
-    least k red in-neighbours in the block's trial t."""
-    satisfied = []
-    for v, nbrs in enumerate(g.in_adj):
-        if len(nbrs) < k or not columns[v]:
-            satisfied.append(0)
-            continue
-        # more[j]: the trials in which more than j in-neighbours of v are red
-        more = [0] * k
-        for u in nbrs:
-            red = columns[u]
-            for j in range(k - 1, 0, -1):
-                more[j] |= more[j - 1] & red
-            more[0] |= red
-        satisfied.append(columns[v] & more[-1])
-    return satisfied
-
-
-def _block_survivors(
-    g: DirectedGraph,
-    k: int,
-    b: int,
-    p: int,
-    columns: list[Mask],
-    trials: Mask,
-    satisfied: list[Mask] | None = None,
-) -> Mask:
-    """The trials of a block that pass the first two exits of
-    ``search_with_coloring``, given one column per vertex and, optionally,
-    the block's ``_block_satisfied`` columns.
-
-    A trial passes iff (red vertices that need no anchor) + min(b, red
-    vertices that do) >= p, that is iff at least p vertices are red and at
-    least p - b of them have k red in-neighbours.
-    """
-    passing = _at_least(columns, p, trials)
-    if not passing:
-        return 0
-    if satisfied is None:
-        satisfied = _block_satisfied(g, k, columns)
-    return passing & _at_least(satisfied, p - b, trials)
-
-
-def _deficient_text(columns: list[Mask], satisfied: list[Mask], size: int) -> str:
-    """The block's deficient columns (red with fewer than k red
-    in-neighbours) as one ``'0'``/``'1'`` text, the mirror of
-    ``_block_columns``: a row of ``size`` digits per vertex, last vertex
-    first, each row's last trial first.  ``text[size - 1 - t :: size]``
-    then reads trial t's deficient set most significant vertex first, which
-    is the order ``int(..., 2)`` takes."""
-    digits = f"0{size}b"
-    return "".join(format(c & ~s, digits) for c, s in zip(reversed(columns), reversed(satisfied)))
+    return Solution(anchors=anchors, core=core)
 
 
 def _spend(counter: list[int], cap: int) -> None:
@@ -643,21 +484,8 @@ def bounded_core_search(
         if capped
         else ""
     )
-    # the trials of coloring_stream(cfg.seed, g.n), a block at a time
-    for start in range(0, trials, _BLOCK):
-        size = min(_BLOCK, trials - start)
-        buf = _draw_block(cfg.seed, g.n, start, size)
-        columns = _block_columns(buf, g.n)
-        satisfied = _block_satisfied(g, k, columns)
-        alive = _block_survivors(g, k, b, p, columns, (1 << size) - 1, satisfied)
-        if not alive:
-            continue
-        text = _deficient_text(columns, satisfied, size)
-        while alive:
-            t = (alive & -alive).bit_length() - 1
-            alive ^= 1 << t
-            red = _block_coloring(buf, g.n, t)
-            sol = search_with_coloring(g, k, b, p, red, int(text[size - 1 - t :: size], 2))
-            if sol is not None:
-                return Verdict.yes(sol, trials=start + t + 1)
+    for i, red in zip(range(1, trials + 1), coloring_stream(cfg.seed, g.n)):
+        sol = search_with_coloring(g, k, b, p, red)
+        if sol is not None:
+            return Verdict.yes(sol, trials=i)
     return Verdict.no_up_to(q, trials=trials, note=note)

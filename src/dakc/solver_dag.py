@@ -54,7 +54,8 @@ def require_acyclic(g: DirectedGraph) -> None:
 
 
 def solve_dag(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
-    """Exact YES/NO for DAGs (exhaustive mode; epsilon-bounded in seeded mode)."""
+    """Exact YES/NO for DAGs in exhaustive mode.  In seeded mode a NO is
+    epsilon-bounded, unless its note reports that the trial cap bit."""
     require_acyclic(inst.graph)
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):

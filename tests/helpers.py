@@ -212,17 +212,11 @@ def cycle_closure(g: DirectedGraph) -> int:
 
 
 def coloring_trial_reference(
-    g: DirectedGraph, k: int, b: int, p: int, red: int, deficient: int | None = None
+    g: DirectedGraph, k: int, b: int, p: int, red: int
 ) -> Solution | None:
     """One coloring trial spelled out step by step: every weak component of
     the red set, a summary of each, a knapsack over every summary that needs
-    at most b anchors, and a verified assembly.  No bound and no early exit.
-    A ``deficient`` set handed in by the caller is checked, not used: it must
-    hold the red vertices with fewer than k red in-neighbours."""
-    if deficient is not None:
-        assert deficient == vset(
-            v for v in vertices_of(red & g.full_mask) if (g.in_mask[v] & red).bit_count() < k
-        )
+    at most b anchors, and a verified assembly.  No bound and no early exit."""
     summaries = []
     remaining = red & g.full_mask
     while remaining:

@@ -285,6 +285,61 @@ def test_max_command(capsys, path_file):
     assert json.loads(out)["max_p"] == 0
 
 
+SEEDED_YES = """{
+  "answer": "yes",
+  "anchors": [
+    1
+  ],
+  "core": [
+    1,
+    2,
+    3,
+    4,
+    5,
+    6,
+    7,
+    8,
+    9,
+    10,
+    11
+  ],
+  "solver": "dag",
+  "seed": 16,
+  "trials": 3044,
+  "note": ""
+}
+"""
+
+SEEDED_CAPPED_NO = """{
+  "answer": "no",
+  "anchors": null,
+  "core": null,
+  "solver": "dag",
+  "seed": 16,
+  "trials": 3043,
+  "note": "trial cap 3043 reached; miss probability may exceed 0.01"
+}
+"""
+
+
+def test_seeded_mode_reports_are_pinned(capsys, tmp_path):
+    # an 11-vertex path at b = 1, k = 1, p = 11: a trial hits only when the
+    # whole path is red, once in 2,048 trials.  Seed 16 first hits at trial
+    # 3,044, so a cap one below that misses and says so, and max stops at 10
+    f = tmp_path / "path11.gr"
+    f.write_text("p dakc 11 10\n" + "".join(f"a {v} {v + 1}\n" for v in range(1, 11)))
+    seeded = ("--b", "1", "--k", "1", "--solver", "dag", "--mode", "seeded", "--seed", "16")
+    assert run(capsys, "solve", str(f), *seeded, "--p", "11", "--trial-cap", "5000") == (
+        0, SEEDED_YES, ""
+    )
+    assert run(capsys, "solve", str(f), *seeded, "--p", "11", "--trial-cap", "3043") == (
+        1, SEEDED_CAPPED_NO, ""
+    )
+    assert run(capsys, "max", str(f), *seeded, "--trial-cap", "3043") == (
+        0, '{\n  "max_p": 10\n}\n', ""
+    )
+
+
 def test_max_matches_oracle_on_random_k1_graphs(capsys, tmp_path, monkeypatch):
     # the largest p the oracle answers YES to, tried p by p; every bisection
     # step of one max run shares one k = 1 plan, so the plan is swept once

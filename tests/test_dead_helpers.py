@@ -1,0 +1,70 @@
+import ast
+from pathlib import Path
+
+import dakc
+
+SOURCES = sorted(Path(dakc.__file__).parent.glob("*.py"))
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    # every module-level def, class and assignment whose name starts with
+    # "_", dunders such as __all__ aside
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found.append((name.id, node))
+    return [(name, node) for name, node in found if name.startswith("_") and not name.endswith("__")]
+
+
+def _references(node: ast.AST, skip: ast.AST | None = None) -> list[str]:
+    # names read, attributes taken and names imported, outside ``skip``
+    if node is skip:
+        return []
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.ImportFrom):
+        names = [alias.name for alias in node.names]
+    else:
+        names = []
+    for child in ast.iter_child_nodes(node):
+        names += _references(child, skip)
+    return names
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # a private helper, class or constant that nothing in dakc reads, past
+    # its own definition, is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    everywhere = {name: _references(tree) for name, tree in trees.items()}
+    checked = 0
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            checked += 1
+            # what the definition itself reads, a recursive call say, does
+            # not count as a use
+            used = name in _references(tree, skip=node) or any(
+                name in refs for other, refs in everywhere.items() if other != module
+            )
+            if not used:
+                unused.append(f"{module}:{name}")
+    assert checked >= 30
+    assert unused == []
+
+
+def test_dead_helper_guard_flags_an_unused_definition():
+    tree = ast.parse(
+        "_USED = 1\n_SPARE = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else _USED\n"
+        "def run():\n    return 0\n"
+    )
+    names = [name for name, node in _private_definitions(tree) if name not in _references(tree, skip=node)]
+    assert names == ["_SPARE", "_recursive"]

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 
@@ -24,15 +24,7 @@ from dakc import (
     vset,
 )
 from dakc import solver_bounded
-from dakc.solver_bounded import (
-    _BLOCK,
-    _piece_search,
-    _pieces,
-    _block_coloring,
-    _block_columns,
-    _block_survivors,
-    _draw_block,
-)
+from dakc.solver_bounded import _piece_search, _pieces
 from helpers import (
     bounded_search_reference,
     coloring_trial_reference,
@@ -130,19 +122,40 @@ def test_exhaustive_mode_is_exact_for_bounded_cores():
             assert verdict.is_yes
 
 
+def _splitmix64_replay(seed, n, count):
+    # the documented scheme, spelled out: splitmix64 from seed mod 2^64,
+    # ceil(n / 64) words per coloring, word j on vertices 64j..64j+63, low
+    # bit first, truncated to n bits
+    state = seed % (1 << 64)
+    masks = []
+    for _ in range(count):
+        mask = 0
+        for j in range((n + 63) // 64):
+            state = (state + 0x9E3779B97F4A7C15) % (1 << 64)
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
+            z ^= z >> 31
+            mask += z << (64 * j)
+        masks.append(mask % (1 << n))
+    return masks
+
+
 def test_coloring_stream_is_reproducible_and_documented():
     a = coloring_stream(12345, 10)
     b = coloring_stream(12345, 10)
     first = [next(a) for _ in range(50)]
     assert first == [next(b) for _ in range(50)]
     assert all(0 <= m < 1 << 10 for m in first)
-    # the documented splitmix64 scheme, replayed by hand for one draw
-    state = (12345 + 0x9E3779B97F4A7C15) % (1 << 64)
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
-    z ^= z >> 31
-    assert first[0] == z % (1 << 10)
+    assert first == _splitmix64_replay(12345, 10, 50)
+    # word order and truncation on both sides of a word boundary, and seeds
+    # reduced mod 2^64
+    for n in (1, 5, 63, 64, 65, 130):
+        for seed in (0, 7, 2**64 + 5, -1):
+            stream = coloring_stream(seed, n)
+            assert [next(stream) for _ in range(40)] == _splitmix64_replay(seed, n, 40)
+    assert next(coloring_stream(2**64 + 5, 130)) == next(coloring_stream(5, 130))
+    assert next(coloring_stream(-1, 65)) == next(coloring_stream(2**64 - 1, 65))
 
 
 def test_seeded_mode_soundness_and_trial_cap_note():
@@ -191,52 +204,6 @@ def test_search_with_coloring_matches_reference_trial():
     assert misses >= draws // 20  # misses that get past the red-count exit
 
 
-@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
-def test_block_draw_matches_coloring_stream(n):
-    # ceil(n / 64) words per coloring, seeds reduced mod 2^64, and blocks
-    # that start at trial 0, mid-stream, and at a block boundary
-    for seed in (0, 7, 2**64 + 5, -1):
-        for start, size in ((0, _BLOCK), (3, 17), (_BLOCK, 40)):
-            expect = list(islice(coloring_stream(seed, n), start, start + size))
-            buf = _draw_block(seed, n, start, size)
-            assert [_block_coloring(buf, n, t) for t in range(size)] == expect
-            columns = _block_columns(buf, n)
-            assert len(columns) == n
-            for v, column in enumerate(columns):
-                assert column == sum((red >> v & 1) << t for t, red in enumerate(expect))
-
-
-def _passes_first_two_exits(g, k, b, p, red):
-    deficient = vset(v for v in vertices_of(red) if (g.in_mask[v] & red).bit_count() < k)
-    return (
-        red.bit_count() >= p
-        and (red & ~deficient).bit_count() + min(b, deficient.bit_count()) >= p
-    )
-
-
-def test_block_survivors_are_the_trials_past_the_first_two_exits():
-    rng = random.Random(223)
-    draws = 2000
-    kept = rejected = 0
-    for _ in range(draws):
-        n = rng.randint(1, 14)
-        g = random_digraph_degree_capped(rng, n, rng.randint(1, 5), rng.uniform(0.2, 0.9))
-        k, p = rng.randint(1, 3), rng.randint(1, n)
-        b = rng.randint(0, min(3, p - 1))  # normalize leaves b < p
-        size = rng.randint(1, 80)
-        buf = _draw_block(rng.getrandbits(64), n, rng.randint(0, 5000), size)
-        got = _block_survivors(g, k, b, p, _block_columns(buf, n), (1 << size) - 1)
-        expect = sum(
-            1 << t
-            for t in range(size)
-            if _passes_first_two_exits(g, k, b, p, _block_coloring(buf, n, t))
-        )
-        assert got == expect
-        kept += expect.bit_count()
-        rejected += size - expect.bit_count()
-    assert kept >= draws and rejected >= draws
-
-
 def _planted_cycle(rng: random.Random) -> tuple[Instance, int]:
     # a 9- to 11-cycle plus out-pendants: at b = 0 and p = its length, a
     # trial hits only when the whole cycle is red, once in 2^L trials, so
@@ -250,10 +217,10 @@ def _planted_cycle(rng: random.Random) -> tuple[Instance, int]:
 
 @pytest.mark.parametrize("mode", ["seeded", "exhaustive"])
 def test_bounded_search_matches_per_trial_reference(mode):
-    # seeded: whole verdicts, trial counts and notes included, with caps
-    # above the block length; some hits land before the first block
-    # boundary, some after.  exhaustive: the piece search decides as the
-    # loop over all 2^n colorings does, and every YES verifies.
+    # seeded: whole verdicts, trial counts and notes included, with caps of
+    # 1,025 to 3,072 trials; at least ten hits land in the first 1,024
+    # trials and ten after them.  exhaustive: the piece search decides as
+    # the loop over all 2^n colorings does, and every YES verifies.
     rng = random.Random(227)
     got, expect = [], []
     for i in range(150):
@@ -265,7 +232,7 @@ def test_bounded_search_matches_per_trial_reference(mode):
             p = rng.randint(1, n)
             inst = Instance(graph=g, b=rng.randint(0, 3), k=rng.randint(1, 3), p=p)
             q = rng.randint(p, n)
-        cap = rng.randint(_BLOCK + 1, 3 * _BLOCK)
+        cap = rng.randint(1025, 3072)
         cfg = SearchConfig(mode=mode, seed=rng.getrandbits(65) - 2**64, failure_prob=1e-9, trial_cap=cap)
         verdict = bounded_core_search(inst, q, cfg)
         if verdict.is_yes:
@@ -278,8 +245,8 @@ def test_bounded_search_matches_per_trial_reference(mode):
         return
     assert got == expect
     hits = [v.trials for v in got if v.is_yes and v.trials is not None]
-    assert sum(t <= _BLOCK for t in hits) >= 10
-    assert sum(t > _BLOCK for t in hits) >= 10
+    assert sum(t <= 1024 for t in hits) >= 10
+    assert sum(t > 1024 for t in hits) >= 10
 
 
 def _connected(g, mask: int) -> bool:
