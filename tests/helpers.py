@@ -232,7 +232,7 @@ def coloring_trial_reference(
         deficient = vset(
             v for v in vertices_of(comp) if (g.in_mask[v] & comp).bit_count() < k
         )
-        summary = ComponentSummary(component=comp, deficient=deficient)
+        summary = ComponentSummary(comp, deficient)
         if summary.anchors_needed <= b:
             summaries.append(summary)
     picked = knapsack_select([(s.anchors_needed, s.size) for s in summaries], b, p)
