@@ -247,7 +247,8 @@ def _cmd_verify(args) -> int:
             raise TypeError("vertex ids must be integers")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(0, "params", f"malformed solution JSON: {exc}") from exc
-    if any(v < 1 for v in anchors + core):
+    # checked before any mask is built: a mask is as wide as its largest id
+    if any(not 1 <= v <= inst.graph.n for v in anchors + core):
         violation = "solution names vertices outside the graph"
     else:
         sol = Solution(

@@ -15,17 +15,14 @@ Disjoint pieces may still be adjacent: merging raises in-degrees only.
 
 Pieces of at most q vertices are enumerated with ESU (Wernicke, 2006) over
 the undirected neighbourhoods of G - K0, each connected set once, from an
-explicit stack.  A branch that already holds more than b members deficient
-in everything it can still reach is cut, and the parent makes that cut
-before the push: what its members can still reach only shrinks along its
-children, so it counts down each member's spare in-neighbours from one
-child to the next and pushes only the children that survive.  A branch with
-exactly b such members spends the whole budget on them, so it is also cut
-when an anchored peel of what it can reach drops one of its members or
-leaves fewer than p - |K0| vertices outside K0.  A piece of at least
-p - |K0| vertices answers at once; otherwise a depth-first search combines
-disjoint pieces, largest first.  The enumerated sets, pieces and
-unions alike, are capped, and the cap raises instead of answering.
+explicit stack.  A popped branch that already holds more than b members
+deficient in everything it can still reach is cut.  A branch with exactly b
+such members spends the whole budget on them, so it is also cut when an
+anchored peel of what it can reach drops one of its members or leaves fewer
+than p - |K0| vertices outside K0.  A piece of at least p - |K0| vertices
+answers at once; otherwise a depth-first search combines disjoint pieces,
+largest first.  The enumerated sets, pieces and unions alike, are capped,
+and the cap raises instead of answering.
 
 Seeded mode is random separation (Cai, Chan & Chan, 2006).  One trial
 two-colors the vertices and keeps the red side: if some solution core of
@@ -313,21 +310,11 @@ def _pieces(
     neither answer alone nor join another piece, which costs at least one
     anchor more.  Either way the branch is cut.
 
-    The parent makes the stuck cut for its children, which are never pushed.  A
-    child's new ``ext`` lies outside ``nbr``, so an old member's room in
-    child w_i is sub | banked | {w_i, ..., w_last}, and shrinks along the
-    siblings.  Each deficient member that is not yet stuck keeps its spare
-    in-neighbours over k; each w that leaves the room takes one from the
-    members it points to, and a member whose spare falls below 0 is stuck
-    from then on.  Past b stuck members no later sibling survives; at
-    exactly b, a child survives iff w itself is not stuck.  The survivors
-    are pushed in the same order as an uncut search, so the pieces come out
-    in the same order.  Each popped branch counts in ``counter[0]``, and a
-    branch past ``cap`` raises; a root, which has no parent, can be popped
-    and then fail the stuck test, and any branch can be popped and then fail
-    the peel test.
+    Every child is pushed and tested once popped.  Each branch that passes
+    the stuck test counts in ``counter[0]``, before the peel test, and a
+    branch past ``cap`` raises.
     """
-    und, in_mask, out_mask = g.und_mask, g.in_mask, g.out_mask
+    und, in_mask = g.und_mask, g.in_mask
     free = g.full_mask & ~banked
     for root in iter_vertices(free):
         above = free >> root + 1 << root + 1
@@ -335,16 +322,11 @@ def _pieces(
         stack = [(start, und[root] & above, start | und[root], 1)]
         while stack:
             sub, ext, nbr, size = stack.pop()
-            _spend(counter, cap)
             room = sub | ext | banked
             inside = sub | banked
             deficient = 0
             stuck_set = 0
             stuck = 0
-            # deficient members not yet stuck, and their in-neighbours in
-            # room beyond k
-            watched = 0
-            spare = {}
             rest = sub
             while rest:
                 low = rest & -rest
@@ -352,17 +334,14 @@ def _pieces(
                 row = in_mask[low.bit_length() - 1]
                 if (row & inside).bit_count() < k:
                     deficient |= low
-                    slack = (row & room).bit_count() - k
-                    if slack >= 0:
-                        watched |= low
-                        spare[low] = slack
-                    else:
+                    if (row & room).bit_count() < k:
                         stuck_set |= low
                         stuck += 1
                         if stuck > b:
                             break
             if stuck > b:
                 continue
+            _spend(counter, cap)
             if stuck == b and not _holds_piece(
                 g, k, sub, room | (above & ~nbr), stuck_set, banked, need
             ):
@@ -374,21 +353,8 @@ def _pieces(
                 while rest:
                     w = rest & -rest
                     rest ^= w
-                    v = w.bit_length() - 1
-                    row = und[v]
-                    grown = rest | (row & above & ~nbr)
-                    if stuck < b or (in_mask[v] & (sub | grown | banked)).bit_count() >= k:
-                        stack.append((sub | w, grown, nbr | row, size + 1))
-                    hits = out_mask[v] & watched
-                    while hits:
-                        low = hits & -hits
-                        hits ^= low
-                        spare[low] -= 1
-                        if spare[low] < 0:
-                            watched ^= low
-                            stuck += 1
-                    if stuck > b:
-                        break
+                    row = und[w.bit_length() - 1]
+                    stack.append((sub | w, rest | (row & above & ~nbr), nbr | row, size + 1))
 
 
 def _piece_search(

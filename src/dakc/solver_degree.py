@@ -211,16 +211,15 @@ def solve_half_k(
     removes (a path's arc into t counts) survives.  With more than b
     survivors every s-t cut is larger than b and the inner enumeration would
     return nothing, so that deletion set is skipped.  The same count, over
-    the paths with an arc into any vertex it may touch, skips a whole t,
-    separator or boundary guess at once, and each deletion choice's path
-    bits are read once per t, so an assignment that cuts too few paths never
-    builds its arc set.  A deletion set that passes the count is decided by
-    one flow repair: ``_cut_fits`` starts a max flow from its surviving
-    paths, on the augmented graph's rows with the set's arcs taken out, and
-    only a set whose cut is at most b builds its graph and runs the inner
-    enumeration.  The calls that remain run in the order of their first
-    occurrence in the plain guessing loop, so the answer and witness do not
-    change.
+    the paths with an arc into any vertex it may touch, skips a whole t at
+    once, and each deletion choice's path bits are read once per t, so an
+    assignment that cuts too few paths never builds its arc set.  A deletion
+    set that passes the count is decided by one flow repair: ``_cut_fits``
+    starts a max flow from its surviving paths, on the augmented graph's rows
+    with the set's arcs taken out, and only a set whose cut is at most b
+    builds its graph and runs the inner enumeration.  The calls that remain
+    run in the order of their first occurrence in the plain guessing loop, so
+    the answer and witness do not change.
 
     ``force_stage3`` skips the bounded stage; it exists for tests that probe
     the guessing stage in isolation and is not part of the public contract.
@@ -274,21 +273,15 @@ def solve_half_k(
         # paths; it never deletes a path's first arc, out of s
         need = len(paths) - b
         path_bit: dict[tuple[int, int], int] = {}
-        into = [0] * g1.n  # vertex -> bits of the paths with a g1 arc into it
+        movable_hit = 0  # bits of the paths with a g1 arc into a movable vertex
         for i, path in enumerate(paths):
             for u, v in zip(path[1:], path[2:]):
                 path_bit[u, v] = 1 << i
-                into[v] |= 1 << i
-        every = (1 << len(paths)) - 1
-
-        def cuts_enough(heads) -> bool:
-            hit = 0
-            for v in heads:
-                hit |= into[v]
-            return hit.bit_count() >= need
-
-        if not cuts_enough(iter_vertices(movable)):
+                if movable >> v & 1:
+                    movable_hit |= 1 << i
+        if movable_hit.bit_count() < need:
             continue
+        every = (1 << len(paths)) - 1
         # each deletion choice with the bits of the paths it cuts; arcs into
         # one vertex lie on distinct paths, so their bits add
         offers = {
@@ -304,11 +297,9 @@ def solve_half_k(
             # candidates for the core's in-boundary: the vertices inside
             # that can lose an in-arc from outside the core
             d_list = vertices_of(inside & movable)
-            if not cuts_enough(d_list):
-                continue
             for size in range(min(delta * b, len(d_list)) + 1):
                 for boundary in combinations(d_list, size):
-                    if boundary in expanded or not cuts_enough(boundary):
+                    if boundary in expanded:
                         continue
                     expanded.add(boundary)
                     for assignment in product(*(offers[v] for v in boundary)):

@@ -164,6 +164,23 @@ def test_verify_rejects_booleans_as_vertex_ids(capsys, path_file, tmp_path):
         assert "vertex ids must be integers" in err
 
 
+def test_verify_rejects_ids_past_n_before_building_masks(capsys, path_file, tmp_path, monkeypatch):
+    # an id past n is outside the graph, however large, and is rejected
+    # before any vertex set is built from the ids; vset is stubbed, so a
+    # regression fails here without allocating a 10**9-bit mask
+    built = []
+    monkeypatch.setattr(cli, "vset", lambda vs: built.append(vs) or 0)
+    sol_file = tmp_path / "sol.json"
+    for bad in (4, 10**9):
+        sol_file.write_text(json.dumps({"anchors": [1], "core": [1, 2, bad]}))
+        code, out, _ = run(
+            capsys, "verify", path_file, str(sol_file), "--b", "1", "--k", "1", "--p", "3"
+        )
+        assert code == 1
+        assert json.loads(out) == {"valid": False, "violation": "solution names vertices outside the graph"}
+    assert built == []
+
+
 def test_gen_sat_then_oracle(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")

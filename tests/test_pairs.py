@@ -44,7 +44,12 @@ class StubRunner:
             "failed": 0,
             "metrics": {name: {"value": v, "unit": "x"} for name, v in metrics.items()},
         }
-        return 0, "ops_per_s = 1 1/s\n" + json.dumps({"context": {}}) + "\n" + json.dumps(result) + "\n"
+        # bench/run.py's context line: a traced run times no start-up op
+        if "--trace" in argv:
+            context = {"passes": 3}
+        else:
+            context = {"passes": 1.5, "startup_instance": f"op-{seed}"}
+        return 0, "ops_per_s = 1 1/s\n" + json.dumps({"context": context}) + "\n" + json.dumps(result) + "\n"
 
 
 def test_pairs_alternate_which_side_runs_first():
@@ -74,8 +79,12 @@ def test_pairs_statistics_and_bounds():
         "correct": True,
         "failed": 0,
         "attempted": 5,
+        "passes": 1.5,
+        "startup_instance": "op-101",
         "metrics": {"ops_per_s": 102, "op_p50_ms": 12.0, "peak_rss_mb": 25.0},
     }
+    assert out["trace"]["base"]["passes"] == 3
+    assert out["trace"]["base"]["startup_instance"] is None
     ops = out["metrics"]["ops_per_s"]
     assert ops["values"] == {"base": [100, 101, 102, 103, 104], "head": [100, 102, 104, 106, 108]}
     assert ops["base"] == {"median": 102, "q1": 101, "q3": 103}

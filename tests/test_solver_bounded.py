@@ -352,12 +352,13 @@ def _pieces_reference(g, k, b, q, banked, need=None):
 def test_pieces_match_plain_search_in_order_and_count():
     # the same pieces in the same order as a search that pushes every child
     # and cuts it once popped, and a count of exactly the branches that pass
-    # the stuck test plus the roots that fail it: a parent pushes no child
-    # that its own test would cut.  The reference runs the anchored peel
-    # with its own copy of the peel, so both of the peel's cuts must fire
-    # on the same branches
+    # the stuck test.  A root has one member, so at b >= 1 no root fails the
+    # test and every popped root is counted.  Children are cut once popped,
+    # never before the push.  The reference runs the anchored peel with its
+    # own copy of the peel, so both of the peel's cuts must fire on the same
+    # branches
     rng = random.Random(271)
-    counted = roots_cut = never_pushed = members = sizes = 0
+    counted = roots_cut = children_cut = members = sizes = 0
     for _ in range(6000):
         n = rng.randint(1, 12)
         k, b = rng.randint(1, 3), rng.randint(0, 3)
@@ -371,14 +372,16 @@ def test_pieces_match_plain_search_in_order_and_count():
             g, k, b, q, banked, need
         )
         assert got == expect
-        assert counter[0] == passed + cut_roots
+        assert counter[0] == passed
+        if b >= 1:
+            assert cut_roots == 0
         counted += counter[0]
         roots_cut += cut_roots
-        never_pushed += cut_children
+        children_cut += cut_children
         members += member_cuts
         sizes += size_cuts
     assert counted >= 30000 and roots_cut >= 1500
-    assert never_pushed >= 20000
+    assert children_cut >= 20000
     assert members >= 10000 and sizes >= 15000
 
 
@@ -429,11 +432,12 @@ def test_piece_cut_matches_uncut_search(monkeypatch):
 
 
 def test_piece_search_cuts_branches_that_cannot_hold_a_piece():
-    # on a path out of vertex 0 at k = 2, no member can reach 2
-    # in-neighbours, so every 2-vertex branch would hold 2 stuck members,
-    # more than b = 1: each root decides that for its one child and never
-    # pushes it, so only the n roots are counted, where an uncut search
-    # would walk n (n + 1) / 2 sets
+    # on a path out of vertex 0 at k = 2, no vertex has 2 in-neighbours, so
+    # each root is its one stuck member, as many as b = 1 allows, and the
+    # anchored peel runs: with the root as its only anchor it drops every
+    # other vertex and leaves one, fewer than need = 2, so the root is cut
+    # before it pushes a child.  Only the n roots are counted, where an
+    # uncut search would walk n (n + 1) / 2 sets
     g = path_graph(40)
     inst = Instance(graph=g, b=1, k=2, p=2)
     v = bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=40))
@@ -524,6 +528,34 @@ def test_piece_search_stages_match_oracle_on_rings(regime):
     assert sum(v.is_yes for v in map(oracle_solve, pool)) == len(pool) // 2
     if regime == "half":
         assert probe_yes >= len(pool) // 4
+
+
+# (smallest exhaustive_limit that answers, answer) for the two instances of
+# _ring_pool(regime, random.Random(1), 2), found by bisection
+_CAP_PINS = {
+    "high": [(29, "yes"), (68, "no_up_to")],
+    "half": [(14, "yes"), (49, "no_up_to")],
+    "dag": [(112, "yes"), (158, "no_up_to")],
+}
+
+
+@pytest.mark.parametrize("regime", ["high", "half", "dag"])
+def test_piece_search_cap_boundaries_are_pinned(regime):
+    # the set count decides where exit 4 starts, so each stage's search, at
+    # the q its solver runs it at, answers at its pinned cap and raises one
+    # below it; the half-k probe runs on the stripped instance
+    for inst, (cap, kind) in zip(_ring_pool(regime, random.Random(1), 2), _CAP_PINS[regime]):
+        delta = inst.graph.max_degree()
+        if regime == "high":
+            q = (delta + 1) * inst.b
+        elif regime == "half":
+            inst = strip_special_components(inst).instance
+            q = (delta * inst.p + 1) * inst.b
+        else:
+            q = inst.p
+        assert bounded_core_search(inst, q, SearchConfig(exhaustive_limit=cap)).kind == kind
+        with pytest.raises(SearchBudgetError):
+            bounded_core_search(inst, q, SearchConfig(exhaustive_limit=cap - 1))
 
 
 def test_piece_search_runs_without_recursion():

@@ -22,7 +22,9 @@ value on each side, each side's median and [Q1, Q3], the head's wins (pairs
 where it reads strictly better in the metric's ``better`` direction), the
 change of the medians, and whether the head stays inside the metric's bound:
 its median may be worse than the base's by at most ``bound`` times the base's
-median.  A run that exits non-zero or ends without a result is kept with its
+median.  Each run keeps its result fields and, from the context line before
+them, its pass count and the op it timed for start-up (a traced run times
+none).  A run that exits non-zero or ends without a result is kept with its
 exit code, and its pair is left out of the statistics.  Standard library only.
 """
 
@@ -75,7 +77,8 @@ def bench_runner(roots: dict[str, Path]) -> Runner:
 
 
 def parse_run(code: int, stdout: str) -> dict:
-    """The exit code and, when the run ended with a result line, its fields."""
+    """The exit code and, when the run ended with a result line, its fields,
+    with the pass count and start-up op of the context line before it."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
@@ -83,11 +86,15 @@ def parse_run(code: int, stdout: str) -> dict:
         result = None
     if code != 0 or not isinstance(result, dict) or "metrics" not in result:
         return {"exit": code, "correct": False, "metrics": None}
+    # bench/run.py prints its context line just before the result
+    context = json.loads(lines[-2])["context"]
     return {
         "exit": code,
         "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
+        "passes": context.get("passes"),
+        "startup_instance": context.get("startup_instance"),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
