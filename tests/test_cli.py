@@ -213,6 +213,25 @@ def test_gen_setcover_and_amplify(capsys, tmp_path):
     assert code == 0
 
 
+def test_gen_amplify_reads_the_base_label_sidecar(capsys, tmp_path):
+    sc = tmp_path / "sc.txt"
+    sc.write_text("u 1\ns 1\n")
+    base = tmp_path / "base.gr"
+    _, out, _ = run(capsys, "gen", "setcover", str(sc), "--b", "1", "-o", str(base))
+    n = json.loads(out)["n"]
+    sidecar = tmp_path / "base.gr.labels"
+    sidecar.write_text("\n".join(f"{v} name{v}" for v in range(1, n + 1)).replace("\n", "\n\n", 1))
+    amp = tmp_path / "amp.gr"
+    code, _, _ = run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))
+    assert code == 0
+    names = [line.split()[1] for line in (tmp_path / "amp.gr.labels").read_text().splitlines()]
+    assert names[: n + 1] == [f"name{v}" for v in range(1, n + 1)] + ["D1#1"]
+    sidecar.write_text("1 first\n2\n3 third\n")
+    code, out, err = run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))
+    assert (code, out) == (3, "")
+    assert err == f"dakc: parse error: line 0: malformed label sidecar {sidecar}\n"
+
+
 def test_gen_clique(capsys, tmp_path):
     ug = tmp_path / "tri.ug"
     ug.write_text("p ug 3 3\ne 1 2\ne 2 3\ne 1 3\n")
