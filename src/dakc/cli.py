@@ -38,6 +38,7 @@ from .reductions import (
     gen_from_sat,
     gen_from_setcover,
     parse_dimacs_cnf,
+    parse_labels,
     parse_setcover_text,
     parse_undirected_text,
 )
@@ -102,8 +103,8 @@ def _build_parser() -> _Parser:
     pg.add_argument("kind", choices=("sat", "clique", "setcover", "amplify"))
     pg.add_argument("source", help="source problem file")
     pg.add_argument("-o", "--out", required=True, help="output instance path")
-    pg.add_argument("--k", type=int, default=None)
-    pg.add_argument("--b", type=int, default=None)
+    pg.add_argument("--k", type=int, default=None, help="threshold; setcover takes none")
+    pg.add_argument("--b", type=int, default=None, help="clique size, cover budget or amplify's base budget")
     pg.add_argument("--p", type=int, default=None, help="amplify only: override the base target size")
     pg.add_argument("--delta", type=int, default=None, help="amplify only: target max degree")
 
@@ -259,7 +260,14 @@ def _cmd_verify(args) -> int:
     return EXIT_YES if violation is None else EXIT_NO
 
 
+# the gen flags that each kind would ignore; amplify reads them all
+_GEN_UNUSED = {"sat": ("b", "p", "delta"), "clique": ("p", "delta"), "setcover": ("k", "p", "delta")}
+
+
 def _cmd_gen(args) -> int:
+    given = [f"--{flag}" for flag in _GEN_UNUSED.get(args.kind, ()) if getattr(args, flag) is not None]
+    if given:
+        raise _UsageError(f"gen {args.kind} does not take {' '.join(given)}")
     source = _read_text(args.source)
     if args.kind == "sat":
         generated = gen_from_sat(parse_dimacs_cnf(source), k=args.k if args.k is not None else 1)
@@ -281,17 +289,10 @@ def _cmd_gen(args) -> int:
             raise _UsageError("gen amplify needs a base q-line or explicit --b/--p")
         k = args.k if args.k is not None else 2
         delta = args.delta if args.delta is not None else 2 * k + 1
-        labels_path = Path(args.source + ".labels")
+        labels_path = args.source + ".labels"
         base_labels = None
-        if labels_path.exists():
-            lines = [
-                line.split(maxsplit=1)
-                for line in labels_path.read_text(encoding="utf-8").splitlines()
-                if line.strip()
-            ]
-            if any(len(parts) != 2 for parts in lines):
-                raise ParseError(0, "params", f"malformed label sidecar {labels_path}")
-            base_labels = tuple(parts[1] for parts in lines)
+        if Path(labels_path).exists():
+            base_labels = parse_labels(_read_text(labels_path), labels_path)
         base = Instance(graph=parsed.graph, b=b, k=1, p=p)
         generated = amplify_k(base, k=k, delta=delta, base_labels=base_labels)
     inst = generated.instance

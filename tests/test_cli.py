@@ -244,6 +244,60 @@ def test_gen_clique(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("solve", "{src}", "--b", "1", "--k", "1", "--p", "1"), "p dakc {huge} 0\n"),
+        (("verify", "{src}", "{sol}", "--b", "1", "--k", "1", "--p", "1"), "p dakc 2 {huge}\na 1 2\n"),
+        (("seps", "{src}", "--s", "1", "--t", "2", "--h", "1"), "p dakc {huge} 0\n"),
+        (("gen", "sat", "{src}", "-o", "{out}"), "p cnf {huge} 1\n1 0\n"),
+        (("gen", "setcover", "{src}", "--b", "1", "-o", "{out}"), "u {huge}\ns 1\n"),
+        (("gen", "clique", "{src}", "--b", "1", "-o", "{out}"), "p ug -2 0\n"),
+    ],
+    ids=["solve", "verify", "seps", "gen-sat", "gen-setcover", "gen-clique-negative"],
+)
+def test_bad_counts_exit_3_with_one_parse_error_line(capsys, tmp_path, argv, text):
+    # a count above sys.maxsize once crashed with an OverflowError and exit 1,
+    # which dakc verify documents as "invalid"; a negative one once went
+    # through, and gen clique wrote a 0-vertex instance
+    src = tmp_path / "src.txt"
+    src.write_text(text.format(huge=10**22))
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"anchors": [1], "core": [1]}')
+    paths = {"src": src, "sol": sol, "out": tmp_path / "out.gr"}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (3, "")
+    assert err.startswith("dakc: parse error: line 1: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.gr").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,flag",
+    [
+        ("sat", "--b"),
+        ("sat", "--p"),
+        ("sat", "--delta"),
+        ("clique", "--p"),
+        ("clique", "--delta"),
+        ("setcover", "--k"),
+        ("setcover", "--p"),
+        ("setcover", "--delta"),
+    ],
+)
+def test_gen_rejects_flags_its_kind_ignores(capsys, tmp_path, kind, flag):
+    sources = {"sat": "p cnf 1 1\n1 0\n", "clique": "p ug 2 1\ne 1 2\n", "setcover": "u 1\ns 1\n"}
+    src = tmp_path / "src.txt"
+    src.write_text(sources[kind])
+    out_file = tmp_path / "out.gr"
+    needs_b = () if kind == "sat" or flag == "--b" else ("--b", "1")
+    code, out, err = run(capsys, "gen", kind, str(src), *needs_b, flag, "3", "-o", str(out_file))
+    assert (code, out) == (4, "")
+    assert err == f"dakc: usage error: gen {kind} does not take {flag}\n"
+    assert not out_file.exists()
+    # without the flag the same call generates
+    assert run(capsys, "gen", kind, str(src), *needs_b, "-o", str(out_file))[0] == 0
+
+
 def test_seps_command(capsys, tmp_path):
     f = tmp_path / "chain.gr"
     f.write_text("p dakc 4 3\na 1 2\na 2 3\na 3 4\n")

@@ -299,6 +299,9 @@ def test_to_bidirected():
         to_bidirected(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="self-loop"):
         to_bidirected(3, [(1, 1)])
+    # range comes first, per edge in order, as in gen_from_clique
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
+        to_bidirected(3, [(0, 3), (1, 1)])
 
 
 def test_reach_self_membership_and_reverse_relation():

@@ -4,6 +4,7 @@ import pytest
 
 from dakc import (
     CnfFormula,
+    DirectedGraph,
     Instance,
     ParseError,
     SetCoverInstance,
@@ -80,6 +81,11 @@ def test_clique_examples():
     assert gen.instance.b == 3 and gen.instance.p == 4
     assert gen.labels.count("z1") == 1
     assert oracle_solve(gen.instance).is_yes
+    # the same edge check as to_bidirected: range first, per edge in order
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
+        gen_from_clique(3, [(0, 3), (1, 1)], b=2, k=2)
+    with pytest.raises(ValueError, match=r"^duplicate edge \{1,0\}$"):
+        gen_from_clique(3, [(0, 1), (1, 0)], b=2, k=2)
 
 
 def test_setcover_examples():
@@ -141,6 +147,10 @@ def test_amplify_rejections():
         amplify_k(base, k=2, delta=4)
     with pytest.raises(ValueError, match="threshold k = 1"):
         amplify_k(Instance(graph=base.graph, b=1, k=2, p=3), k=2, delta=5)
+    # a 3-cycle with a pendant: max degree 3, one cycle
+    cyclic = DirectedGraph.from_arcs(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    with pytest.raises(ValueError, match="acyclic"):
+        amplify_k(Instance(graph=cyclic, b=1, k=1, p=3), k=2, delta=5)
 
 
 def test_equivalence_on_random_sources():
@@ -187,6 +197,11 @@ def test_parse_dimacs_cnf():
         parse_dimacs_cnf("p cnf 1 1\n2 0\n")
     with pytest.raises(ParseError, match="unterminated"):
         parse_dimacs_cnf("p cnf 1 1\n1\n")
+    # a negative count is rejected on the problem line, as in p dakc
+    for text in ("p cnf -3 0\n", "c x\np cnf 1 -1\n"):
+        with pytest.raises(ParseError, match="negative variable or clause count") as exc:
+            parse_dimacs_cnf(text)
+        assert (exc.value.kind, exc.value.line_no) == ("header", text.count("\n"))
 
 
 def test_parse_undirected():
@@ -196,6 +211,11 @@ def test_parse_undirected():
         parse_undirected_text("p ug 2 2\ne 1 2\ne 2 1\n")
     with pytest.raises(ParseError, match="self-loop"):
         parse_undirected_text("p ug 2 1\ne 1 1\n")
+    # -1 once read as "no problem line yet"; -2 was accepted as n
+    for text in ("p ug -1 0\n", "p ug -2 0\n", "c x\np ug 2 -1\n"):
+        with pytest.raises(ParseError, match="negative vertex or edge count") as exc:
+            parse_undirected_text(text)
+        assert (exc.value.kind, exc.value.line_no) == ("header", text.count("\n"))
 
 
 def test_parse_setcover():
