@@ -5,7 +5,7 @@ witness unchecked; each YES is verified here, once, before it is reported.
 Reports are JSON on stdout with vertex ids rendered 1-based to match the
 instance files.  Exit codes are a stable contract: 0 yes / valid, 1 no /
 invalid, 2 unsupported regime, 3 input or parse failure, 4 usage or runtime
-failure (bad flags, contract violations, enumeration caps).
+failure (bad flags, contract violations, enumeration caps, out of memory).
 """
 
 from __future__ import annotations
@@ -386,6 +386,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
         print(f"dakc: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # e.g. a vertex count that fits sys.maxsize but not memory
+        print("dakc: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -304,7 +304,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for line_no, line, fields in _lines(text):
-        if line.startswith("p"):
+        if fields[0] == "p":
             num_vars, num_clauses = _problem_line(
                 num_vars, line_no, line, fields, "cnf", "variable or clause count"
             )
@@ -399,13 +399,16 @@ def parse_setcover_text(text: str, budget: int) -> SetCoverInstance:
 
 def parse_labels(text: str, name: str) -> tuple[str, ...]:
     """Label sidecar text, as :func:`format_labels` writes it: one
-    `<id> <label>` line per vertex, in id order.  ``name`` names the sidecar
-    in the error for a line without a label."""
+    `<id> <label>` line per vertex, in id order.  A line without a label, or
+    whose id is not the next 1-based id as written, is an error that names
+    the sidecar ``name``."""
     labels = []
-    for _, line, _ in _lines(text):
+    for vertex, (line_no, line, _) in enumerate(_lines(text), start=1):
         parts = line.split(maxsplit=1)
         if len(parts) != 2:
             raise ParseError(0, "params", f"malformed label sidecar {name}")
+        if parts[0] != str(vertex):
+            raise ParseError(line_no, "params", f"label id {parts[0]!r} in {name} is not the next id {vertex}")
         labels.append(parts[1])
     return tuple(labels)
 

@@ -221,6 +221,15 @@ def solve_half_k(
     run in the order of their first occurrence in the plain guessing loop, so
     the answer and witness do not change.
 
+    An exhaustive probe that answers NO_UP_TO(q) is exact: every solution of
+    the stripped instance has a core of more than q vertices.  A candidate
+    that verifies is such a solution, since the stripped components share no
+    arcs with the rest, and its core lies inside t's backward reach (the
+    separator vertices included, each on a path to t).  So a t whose
+    backward reach holds at most q vertices is skipped before any flow; no
+    candidate under it could verify.  Seeded mode and ``force_stage3`` give
+    no exact bound, so they try every t.
+
     ``force_stage3`` skips the bounded stage; it exists for tests that probe
     the guessing stage in isolation and is not part of the public contract.
     """
@@ -244,6 +253,7 @@ def solve_half_k(
 
     trials = 0
     note = ""
+    exact_bound = 0  # every solution core of ``red`` has more vertices
     if not force_stage3:
         q = (delta * p1 + 1) * b
         probe = bounded_core_search(red, q, cfg)
@@ -254,6 +264,8 @@ def solve_half_k(
         if q >= g1.n:
             # the bounded certificate already covers every possible core size
             return Verdict.no(trials=trials, note=note)
+        if cfg is None or cfg.mode == "exhaustive":
+            exact_bound = q
 
     # Stage 3: any remaining witness has a non-anchor vertex t reachable from
     # the entire core by paths avoiding the anchors.
@@ -267,6 +279,9 @@ def solve_half_k(
     out_rows, in_rows = list(aug.out_mask), list(aug.in_mask)
     for t in range(g1.n):
         if g1.in_degrees[t] < k:
+            continue
+        # every candidate core under t lies in t's backward reach
+        if exact_bound and reach(g1, 1 << t, "backward").bit_count() <= exact_bound:
             continue
         paths = disjoint_paths(aug, s_idx, t, sep_budget)
         # a deletion set runs only if it cuts at least ``need`` distinct

@@ -230,6 +230,10 @@ def test_gen_amplify_reads_the_base_label_sidecar(capsys, tmp_path):
     code, out, err = run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))
     assert (code, out) == (3, "")
     assert err == f"dakc: parse error: line 0: malformed label sidecar {sidecar}\n"
+    sidecar.write_text("1 first\n3 third\n")
+    code, out, err = run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))
+    assert (code, out) == (3, "")
+    assert err == f"dakc: parse error: line 2: label id '3' in {sidecar} is not the next id 2\n"
 
 
 def test_gen_clique(capsys, tmp_path):
@@ -269,6 +273,36 @@ def test_bad_counts_exit_3_with_one_parse_error_line(capsys, tmp_path, argv, tex
     assert (code, out) == (3, "")
     assert err.startswith("dakc: parse error: line 1: ") and err.count("\n") == 1
     assert not (tmp_path / "out.gr").exists()
+
+
+def test_gen_sat_takes_only_the_field_p_as_problem_line(capsys, tmp_path):
+    src = tmp_path / "f.cnf"
+    src.write_text("px cnf 1 1\n1 0\n")
+    out_file = tmp_path / "out.gr"
+    code, out, err = run(capsys, "gen", "sat", str(src), "--k", "1", "-o", str(out_file))
+    assert (code, out) == (3, "")
+    assert err == "dakc: parse error: line 1: clause data before problem line\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [("solve", "--b", "1", "--k", "1", "--p", "1"), ("verify",), ("seps", "--s", "1", "--t", "2", "--h", "1")]
+)
+def test_out_of_memory_exits_4_with_one_line(capsys, tmp_path, monkeypatch, command):
+    # a vertex count that fits sys.maxsize but not memory once crashed with
+    # a MemoryError traceback and exit 1, which solve documents as "no" and
+    # verify as "invalid"; the reader is stubbed, so nothing is allocated
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_instance_text", exhausted)
+    inst = tmp_path / "big.gr"
+    inst.write_text("p dakc 1000000000000 0\n")
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"anchors": [1], "core": [1]}')
+    args = (str(sol), "--b", "1", "--k", "1", "--p", "1") if command == ("verify",) else command[1:]
+    code, out, err = run(capsys, command[0], str(inst), *args)
+    assert (code, out, err) == (4, "", "dakc: out of memory\n")
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ class StubRunner:
         self.calls.append((side, argv))
         seed = int(argv[argv.index("--seed") + 1])
         if (side, seed) in self.fail:
-            return 1, "FAILED op=x\n"
+            return 1, "FAILED op=x\n", "Traceback (most recent call last):\nRuntimeError: x\n"
         i = seed - 100
         metrics = {
             # the head is faster in every pair but the tie at seed 100
@@ -49,7 +49,8 @@ class StubRunner:
             context = {"passes": 3}
         else:
             context = {"passes": 1.5, "startup_instance": f"op-{seed}"}
-        return 0, "ops_per_s = 1 1/s\n" + json.dumps({"context": context}) + "\n" + json.dumps(result) + "\n"
+        out = "ops_per_s = 1 1/s\n" + json.dumps({"context": context}) + "\n" + json.dumps(result) + "\n"
+        return 0, out, "pairs: a warning\n"
 
 
 def test_pairs_alternate_which_side_runs_first():
@@ -106,7 +107,12 @@ def test_pairs_statistics_and_bounds():
 
 def test_pairs_leave_failed_runs_out_of_the_statistics():
     out = pairs.run_workload("k1-setcover", [100, 101, 102], 30, StubRunner(fail={("head", 101)}), SPEC)
-    assert out["pairs"][1]["head"] == {"exit": 1, "correct": False, "metrics": None}
+    assert out["pairs"][1]["head"] == {
+        "exit": 1,
+        "correct": False,
+        "metrics": None,
+        "stderr": ["Traceback (most recent call last):", "RuntimeError: x"],
+    }
     ops = out["metrics"]["ops_per_s"]
     assert ops["pairs"] == 2
     assert ops["values"] == {"base": [100, 102], "head": [100, 104]}
@@ -115,3 +121,32 @@ def test_pairs_leave_failed_runs_out_of_the_statistics():
     # every pair failed: no statistics at all
     out = pairs.run_workload("k1-setcover", [101], 30, StubRunner(fail={("base", 101)}), SPEC)
     assert out["metrics"]["ops_per_s"] == {"pairs": 0}
+
+
+def test_pairs_keep_the_stderr_tail_of_runs_without_a_result():
+    # a run that exits non-zero, or exits 0 but prints no result line, keeps
+    # the last 20 lines of its stderr; a run with a result keeps none
+    err = "".join(f"line {i}\n" for i in range(30))
+    outcomes = {
+        ("base", 100): (1, "", err),
+        ("head", 100): (0, "ops_per_s = 1 1/s\n", "only line\n"),
+    }
+    stub = StubRunner()
+
+    def runner(side, argv):
+        seed = int(argv[argv.index("--seed") + 1])
+        if "--trace" in argv:
+            return stub(side, argv)
+        return outcomes.get((side, seed)) or stub(side, argv)
+
+    out = pairs.run_workload("bounded-regimes", [100, 101], 30, runner, SPEC)
+    first = out["pairs"][0]
+    assert first["base"] == {
+        "exit": 1,
+        "correct": False,
+        "metrics": None,
+        "stderr": [f"line {i}" for i in range(10, 30)],
+    }
+    assert first["head"] == {"exit": 0, "correct": False, "metrics": None, "stderr": ["only line"]}
+    assert "stderr" not in out["pairs"][1]["base"] and "stderr" not in out["trace"]["base"]
+    assert out["metrics"]["ops_per_s"]["pairs"] == 1

@@ -83,6 +83,13 @@ BRANCHES = [
     ("setcover", "u 2\nt 1\n", ("token", 2, "line 2: unrecognized line tag 't'")),
     ("setcover", "c only\n", ("header", 0, "line 0: missing universe line 'u <n>'")),
     ("labels", "1 x1\n2\n", ("params", 0, "line 0: malformed label sidecar f.labels")),
+    # the problem line's first field is `p` itself, not a word starting with p
+    ("cnf", "px cnf 1 1\n1 0\n", ("header", 1, "line 1: clause data before problem line")),
+    ("cnf", "p cnf 1 1\npx cnf 1 1\n", ("token", 2, "line 2: non-integer literal 'px'")),
+    # each label id is the next 1-based id, as format_labels writes it
+    ("labels", "2 x1\n1 x2\n", ("params", 1, "line 1: label id '2' in f.labels is not the next id 1")),
+    ("labels", "1 x1\nc note\n1 x2\n", ("params", 3, "line 3: label id '1' in f.labels is not the next id 2")),
+    ("labels", "1 x1\ntwo x2\n", ("params", 2, "line 2: label id 'two' in f.labels is not the next id 2")),
 ]
 
 

@@ -21,7 +21,7 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.graph import reverse
+from dakc.graph import reach, reverse
 from helpers import (
     coloring_trial_reference,
     cut_fits_reference,
@@ -31,6 +31,7 @@ from helpers import (
     path_graph,
     random_dag_degree_capped,
     random_digraph_degree_capped,
+    ring_digraph,
     ring_instance,
     stage3_reference,
     without_arcs_reference,
@@ -506,3 +507,84 @@ def test_half_k_unforced_stage3_matches_oracle(monkeypatch):
             reached[got.kind] += 1
     assert reached["yes"] + reached["no"] >= 15
     assert min(reached.values()) >= 3
+
+
+def test_stage3_cut_on_backward_reach_is_exact(monkeypatch):
+    # after an exhaustive NO_UP_TO(q) probe, stage 3 skips each t whose
+    # backward reach holds at most q vertices; the forced run tries every t,
+    # so the two must give the same verdict, witness included, and the
+    # skipped t's must be exactly the forced run's t's with a reach that small
+    probes: list = []
+    tried: list = []
+    probe = solver_degree.bounded_core_search
+    disjoint_paths = solver_degree.disjoint_paths
+
+    def spy_probe(red, q, cfg=None):
+        verdict = probe(red, q, cfg)
+        probes.append((red.graph, verdict))
+        return verdict
+
+    def spy_paths(g, s, t, limit):
+        tried.append(t)
+        return disjoint_paths(g, s, t, limit)
+
+    monkeypatch.setattr(solver_degree, "bounded_core_search", spy_probe)
+    monkeypatch.setattr(solver_degree, "disjoint_paths", spy_paths)
+    rng = random.Random(2203)
+    reached = skipped = stripped = 0
+    for _ in range(300):
+        k, b = rng.choice([1, 2]), rng.choice([1, 1, 2])
+        n = rng.randint(12, 26)
+        g = ring_digraph(rng, n, 2 * k, rng.choice([1, 2, 3]))
+        top = (n - 2) // (2 * k * b)  # the largest p with n > q
+        if g.max_degree() != 2 * k or top <= b:
+            continue
+        inst = Instance(graph=g, b=b, k=k, p=rng.randint(b + 1, top))
+        del probes[:], tried[:]
+        got = solve_half_k(inst)
+        if [v.kind for _, v in probes] != ["no_up_to"]:
+            continue
+        cut = list(tried)
+        del tried[:]
+        forced = solve_half_k(inst, force_stage3=True)
+        assert (got.kind, got.solution) == (forced.kind, forced.solution)
+        assert got.kind == oracle_solve(inst).kind
+        if got.is_yes:
+            assert verify_solution(inst, got.solution)
+        # t indexes the reduced graph, the one the probe searched
+        g1, q = probes[0][0], probes[0][1].bound
+        small = [t for t in tried if reach(g1, 1 << t, "backward").bit_count() <= q]
+        assert cut == [t for t in tried if t not in small]
+        reached += 1
+        skipped += len(small)
+        stripped += g1.n < n
+    assert reached >= 40 and skipped >= 300 and stripped >= 1
+
+
+def _planted_chain(n: int) -> DirectedGraph:
+    """Arcs v - 1 -> v and v - 2 -> v, plus n - 1 -> 1: anchoring vertex 0
+    keeps the whole chain at k = 2, and no core is smaller."""
+    arcs = [(v - 1, v) for v in range(1, n)] + [(v - 2, v) for v in range(2, n)]
+    return DirectedGraph.from_arcs(n, arcs + [(n - 1, 1)])
+
+
+@pytest.mark.parametrize("n", [20, 30, 40, 60])
+def test_stage3_answers_planted_chains_past_the_cut(monkeypatch, n):
+    # max degree 4 = 2k and q = (4p + 1)b = 13 < n, so the exhaustive probe
+    # answers NO_UP_TO and stage 3 must find the chain past its t cut
+    tried: list = []
+    disjoint_paths = solver_degree.disjoint_paths
+
+    def spy_paths(g, s, t, limit):
+        tried.append(t)
+        return disjoint_paths(g, s, t, limit)
+
+    monkeypatch.setattr(solver_degree, "disjoint_paths", spy_paths)
+    inst = Instance(graph=_planted_chain(n), b=1, k=2, p=3)
+    assert inst.graph.max_degree() == 4
+    got = solve_half_k(inst)
+    assert tried
+    assert got.is_yes and verify_solution(inst, got.solution)
+    assert got == solve_half_k(inst, force_stage3=True)
+    assert got.solution.core.bit_count() > 13
+    assert oracle_solve(inst).is_yes

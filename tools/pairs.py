@@ -25,7 +25,8 @@ its median may be worse than the base's by at most ``bound`` times the base's
 median.  Each run keeps its result fields and, from the context line before
 them, its pass count and the op it timed for start-up (a traced run times
 none).  A run that exits non-zero or ends without a result is kept with its
-exit code, and its pair is left out of the statistics.  Standard library only.
+exit code and the last lines of its stderr, and its pair is left out of the
+statistics.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 
-# runner(side, bench arguments) -> (exit code, stdout)
+# runner(side, bench arguments) -> (exit code, stdout, stderr)
 Runner = Callable[[str, list], tuple]
+# stderr lines kept for a run that gives no result
+STDERR_LINES = 20
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -71,21 +74,22 @@ def bench_runner(roots: dict[str, Path]) -> Runner:
         done = subprocess.run(
             [sys.executable, "bench/run.py", *argv], cwd=roots[side], env=env, capture_output=True, text=True
         )
-        return done.returncode, done.stdout
+        return done.returncode, done.stdout, done.stderr
 
     return run
 
 
-def parse_run(code: int, stdout: str) -> dict:
+def parse_run(code: int, stdout: str, stderr: str) -> dict:
     """The exit code and, when the run ended with a result line, its fields,
-    with the pass count and start-up op of the context line before it."""
+    with the pass count and start-up op of the context line before it.
+    Otherwise the last ``STDERR_LINES`` lines of stderr say why."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
     if code != 0 or not isinstance(result, dict) or "metrics" not in result:
-        return {"exit": code, "correct": False, "metrics": None}
+        return {"exit": code, "correct": False, "metrics": None, "stderr": stderr.splitlines()[-STDERR_LINES:]}
     # bench/run.py prints its context line just before the result
     context = json.loads(lines[-2])["context"]
     return {
