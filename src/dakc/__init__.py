@@ -57,7 +57,6 @@ from .separators import (
     is_separator,
 )
 from .solver_bounded import (
-    ComponentSummary,
     SearchBudgetError,
     SearchConfig,
     bounded_core_search,
@@ -79,7 +78,6 @@ from .solver_k1 import SetCoverQuery, partial_set_cover, solve_k1
 
 __all__ = [
     "CnfFormula",
-    "ComponentSummary",
     "CyclicGraphError",
     "DirectedGraph",
     "GeneratedInstance",

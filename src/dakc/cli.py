@@ -6,6 +6,8 @@ Reports are JSON on stdout with vertex ids rendered 1-based to match the
 instance files.  Exit codes are a stable contract: 0 yes / valid, 1 no /
 invalid, 2 unsupported regime, 3 input or parse failure, 4 usage or runtime
 failure (bad flags, contract violations, enumeration caps, out of memory).
+Every "no" is exact: in ``--mode seeded`` the colorings only look for a
+YES first, and the piece search decides when none hits.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ def _build_parser() -> _Parser:
     def add_search(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mode", choices=("seeded", "exhaustive"), default="exhaustive")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eps", type=float, default=0.01, help="seeded-mode failure probability")
         p.add_argument("--trial-cap", type=int, default=100_000)
         p.add_argument("--allow-oracle", action="store_true", help="let auto dispatch fall back to the exhaustive oracle")
         p.add_argument("--cap", type=int, default=10_000_000, help="oracle anchor-subset cap")
@@ -150,7 +151,6 @@ def _config(args) -> SearchConfig:
     return SearchConfig(
         mode=args.mode,
         seed=args.seed,
-        failure_prob=args.eps,
         trial_cap=args.trial_cap,
     )
 

@@ -55,13 +55,10 @@ UNSUPPORTED = "unsupported"
 class Verdict:
     """Outcome of a solver run.
 
-    ``no_up_to`` is only emitted by the bounded search: it asserts there is no
-    solution whose core has at most ``bound`` vertices, exactly in exhaustive
-    mode.  In seeded mode it holds with failure probability at most the
-    configured epsilon, unless ``note`` reports that the trial cap bit, in
-    which case no bound is known.  ``note`` carries warnings such as a
-    trial-cap hit; ``trials`` the number of colorings a seeded search
-    evaluated.
+    ``no_up_to`` is only emitted by the bounded search: it asserts, exactly,
+    that there is no solution whose core has at most ``bound`` vertices.
+    ``note`` says why a verdict needed no search or why no solver applies;
+    ``trials`` is the number of colorings a seeded search evaluated.
     """
 
     kind: str

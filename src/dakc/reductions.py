@@ -406,7 +406,7 @@ def parse_labels(text: str, name: str) -> tuple[str, ...]:
     for vertex, (line_no, line, _) in enumerate(_lines(text), start=1):
         parts = line.split(maxsplit=1)
         if len(parts) != 2:
-            raise ParseError(0, "params", f"malformed label sidecar {name}")
+            raise ParseError(line_no, "params", f"malformed label sidecar {name}")
         if parts[0] != str(vertex):
             raise ParseError(line_no, "params", f"label id {parts[0]!r} in {name} is not the next id {vertex}")
         labels.append(parts[1])

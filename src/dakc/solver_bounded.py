@@ -24,13 +24,16 @@ answers at once; otherwise a depth-first search combines disjoint pieces,
 largest first.  The enumerated sets, pieces and unions alike, are capped,
 and the cap raises instead of answering.
 
-Seeded mode is random separation (Cai, Chan & Chan, 2006).  One trial
-two-colors the vertices and keeps the red side: if some solution core of
-size at most q has all its vertices red and every outside neighbour blue,
-the core shows up as a union of weakly connected red components.  Each
-surviving component contributes (anchors it would need, vertices it
-brings), and a knapsack over those summaries assembles a witness.  Enough
-trials drive the failure probability below a configured epsilon.
+Seeded mode runs random-separation trials (Cai, Chan & Chan, 2006) ahead
+of the piece search.  One trial two-colors the vertices and keeps the red
+side: if some solution core of size at most q has all its vertices red and
+every outside neighbour blue, the core shows up as a union of weakly
+connected red components.  Each surviving component contributes (anchors it
+would need, vertices it brings), and a knapsack over those summaries
+assembles a witness.  The trial count would miss an existing small-core
+solution with probability at most 0.01, up to a trial cap; when no trial
+hits, the piece search decides, so a seeded NO is as exact as an exhaustive
+one.
 
 Most trials miss, so a trial stops as soon as an upper bound on what it can
 assemble falls short of p: first the red count, then the red vertices that
@@ -52,6 +55,9 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# the miss probability that fixes seeded mode's trial count
+_SEEDED_MISS = 0.01
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -96,44 +102,24 @@ class SearchConfig:
     ``mode`` picks the engine.  ``"exhaustive"``, the default, is the exact
     piece search; ``exhaustive_limit`` caps the sets it enumerates (pieces
     and unions of pieces), and reaching the cap raises ``SearchBudgetError``
-    instead of answering.  ``"seeded"`` runs random-separation trials drawn
-    from ``seed``: ``failure_prob`` is the acceptable probability that it
-    misses an existing small-core solution, and ``trial_cap`` bounds the
-    trial count, with a note on the verdict when the cap bites.  Each mode
-    ignores the other's knobs.
+    instead of answering.  ``"seeded"`` first runs random-separation trials
+    drawn from ``seed``, at most ``trial_cap`` of them, and goes on to the
+    same piece search, under the same limit, when none hits.  Exhaustive
+    mode ignores ``seed`` and ``trial_cap``.
     """
 
     mode: str = "exhaustive"
     seed: int = 0
-    failure_prob: float = 0.01
     trial_cap: int = 100_000
     exhaustive_limit: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.mode not in ("seeded", "exhaustive"):
             raise ValueError(f"mode must be 'seeded' or 'exhaustive', got {self.mode!r}")
-        if not (0.0 < self.failure_prob < 1.0):
-            raise ValueError("failure_prob must lie strictly between 0 and 1")
         if self.trial_cap < 1:
             raise ValueError("trial_cap must be positive")
         if self.exhaustive_limit < 0:
             raise ValueError("exhaustive_limit must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """One red component: the vertices it would need anchored, and its size."""
-
-    component: Mask
-    deficient: Mask
-
-    @property
-    def anchors_needed(self) -> int:
-        return self.deficient.bit_count()
-
-    @property
-    def size(self) -> int:
-        return self.component.bit_count()
 
 
 def red_components(g: DirectedGraph, red: Mask) -> list[Mask]:
@@ -402,16 +388,13 @@ def _piece_search(
     return None
 
 
-def _seeded_trials(delta: int, q: int, eps: float, cap: int) -> tuple[int, bool]:
-    """Trial count giving miss probability <= eps, given per-trial success of
-    at least 2^-((delta+1)q); returns (count, capped?)."""
+def _seeded_trials(delta: int, q: int, cap: int) -> int:
+    """Trial count giving miss probability <= ``_SEEDED_MISS``, given per-trial
+    success of at least 2^-((delta+1)q), or ``cap`` if that is fewer."""
     exponent = (delta + 1) * q
     if exponent >= 63:
-        return cap, True
-    needed = max(1, math.ceil(math.log(1.0 / eps) * (1 << exponent)))
-    if needed > cap:
-        return cap, True
-    return needed, False
+        return cap
+    return min(cap, math.ceil(math.log(1.0 / _SEEDED_MISS) * (1 << exponent)))
 
 
 def bounded_core_search(
@@ -422,10 +405,10 @@ def bounded_core_search(
     YES carries a witness that the caller verifies (the CLI checks each YES
     it prints, once); its core may legitimately be larger than q (the banked
     core K0, several pieces, or a lucky coloring that isolates a big
-    component).  NO_UP_TO(q) is exact in exhaustive mode, which reports no
-    trial count and raises ``SearchBudgetError`` rather than answer past its
-    set cap; in seeded mode it holds up to the configured failure
-    probability, or carries a warning note when the trial cap bit.
+    component).  NO_UP_TO(q) is exact in both modes: it comes from the piece
+    search, which raises ``SearchBudgetError`` rather than answer past its
+    set cap.  Seeded mode reports in ``trials`` how many colorings it ran,
+    the hitting one or all of them; exhaustive mode reports none.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -437,21 +420,14 @@ def bounded_core_search(
             return nrm
         return Verdict.no_up_to(q, note=nrm.note)
     g, b, k, p = nrm.graph, nrm.b, nrm.k, nrm.p
-    if cfg.mode == "exhaustive":
-        sol = _piece_search(g, k, b, p, q, cfg.exhaustive_limit)
-        if sol is None:
-            return Verdict.no_up_to(q)
-        return Verdict.yes(sol)
-    delta = g.max_degree()
-    trials, capped = _seeded_trials(delta, q, cfg.failure_prob, cfg.trial_cap)
-    note = (
-        f"trial cap {cfg.trial_cap} reached; miss probability may exceed "
-        f"{cfg.failure_prob}"
-        if capped
-        else ""
-    )
-    for i, red in zip(range(1, trials + 1), coloring_stream(cfg.seed, g.n)):
-        sol = search_with_coloring(g, k, b, p, red)
-        if sol is not None:
-            return Verdict.yes(sol, trials=i)
-    return Verdict.no_up_to(q, trials=trials, note=note)
+    trials = None
+    if cfg.mode == "seeded":
+        trials = _seeded_trials(g.max_degree(), q, cfg.trial_cap)
+        for i, red in zip(range(1, trials + 1), coloring_stream(cfg.seed, g.n)):
+            sol = search_with_coloring(g, k, b, p, red)
+            if sol is not None:
+                return Verdict.yes(sol, trials=i)
+    sol = _piece_search(g, k, b, p, q, cfg.exhaustive_limit)
+    if sol is None:
+        return Verdict.no_up_to(q, trials=trials)
+    return Verdict.yes(sol, trials=trials)

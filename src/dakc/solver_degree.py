@@ -117,7 +117,7 @@ def solve_high_k(
     if res.is_yes:
         return res
     # no core within q vertices, and no core can be larger in this regime
-    return Verdict.no(trials=res.trials, note=res.note)
+    return Verdict.no(trials=res.trials)
 
 
 def _deletion_choices(g: DirectedGraph, v: int, k: int) -> list[tuple[int, ...]]:
@@ -221,14 +221,14 @@ def solve_half_k(
     run in the order of their first occurrence in the plain guessing loop, so
     the answer and witness do not change.
 
-    An exhaustive probe that answers NO_UP_TO(q) is exact: every solution of
-    the stripped instance has a core of more than q vertices.  A candidate
-    that verifies is such a solution, since the stripped components share no
-    arcs with the rest, and its core lies inside t's backward reach (the
-    separator vertices included, each on a path to t).  So a t whose
-    backward reach holds at most q vertices is skipped before any flow; no
-    candidate under it could verify.  Seeded mode and ``force_stage3`` give
-    no exact bound, so they try every t.
+    A probe that answers NO_UP_TO(q) is exact in either search mode: every
+    solution of the stripped instance has a core of more than q vertices.  A
+    candidate that verifies is such a solution, since the stripped
+    components share no arcs with the rest, and its core lies inside t's
+    backward reach (the separator vertices included, each on a path to t).
+    So a t whose backward reach holds at most q vertices is skipped before
+    any flow; no candidate under it could verify.  ``force_stage3`` gives no
+    bound, so it tries every t.
 
     ``force_stage3`` skips the bounded stage; it exists for tests that probe
     the guessing stage in isolation and is not part of the public contract.
@@ -252,20 +252,17 @@ def solve_half_k(
         return Verdict.no()
 
     trials = 0
-    note = ""
     exact_bound = 0  # every solution core of ``red`` has more vertices
     if not force_stage3:
         q = (delta * p1 + 1) * b
         probe = bounded_core_search(red, q, cfg)
         trials = probe.trials or 0
-        note = probe.note
         if probe.is_yes:
             return Verdict.yes(_lift_solution(probe.solution, stripped), trials=trials)
         if q >= g1.n:
             # the bounded certificate already covers every possible core size
-            return Verdict.no(trials=trials, note=note)
-        if cfg is None or cfg.mode == "exhaustive":
-            exact_bound = q
+            return Verdict.no(trials=trials)
+        exact_bound = q
 
     # Stage 3: any remaining witness has a non-anchor vertex t reachable from
     # the entire core by paths avoiding the anchors.
@@ -349,8 +346,8 @@ def solve_half_k(
                                 stripped,
                             )
                             if verify_solution(nrm, cand):
-                                return Verdict.yes(cand, trials=trials, note=note)
-    return Verdict.no(trials=trials, note=note)
+                                return Verdict.yes(cand, trials=trials)
+    return Verdict.no(trials=trials)
 
 
 def solve_by_degree(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from itertools import combinations, islice, product
 
 from dakc import (
-    ComponentSummary,
     DirectedGraph,
     Instance,
     SearchConfig,
@@ -232,47 +232,51 @@ def coloring_trial_reference(
         deficient = vset(
             v for v in vertices_of(comp) if (g.in_mask[v] & comp).bit_count() < k
         )
-        summary = ComponentSummary(comp, deficient)
-        if summary.anchors_needed <= b:
-            summaries.append(summary)
-    picked = knapsack_select([(s.anchors_needed, s.size) for s in summaries], b, p)
+        if deficient.bit_count() <= b:
+            summaries.append((deficient, comp))
+    picked = knapsack_select(
+        [(deficient.bit_count(), comp.bit_count()) for deficient, comp in summaries], b, p
+    )
     if picked is None:
         return None
     anchors = core = 0
     for i in picked:
-        anchors |= summaries[i].deficient
-        core |= summaries[i].component
+        anchors |= summaries[i][0]
+        core |= summaries[i][1]
     sol = Solution(anchors=anchors, core=core)
     assert verify_solution(Instance(graph=g, b=b, k=k, p=p), sol)
     return sol
 
 
-def bounded_search_reference(inst: Instance, q: int, cfg: SearchConfig) -> Verdict:
+def bounded_search_reference(
+    inst: Instance, q: int, cfg: SearchConfig
+) -> tuple[Verdict, bool]:
     """The bounded search one trial at a time: each coloring of
     ``coloring_stream`` (seeded) or each integer below 2^n (exhaustive), in
     order, goes through ``search_with_coloring`` until one hits.  Seeded mode
-    runs ln(1/eps) * 2^((delta + 1) q) trials, or the cap with a note."""
+    runs ln(100) * 2^((delta + 1) q) trials, or the cap if that is fewer,
+    and then, if none hit, the exhaustive loop over all 2^n colorings, whose
+    verdict takes the seeded trial count.  Returns the verdict and whether a
+    seeded trial decided it."""
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
-        return nrm if nrm.is_yes else Verdict.no_up_to(q, note=nrm.note)
+        return (nrm if nrm.is_yes else Verdict.no_up_to(q, note=nrm.note)), False
     g = nrm.graph
-    note = ""
     if cfg.mode == "exhaustive":
-        trials = 1 << g.n
-        colorings = range(trials)
-    else:
-        exponent = (g.max_degree() + 1) * q
-        trials = math.ceil(math.log(1 / cfg.failure_prob) * 2**exponent) if exponent < 63 else math.inf
-        if trials > cfg.trial_cap:
-            trials = cfg.trial_cap
-            note = f"trial cap {cfg.trial_cap} reached; miss probability may exceed {cfg.failure_prob}"
-        trials = max(1, trials)
-        colorings = coloring_stream(cfg.seed, g.n)
-    for done, red in enumerate(islice(colorings, trials), start=1):
+        for red in range(1 << g.n):
+            sol = search_with_coloring(g, nrm.k, nrm.b, nrm.p, red)
+            if sol is not None:
+                return Verdict.yes(sol), False
+        return Verdict.no_up_to(q), False
+    exponent = (g.max_degree() + 1) * q
+    trials = math.ceil(math.log(100) * 2**exponent) if exponent < 63 else math.inf
+    trials = min(trials, cfg.trial_cap)
+    for done, red in enumerate(islice(coloring_stream(cfg.seed, g.n), trials), start=1):
         sol = search_with_coloring(g, nrm.k, nrm.b, nrm.p, red)
         if sol is not None:
-            return Verdict.yes(sol, trials=done)
-    return Verdict.no_up_to(q, trials=trials, note=note)
+            return Verdict.yes(sol, trials=done), True
+    verdict, _ = bounded_search_reference(nrm, q, SearchConfig())
+    return replace(verdict, trials=trials), False
 
 
 def split_graph_flow(

@@ -1,10 +1,13 @@
+import argparse
 import json
 import random
+import re
 from functools import partial
+from pathlib import Path
 
 import pytest
 
-from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_degree, solver_k1
+from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_degree, solver_k1, verify_solution, vset
 from dakc.cli import _build_parser, _json_text, main
 from dakc.core import anchor_subset_count
 from dakc.graph import serialize_instance
@@ -229,7 +232,7 @@ def test_gen_amplify_reads_the_base_label_sidecar(capsys, tmp_path):
     sidecar.write_text("1 first\n2\n3 third\n")
     code, out, err = run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))
     assert (code, out) == (3, "")
-    assert err == f"dakc: parse error: line 0: malformed label sidecar {sidecar}\n"
+    assert err == f"dakc: parse error: line 2: malformed label sidecar {sidecar}\n"
     sidecar.write_text("1 first\n3 third\n")
     code, out, err = run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))
     assert (code, out) == (3, "")
@@ -434,22 +437,11 @@ SEEDED_YES = """{
 }
 """
 
-SEEDED_CAPPED_NO = """{
-  "answer": "no",
-  "anchors": null,
-  "core": null,
-  "solver": "dag",
-  "seed": 16,
-  "trials": 3043,
-  "note": "trial cap 3043 reached; miss probability may exceed 0.01"
-}
-"""
-
-
 def test_seeded_mode_reports_are_pinned(capsys, tmp_path):
     # an 11-vertex path at b = 1, k = 1, p = 11: a trial hits only when the
     # whole path is red, once in 2,048 trials.  Seed 16 first hits at trial
-    # 3,044, so a cap one below that misses and says so, and max stops at 10
+    # 3,044, so a cap one below that misses, the piece search answers the
+    # same witness after all 3,043 trials, and max reaches 11
     f = tmp_path / "path11.gr"
     f.write_text("p dakc 11 10\n" + "".join(f"a {v} {v + 1}\n" for v in range(1, 11)))
     seeded = ("--b", "1", "--k", "1", "--solver", "dag", "--mode", "seeded", "--seed", "16")
@@ -457,11 +449,44 @@ def test_seeded_mode_reports_are_pinned(capsys, tmp_path):
         0, SEEDED_YES, ""
     )
     assert run(capsys, "solve", str(f), *seeded, "--p", "11", "--trial-cap", "3043") == (
-        1, SEEDED_CAPPED_NO, ""
+        0, SEEDED_YES.replace('"trials": 3044', '"trials": 3043'), ""
     )
     assert run(capsys, "max", str(f), *seeded, "--trial-cap", "3043") == (
-        0, '{\n  "max_p": 10\n}\n', ""
+        0, '{\n  "max_p": 11\n}\n', ""
     )
+
+
+def test_seeded_mode_answers_as_the_default_run(capsys, tmp_path):
+    # one coloring at most, then the piece search: solve gives the default
+    # run's answer and exit code, and max its max_p, in all three bounded
+    # regimes.  Every seeded YES verifies, and --eps is gone
+    rng = random.Random(131)
+    routes = set()
+    for i in range(45):
+        n = rng.randint(3, 10)
+        draw = random_dag_degree_capped if i % 3 == 2 else random_digraph_degree_capped
+        g = draw(rng, n, (3, 4, 5)[i % 3], rng.uniform(0.5, 0.9))
+        params = (rng.randint(1, 2), 2, rng.randint(3, n))
+        f = tmp_path / f"s{i}.gr"
+        f.write_text(serialize_instance(g, params))
+        seeded = ("--mode", "seeded", "--seed", str(i), "--trial-cap", "1")
+        code, out, err = run(capsys, "solve", str(f))
+        default = json.loads(out)
+        code_s, out_s, err_s = run(capsys, "solve", str(f), *seeded)
+        report = json.loads(out_s)
+        assert (code_s, report["answer"], report["solver"], err_s) == (code, default["answer"], default["solver"], err)
+        assert report["note"] == default["note"] and report["trials"] in (None, 1)
+        if report["answer"] == "yes":
+            sol = Solution(
+                anchors=vset(v - 1 for v in report["anchors"]),
+                core=vset(v - 1 for v in report["core"]),
+            )
+            assert verify_solution(Instance(graph=g, b=params[0], k=2, p=params[2]), sol)
+        routes.add((report["solver"], report["answer"]))
+        assert run(capsys, "max", str(f), *seeded) == run(capsys, "max", str(f))
+    assert routes >= {(solver, answer) for solver in ("high", "half", "dag") for answer in ("yes", "no")}
+    code, out, err = run(capsys, "solve", str(f), "--mode", "seeded", "--eps", "0.5")
+    assert (code, out) == (4, "") and err.startswith("dakc: usage error:") and "--eps" in err
 
 
 def test_max_matches_oracle_on_random_k1_graphs(capsys, tmp_path, monkeypatch):
@@ -517,6 +542,24 @@ def test_reports_are_deterministic(capsys, path_file):
         capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3", "--seed", "9"
     )
     assert first == second
+
+
+def test_readme_lists_the_flags_of_solve_and_max():
+    # the README's flag list is the parser's: no removed flag lingers there
+    # and no flag goes undocumented
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Flags of `solve` and `max` \(`max` takes no `--p`\):\s*`([^`]*)`", readme)
+    assert listed is not None
+    documented = set(listed.group(1).split())
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, expect in (("solve", documented), ("max", documented - {"--p"})):
+        flags = {
+            flag
+            for action in commands.choices[command]._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert flags == expect, command
 
 
 def test_threads_flag_validated(capsys, path_file):

@@ -82,7 +82,7 @@ BRANCHES = [
     ("setcover", "u 2\ns 1 1\n", ("duplicate-edge", 2, "line 2: element 1 repeated in set")),
     ("setcover", "u 2\nt 1\n", ("token", 2, "line 2: unrecognized line tag 't'")),
     ("setcover", "c only\n", ("header", 0, "line 0: missing universe line 'u <n>'")),
-    ("labels", "1 x1\n2\n", ("params", 0, "line 0: malformed label sidecar f.labels")),
+    ("labels", "1 x1\n2\n", ("params", 2, "line 2: malformed label sidecar f.labels")),
     # the problem line's first field is `p` itself, not a word starting with p
     ("cnf", "px cnf 1 1\n1 0\n", ("header", 1, "line 1: clause data before problem line")),
     ("cnf", "p cnf 1 1\npx cnf 1 1\n", ("token", 2, "line 2: non-integer literal 'px'")),

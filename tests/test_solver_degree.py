@@ -329,7 +329,8 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     # whole verdicts, trial counts and notes included, with the coloring
     # trial, the min vertex cut, the stage-3 disjoint paths, the stage-3
     # flow repair and the stage-3 arc deletion swapped for their plain
-    # references; the capped seeded NOs must stay the same too
+    # references.  Where the capped trials miss, the piece search decides,
+    # so every kind is the oracle's
     cfg = SearchConfig(mode="seeded", trial_cap=500)
 
     def solve(inst):
@@ -340,7 +341,19 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
         return solve_half_k(inst, max_degree=2 * inst.k, cfg=cfg, force_stage3=regime == "stage3")
 
     pool = _kernel_pool(regime, random.Random(229), 150)
-    got = [solve(inst) for inst in pool]
+    searched = []  # per solve, whether the piece search ran after the trials
+    piece_search = solver_bounded._piece_search
+
+    def spy_piece_search(*args):
+        searched[-1] = True
+        return piece_search(*args)
+
+    monkeypatch.setattr(solver_bounded, "_piece_search", spy_piece_search)
+    got = []
+    for inst in pool:
+        searched.append(False)
+        got.append(solve(inst))
+    monkeypatch.setattr(solver_bounded, "_piece_search", piece_search)
     monkeypatch.setattr(solver_bounded, "search_with_coloring", coloring_trial_reference)
     monkeypatch.setattr(separators, "_min_vertex_cut", min_vertex_cut_reference)
     monkeypatch.setattr(solver_degree, "_without_arcs", without_arcs_reference)
@@ -349,8 +362,8 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     assert got == [solve(inst) for inst in pool]
     assert sum(v.is_yes for v in got) >= len(pool) // 10
     if regime != "stage3":
-        capped = sum(v.kind == "no" and "trial cap" in v.note for v in got)
-        assert capped >= len(pool) // 10
+        assert [v.kind for v in got] == [oracle_solve(inst).kind for inst in pool]
+        assert sum(searched) >= len(pool) // 10
 
 
 def _record_stage3(monkeypatch) -> tuple[list, dict]:
@@ -489,14 +502,16 @@ def test_stage3_runs_each_deletion_guess_once_per_t(monkeypatch):
 
 def test_half_k_unforced_stage3_matches_oracle(monkeypatch):
     # at n <= 9 the bounded stage covers every core size; these rings are
-    # large enough that stage 3 has to run, and a small trial cap lets the
-    # bounded stage miss YES answers that stage 3 must then find
+    # large enough that stage 3 has to run on their NOs.  The planted chains
+    # have no core within the probe's bound, so stage 3 must find their YES
+    # after the capped trials and the piece search both miss
     calls, _ = _record_stage3(monkeypatch)
     rng = random.Random(241)
     cfg = SearchConfig(mode="seeded", trial_cap=20)
     reached = {"yes": 0, "no": 0}
-    for _ in range(30):
-        inst = ring_instance(rng)
+    rings = [ring_instance(rng) for _ in range(30)]
+    chains = [Instance(graph=_planted_chain(n), b=1, k=2, p=3) for n in range(20, 61, 5)]
+    for inst in rings + chains:
         del calls[:]
         got = solve_half_k(inst, cfg=cfg)
         expect = oracle_solve(inst)
