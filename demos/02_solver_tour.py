@@ -19,7 +19,7 @@ from dakc import (
     vertices_of,
 )
 
-EXH = SearchConfig(mode="exhaustive")
+EXH = SearchConfig()
 rng = random.Random(7)
 
 

@@ -6,8 +6,7 @@ Reports are JSON on stdout with vertex ids rendered 1-based to match the
 instance files.  Exit codes are a stable contract: 0 yes / valid, 1 no /
 invalid, 2 unsupported regime, 3 input or parse failure, 4 usage or runtime
 failure (bad flags, contract violations, enumeration caps, out of memory).
-Every "no" is exact: in ``--mode seeded`` the colorings only look for a
-YES first, and the piece search decides when none hits.
+Every "no" is exact.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .reductions import (
     parse_undirected_text,
 )
 from .separators import enumerate_important_separators
-from .solver_bounded import SearchConfig
 from .solver_degree import solve
 
 EXIT_YES = 0
@@ -81,9 +79,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--p", type=int, default=None, help="target core size")
 
     def add_search(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=("seeded", "exhaustive"), default="exhaustive")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trial-cap", type=int, default=100_000)
+        # accepted and ignored: its only reason is the benchmark corpus's argv
+        p.add_argument("--trial-cap", type=int, help="accepted and ignored")
         p.add_argument("--allow-oracle", action="store_true", help="let auto dispatch fall back to the exhaustive oracle")
         p.add_argument("--cap", type=int, default=10_000_000, help="oracle anchor-subset cap")
 
@@ -124,7 +121,12 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # a ValueError, which would exit 4; undecodable bytes are bad input
+        line_no = exc.object[: exc.start].count(b"\n") + 1
+        raise ParseError(line_no, "encoding", f"{path} is not UTF-8 ({exc.reason})") from exc
 
 
 def _load_instance(args, need_p: bool = True) -> Instance:
@@ -145,14 +147,6 @@ def _load_instance(args, need_p: bool = True) -> Instance:
             f"missing {' '.join(missing)} (no q-line defaults in {args.instance})"
         )
     return Instance(graph=parsed.graph, b=b, k=k, p=p if need_p else parsed.graph.n or 1)
-
-
-def _config(args) -> SearchConfig:
-    return SearchConfig(
-        mode=args.mode,
-        seed=args.seed,
-        trial_cap=args.trial_cap,
-    )
 
 
 def _mask_list(mask) -> list[int]:
@@ -199,7 +193,7 @@ def _check_witness(inst: Instance, sol: Solution) -> None:
         raise RuntimeError("internal error: solver returned an unverifiable solution")
 
 
-def _emit_answer(inst: Instance, verdict: Verdict, seed: int | None) -> int:
+def _emit_answer(inst: Instance, verdict: Verdict) -> int:
     if verdict.kind == "unsupported":
         answer, code = "unsupported", EXIT_UNSUPPORTED
     elif verdict.is_yes:
@@ -217,8 +211,6 @@ def _emit_answer(inst: Instance, verdict: Verdict, seed: int | None) -> int:
         "anchors": anchors,
         "core": core,
         "solver": verdict.solver,
-        "seed": seed,
-        "trials": verdict.trials,
         "note": verdict.note,
     }
     _emit(report)
@@ -227,14 +219,14 @@ def _emit_answer(inst: Instance, verdict: Verdict, seed: int | None) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args)
-    verdict = solve(inst, _config(args), solver=args.solver, allow_oracle=args.allow_oracle, cap=args.cap)
-    return _emit_answer(inst, verdict, args.seed)
+    verdict = solve(inst, solver=args.solver, allow_oracle=args.allow_oracle, cap=args.cap)
+    return _emit_answer(inst, verdict)
 
 
 def _cmd_oracle(args) -> int:
     inst = _load_instance(args)
     verdict = solve(inst, solver="oracle", cap=args.cap)
-    return _emit_answer(inst, verdict, None)
+    return _emit_answer(inst, verdict)
 
 
 def _cmd_verify(args) -> int:
@@ -337,14 +329,13 @@ def _cmd_seps(args) -> int:
 def _cmd_max(args) -> int:
     inst = _load_instance(args, need_p=False)
     g, b, k = inst.graph, inst.b, inst.k
-    cfg = _config(args)
     # the bisection steps verify nothing; only the best YES is checked
     best, best_yes = 0, None
     lo, hi = 1, g.n
     while lo <= hi:
         mid = (lo + hi) // 2
         step = Instance(graph=g, b=b, k=k, p=mid)
-        verdict = solve(step, cfg, solver=args.solver, allow_oracle=args.allow_oracle, cap=args.cap)
+        verdict = solve(step, solver=args.solver, allow_oracle=args.allow_oracle, cap=args.cap)
         if verdict.kind == "unsupported":
             _emit({"answer": "unsupported", "note": verdict.note})
             return EXIT_UNSUPPORTED

@@ -57,15 +57,13 @@ class Verdict:
 
     ``no_up_to`` is only emitted by the bounded search: it asserts, exactly,
     that there is no solution whose core has at most ``bound`` vertices.
-    ``note`` says why a verdict needed no search or why no solver applies;
-    ``trials`` is the number of colorings a seeded search evaluated.
+    ``note`` says why a verdict needed no search or why no solver applies.
     """
 
     kind: str
     solution: Solution | None = None
     bound: int | None = None
     solver: str | None = None
-    trials: int | None = None
     note: str = ""
 
     @property

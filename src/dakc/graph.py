@@ -66,7 +66,7 @@ class ParseError(ValueError):
 
     ``kind`` distinguishes the failure classes: ``header``, ``token``,
     ``self-loop``, ``duplicate-arc``, ``duplicate-edge``, ``vertex-range``,
-    ``arc-count``, ``params``.
+    ``arc-count``, ``params``, ``encoding``.
     """
 
     def __init__(self, line_no: int, kind: str, message: str):

@@ -1,7 +1,7 @@
 """Bounded-core search: find a solution, or certify that none has a core
 whose pieces all have at most q vertices.
 
-Exhaustive mode (the default) is an exact search over connected sets.  The
+It is an exact search over connected sets.  The
 unanchored core K0 = ``peel(G, k)`` is banked first: adding it to any
 solution core keeps a solution, so some solution contains it.  Call a weak
 component of the rest of such a core a piece.  A piece member's
@@ -24,27 +24,14 @@ answers at once; otherwise a depth-first search combines disjoint pieces,
 largest first.  The enumerated sets, pieces and unions alike, are capped,
 and the cap raises instead of answering.
 
-Seeded mode runs random-separation trials (Cai, Chan & Chan, 2006) ahead
-of the piece search.  One trial two-colors the vertices and keeps the red
-side: if some solution core of size at most q has all its vertices red and
-every outside neighbour blue, the core shows up as a union of weakly
-connected red components.  Each surviving component contributes (anchors it
-would need, vertices it brings), and a knapsack over those summaries
-assembles a witness.  The trial count would miss an existing small-core
-solution with probability at most 0.01, up to a trial cap; when no trial
-hits, the piece search decides, so a seeded NO is as exact as an exhaustive
-one.
-
-Most trials miss, so a trial stops as soon as an upper bound on what it can
-assemble falls short of p: first the red count, then the red vertices that
-need no anchor plus b that do, and last, once the components are known, the
-components that need no anchor plus the b largest of the others.  Only the
-trials that pass all three build the knapsack table.
+The random-separation kernels (Cai, Chan & Chan, 2006) are library
+functions that no solver runs: ``coloring_stream`` draws reproducible
+colorings, and ``search_with_coloring`` assembles a witness from one
+coloring's weakly connected red components with ``knapsack_select``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -55,9 +42,6 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-# the miss probability that fixes seeded mode's trial count
-_SEEDED_MISS = 0.01
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -77,8 +61,6 @@ def coloring_stream(seed: int, n: int) -> Iterator[Mask]:
     splitmix64 seeded with ``seed`` (reduced mod 2^64), drawing ceil(n/64)
     consecutive 64-bit words per coloring; word j supplies bits for vertices
     64j..64j+63, least significant bit first; the mask is truncated to n bits.
-    ``bounded_core_search`` draws exactly this stream, one coloring per
-    trial.
     """
     state = seed & _M64
     words = (n + 63) // 64
@@ -99,25 +81,14 @@ class SearchBudgetError(RuntimeError):
 class SearchConfig:
     """Knobs for the bounded search.
 
-    ``mode`` picks the engine.  ``"exhaustive"``, the default, is the exact
-    piece search; ``exhaustive_limit`` caps the sets it enumerates (pieces
-    and unions of pieces), and reaching the cap raises ``SearchBudgetError``
-    instead of answering.  ``"seeded"`` first runs random-separation trials
-    drawn from ``seed``, at most ``trial_cap`` of them, and goes on to the
-    same piece search, under the same limit, when none hits.  Exhaustive
-    mode ignores ``seed`` and ``trial_cap``.
+    ``exhaustive_limit`` caps the sets the piece search enumerates (pieces
+    and unions of pieces); reaching the cap raises ``SearchBudgetError``
+    instead of answering.
     """
 
-    mode: str = "exhaustive"
-    seed: int = 0
-    trial_cap: int = 100_000
     exhaustive_limit: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.mode not in ("seeded", "exhaustive"):
-            raise ValueError(f"mode must be 'seeded' or 'exhaustive', got {self.mode!r}")
-        if self.trial_cap < 1:
-            raise ValueError("trial_cap must be positive")
         if self.exhaustive_limit < 0:
             raise ValueError("exhaustive_limit must be nonnegative")
 
@@ -388,15 +359,6 @@ def _piece_search(
     return None
 
 
-def _seeded_trials(delta: int, q: int, cap: int) -> int:
-    """Trial count giving miss probability <= ``_SEEDED_MISS``, given per-trial
-    success of at least 2^-((delta+1)q), or ``cap`` if that is fewer."""
-    exponent = (delta + 1) * q
-    if exponent >= 63:
-        return cap
-    return min(cap, math.ceil(math.log(1.0 / _SEEDED_MISS) * (1 << exponent)))
-
-
 def bounded_core_search(
     inst: Instance, q: int, cfg: SearchConfig | None = None
 ) -> Verdict:
@@ -404,11 +366,8 @@ def bounded_core_search(
 
     YES carries a witness that the caller verifies (the CLI checks each YES
     it prints, once); its core may legitimately be larger than q (the banked
-    core K0, several pieces, or a lucky coloring that isolates a big
-    component).  NO_UP_TO(q) is exact in both modes: it comes from the piece
-    search, which raises ``SearchBudgetError`` rather than answer past its
-    set cap.  Seeded mode reports in ``trials`` how many colorings it ran,
-    the hitting one or all of them; exhaustive mode reports none.
+    core K0 plus several pieces).  NO_UP_TO(q) is exact: the piece search
+    raises ``SearchBudgetError`` rather than answer past its set cap.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -419,15 +378,7 @@ def bounded_core_search(
         if nrm.is_yes:
             return nrm
         return Verdict.no_up_to(q, note=nrm.note)
-    g, b, k, p = nrm.graph, nrm.b, nrm.k, nrm.p
-    trials = None
-    if cfg.mode == "seeded":
-        trials = _seeded_trials(g.max_degree(), q, cfg.trial_cap)
-        for i, red in zip(range(1, trials + 1), coloring_stream(cfg.seed, g.n)):
-            sol = search_with_coloring(g, k, b, p, red)
-            if sol is not None:
-                return Verdict.yes(sol, trials=i)
-    sol = _piece_search(g, k, b, p, q, cfg.exhaustive_limit)
+    sol = _piece_search(nrm.graph, nrm.k, nrm.b, nrm.p, q, cfg.exhaustive_limit)
     if sol is None:
-        return Verdict.no_up_to(q, trials=trials)
-    return Verdict.yes(sol, trials=trials)
+        return Verdict.no_up_to(q)
+    return Verdict.yes(sol)

@@ -54,7 +54,7 @@ def require_acyclic(g: DirectedGraph) -> None:
 
 
 def solve_dag(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
-    """Exact YES/NO for DAGs, in either search mode."""
+    """Exact YES/NO for DAGs."""
     require_acyclic(inst.graph)
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
@@ -62,4 +62,4 @@ def solve_dag(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
     res = bounded_core_search(nrm, nrm.p, cfg)
     if res.is_yes:
         return res
-    return Verdict.no(trials=res.trials)
+    return Verdict.no()

@@ -117,7 +117,7 @@ def solve_high_k(
     if res.is_yes:
         return res
     # no core within q vertices, and no core can be larger in this regime
-    return Verdict.no(trials=res.trials)
+    return Verdict.no()
 
 
 def _deletion_choices(g: DirectedGraph, v: int, k: int) -> list[tuple[int, ...]]:
@@ -221,7 +221,7 @@ def solve_half_k(
     run in the order of their first occurrence in the plain guessing loop, so
     the answer and witness do not change.
 
-    A probe that answers NO_UP_TO(q) is exact in either search mode: every
+    A probe that answers NO_UP_TO(q) is exact: every
     solution of the stripped instance has a core of more than q vertices.  A
     candidate that verifies is such a solution, since the stripped
     components share no arcs with the rest, and its core lies inside t's
@@ -251,17 +251,15 @@ def solve_half_k(
         # components just stripped; none remain.
         return Verdict.no()
 
-    trials = 0
     exact_bound = 0  # every solution core of ``red`` has more vertices
     if not force_stage3:
         q = (delta * p1 + 1) * b
         probe = bounded_core_search(red, q, cfg)
-        trials = probe.trials or 0
         if probe.is_yes:
-            return Verdict.yes(_lift_solution(probe.solution, stripped), trials=trials)
+            return Verdict.yes(_lift_solution(probe.solution, stripped))
         if q >= g1.n:
             # the bounded certificate already covers every possible core size
-            return Verdict.no(trials=trials)
+            return Verdict.no()
         exact_bound = q
 
     # Stage 3: any remaining witness has a non-anchor vertex t reachable from
@@ -346,8 +344,8 @@ def solve_half_k(
                                 stripped,
                             )
                             if verify_solution(nrm, cand):
-                                return Verdict.yes(cand, trials=trials)
-    return Verdict.no(trials=trials)
+                                return Verdict.yes(cand)
+    return Verdict.no()
 
 
 def solve_by_degree(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:

@@ -6,19 +6,15 @@ the library's algorithms, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import replace
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from dakc import (
     DirectedGraph,
     Instance,
-    SearchConfig,
     SetCoverQuery,
     Solution,
     Verdict,
-    coloring_stream,
     enumerate_important_separators,
     induced_subgraph,
     knapsack_select,
@@ -248,35 +244,18 @@ def coloring_trial_reference(
     return sol
 
 
-def bounded_search_reference(
-    inst: Instance, q: int, cfg: SearchConfig
-) -> tuple[Verdict, bool]:
-    """The bounded search one trial at a time: each coloring of
-    ``coloring_stream`` (seeded) or each integer below 2^n (exhaustive), in
-    order, goes through ``search_with_coloring`` until one hits.  Seeded mode
-    runs ln(100) * 2^((delta + 1) q) trials, or the cap if that is fewer,
-    and then, if none hit, the exhaustive loop over all 2^n colorings, whose
-    verdict takes the seeded trial count.  Returns the verdict and whether a
-    seeded trial decided it."""
+def bounded_search_reference(inst: Instance, q: int) -> Verdict:
+    """The bounded search one coloring at a time: each integer below 2^n, in
+    order, goes through ``search_with_coloring`` until one hits."""
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
-        return (nrm if nrm.is_yes else Verdict.no_up_to(q, note=nrm.note)), False
+        return nrm if nrm.is_yes else Verdict.no_up_to(q, note=nrm.note)
     g = nrm.graph
-    if cfg.mode == "exhaustive":
-        for red in range(1 << g.n):
-            sol = search_with_coloring(g, nrm.k, nrm.b, nrm.p, red)
-            if sol is not None:
-                return Verdict.yes(sol), False
-        return Verdict.no_up_to(q), False
-    exponent = (g.max_degree() + 1) * q
-    trials = math.ceil(math.log(100) * 2**exponent) if exponent < 63 else math.inf
-    trials = min(trials, cfg.trial_cap)
-    for done, red in enumerate(islice(coloring_stream(cfg.seed, g.n), trials), start=1):
+    for red in range(1 << g.n):
         sol = search_with_coloring(g, nrm.k, nrm.b, nrm.p, red)
         if sol is not None:
-            return Verdict.yes(sol, trials=done), True
-    verdict, _ = bounded_search_reference(nrm, q, SearchConfig())
-    return replace(verdict, trials=trials), False
+            return Verdict.yes(sol)
+    return Verdict.no_up_to(q)
 
 
 def split_graph_flow(
@@ -471,8 +450,8 @@ def stage3_reference(inst: Instance, delta: int):
                                 | stripped.removed,
                             )
                             if verify_solution(nrm, sol):
-                                return Verdict.yes(sol, trials=0), calls
-    return Verdict.no(trials=0), calls
+                                return Verdict.yes(sol), calls
+    return Verdict.no(), calls
 
 
 def ring_digraph(

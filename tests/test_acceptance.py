@@ -45,7 +45,7 @@ from helpers import (
     solution_exists_with_core_at_most,
 )
 
-EXH = SearchConfig(mode="exhaustive")
+EXH = SearchConfig()
 
 
 def _report(num: int, label: str, mismatches: int, extra: str = "") -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_degree, solver_k1, verify_solution, vset
+from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_bounded, solver_degree, solver_k1, verify_solution, vset
 from dakc.cli import _build_parser, _json_text, main
 from dakc.core import anchor_subset_count
 from dakc.graph import serialize_instance
@@ -73,10 +73,7 @@ def test_solve_auto_routes_dags_beyond_degree_regimes(capsys, tmp_path):
     f = tmp_path / "fanout.gr"
     # acyclic, max degree 5, k=2: outside both degree regimes, DAG solver applies
     f.write_text("p dakc 6 5\na 1 6\na 2 6\na 3 6\na 4 6\na 5 6\n")
-    code, out, _ = run(
-        capsys, "solve", str(f), "--b", "2", "--k", "2", "--p", "3",
-        "--mode", "exhaustive",
-    )
+    code, out, _ = run(capsys, "solve", str(f), "--b", "2", "--k", "2", "--p", "3")
     assert code == 0
     assert json.loads(out)["solver"] == "dag"
 
@@ -88,7 +85,9 @@ def test_piece_search_cap_exits_4_and_prints_no_answer(capsys, tmp_path, monkeyp
     f.write_text("p dakc 4 2\na 2 1\na 4 3\n")
     argv = ("solve", str(f), "--b", "1", "--k", "1", "--p", "3", "--solver", "dag")
     assert run(capsys, *argv)[0] == 1
-    monkeypatch.setattr(cli, "SearchConfig", partial(cli.SearchConfig, exhaustive_limit=2))
+    monkeypatch.setattr(
+        solver_bounded, "SearchConfig", partial(solver_bounded.SearchConfig, exhaustive_limit=2)
+    )
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""
@@ -278,6 +277,34 @@ def test_bad_counts_exit_3_with_one_parse_error_line(capsys, tmp_path, argv, tex
     assert not (tmp_path / "out.gr").exists()
 
 
+def test_non_utf8_input_exits_3_with_one_parse_error_line(capsys, tmp_path, path_file):
+    # undecodable bytes are bad input, on every file a command reads: the
+    # instance, a solution, a generator source and the amplify sidecar
+    bad = tmp_path / "bad.gr"
+    bad.write_bytes(b"p dakc 2 1\na 1 2\n\xff\n")
+    sol = tmp_path / "sol.json"
+    sol.write_bytes(b'{"anchors": [1],\n "core": [1, 2, 3], "x": "\xe9"}')
+    cnf = tmp_path / "f.cnf"
+    cnf.write_bytes(b"c caf\xe9\np cnf 1 1\n1 0\n")
+    sc = tmp_path / "sc.txt"
+    sc.write_text("u 1\ns 1\n")
+    base = str(tmp_path / "base.gr")
+    assert run(capsys, "gen", "setcover", str(sc), "--b", "1", "-o", base)[0] == 0
+    sidecar = tmp_path / "base.gr.labels"
+    sidecar.write_bytes(b"1 \x80\n")
+    out_file = str(tmp_path / "out.gr")
+    for argv, path, line in (
+        (("solve", str(bad), "--b", "1", "--k", "1", "--p", "1"), bad, 3),
+        (("verify", path_file, str(sol), "--b", "1", "--k", "1", "--p", "3"), sol, 2),
+        (("gen", "sat", str(cnf), "-o", out_file), cnf, 1),
+        (("gen", "amplify", base, "--k", "2", "--delta", "5", "-o", out_file), sidecar, 1),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"dakc: parse error: line {line}: {path} is not UTF-8 (")
+        assert err.count("\n") == 1
+
+
 def test_gen_sat_takes_only_the_field_p_as_problem_line(capsys, tmp_path):
     src = tmp_path / "f.cnf"
     src.write_text("px cnf 1 1\n1 0\n")
@@ -412,81 +439,31 @@ def test_max_command(capsys, path_file):
     assert json.loads(out)["max_p"] == 0
 
 
-SEEDED_YES = """{
-  "answer": "yes",
-  "anchors": [
-    1
-  ],
-  "core": [
-    1,
-    2,
-    3,
-    4,
-    5,
-    6,
-    7,
-    8,
-    9,
-    10,
-    11
-  ],
-  "solver": "dag",
-  "seed": 16,
-  "trials": 3044,
-  "note": ""
-}
-"""
-
-def test_seeded_mode_reports_are_pinned(capsys, tmp_path):
-    # an 11-vertex path at b = 1, k = 1, p = 11: a trial hits only when the
-    # whole path is red, once in 2,048 trials.  Seed 16 first hits at trial
-    # 3,044, so a cap one below that misses, the piece search answers the
-    # same witness after all 3,043 trials, and max reaches 11
-    f = tmp_path / "path11.gr"
-    f.write_text("p dakc 11 10\n" + "".join(f"a {v} {v + 1}\n" for v in range(1, 11)))
-    seeded = ("--b", "1", "--k", "1", "--solver", "dag", "--mode", "seeded", "--seed", "16")
-    assert run(capsys, "solve", str(f), *seeded, "--p", "11", "--trial-cap", "5000") == (
-        0, SEEDED_YES, ""
-    )
-    assert run(capsys, "solve", str(f), *seeded, "--p", "11", "--trial-cap", "3043") == (
-        0, SEEDED_YES.replace('"trials": 3044', '"trials": 3043'), ""
-    )
-    assert run(capsys, "max", str(f), *seeded, "--trial-cap", "3043") == (
-        0, '{\n  "max_p": 11\n}\n', ""
-    )
+def test_removed_search_flags_are_usage_errors(capsys, path_file):
+    # solve and max take no search-mode, seed or miss-probability flag
+    for flag, value in (("--mode", "exhaustive"), ("--seed", "9"), ("--eps", "0.5")):
+        for command, params in (("solve", ("--p", "3")), ("max", ())):
+            code, out, err = run(capsys, command, path_file, "--b", "1", "--k", "1", *params, flag, value)
+            assert (code, out) == (4, "") and err.startswith("dakc: usage error:") and flag in err
 
 
-def test_seeded_mode_answers_as_the_default_run(capsys, tmp_path):
-    # one coloring at most, then the piece search: solve gives the default
-    # run's answer and exit code, and max its max_p, in all three bounded
-    # regimes.  Every seeded YES verifies, and --eps is gone
+def test_trial_cap_is_accepted_and_ignored(capsys, tmp_path):
+    # --trial-cap changes no byte of any report or exit code, in every
+    # bounded regime and through max's bisection
     rng = random.Random(131)
     routes = set()
     for i in range(45):
         n = rng.randint(3, 10)
         draw = random_dag_degree_capped if i % 3 == 2 else random_digraph_degree_capped
         g = draw(rng, n, (3, 4, 5)[i % 3], rng.uniform(0.5, 0.9))
-        params = (rng.randint(1, 2), 2, rng.randint(3, n))
         f = tmp_path / f"s{i}.gr"
-        f.write_text(serialize_instance(g, params))
-        seeded = ("--mode", "seeded", "--seed", str(i), "--trial-cap", "1")
-        code, out, err = run(capsys, "solve", str(f))
-        default = json.loads(out)
-        code_s, out_s, err_s = run(capsys, "solve", str(f), *seeded)
-        report = json.loads(out_s)
-        assert (code_s, report["answer"], report["solver"], err_s) == (code, default["answer"], default["solver"], err)
-        assert report["note"] == default["note"] and report["trials"] in (None, 1)
-        if report["answer"] == "yes":
-            sol = Solution(
-                anchors=vset(v - 1 for v in report["anchors"]),
-                core=vset(v - 1 for v in report["core"]),
-            )
-            assert verify_solution(Instance(graph=g, b=params[0], k=2, p=params[2]), sol)
-        routes.add((report["solver"], report["answer"]))
-        assert run(capsys, "max", str(f), *seeded) == run(capsys, "max", str(f))
-    assert routes >= {(solver, answer) for solver in ("high", "half", "dag") for answer in ("yes", "no")}
-    code, out, err = run(capsys, "solve", str(f), "--mode", "seeded", "--eps", "0.5")
-    assert (code, out) == (4, "") and err.startswith("dakc: usage error:") and "--eps" in err
+        f.write_text(serialize_instance(g, (rng.randint(1, 2), 2, rng.randint(3, n))))
+        for command in ("solve", "max"):
+            plain = run(capsys, command, str(f))
+            assert run(capsys, command, str(f), "--trial-cap", "2000") == plain
+            if command == "solve":
+                routes.add((json.loads(plain[1])["solver"], plain[0]))
+    assert routes >= {(solver, code) for solver in ("high", "half", "dag") for code in (0, 1)}
 
 
 def test_max_matches_oracle_on_random_k1_graphs(capsys, tmp_path, monkeypatch):
@@ -535,12 +512,8 @@ def test_shared_parser_reports_match_fresh_parser(capsys, path_file):
 
 
 def test_reports_are_deterministic(capsys, path_file):
-    _, first, _ = run(
-        capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3", "--seed", "9"
-    )
-    _, second, _ = run(
-        capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3", "--seed", "9"
-    )
+    _, first, _ = run(capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3")
+    _, second, _ = run(capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3")
     assert first == second
 
 

@@ -37,7 +37,7 @@ from helpers import (
     solution_exists_with_core_at_most,
 )
 
-EXH = SearchConfig(mode="exhaustive")
+EXH = SearchConfig()
 
 
 def test_bounded_search_examples():
@@ -62,7 +62,7 @@ def test_exhaustive_mode_refuses_large_graphs():
     # a set cap below what the piece search must enumerate raises; it never
     # answers NO
     g = path_graph(6)
-    cfg = SearchConfig(mode="exhaustive", exhaustive_limit=5)
+    cfg = SearchConfig(exhaustive_limit=5)
     with pytest.raises(SearchBudgetError, match="refused"):
         bounded_core_search(Instance(graph=g, b=1, k=1, p=6), 6, cfg)
 
@@ -158,20 +158,6 @@ def test_coloring_stream_is_reproducible_and_documented():
     assert next(coloring_stream(-1, 65)) == next(coloring_stream(2**64 - 1, 65))
 
 
-def test_seeded_mode_soundness_and_trial_cap_note():
-    path = path_graph(3)
-    inst = Instance(graph=path, b=1, k=1, p=3)
-    cfg = SearchConfig(mode="seeded", seed=7, trial_cap=10_000)
-    v = bounded_core_search(inst, 3, cfg)
-    assert v.is_yes and verify_solution(inst, v.solution)
-    # a hopeless instance exhausts its capped trials, and the piece search
-    # then answers an exact NO with no note
-    hopeless = Instance(graph=path, b=0, k=1, p=2)
-    capped = SearchConfig(mode="seeded", seed=7, trial_cap=20)
-    v = bounded_core_search(hopeless, 2, capped)
-    assert (v.kind, v.bound, v.trials, v.note) == ("no_up_to", 2, 20, "")
-
-
 def test_per_trial_never_emits_unverified_yes():
     rng = random.Random(71)
     for _ in range(60):
@@ -206,9 +192,8 @@ def test_search_with_coloring_matches_reference_trial():
 
 
 def _planted_cycle(rng: random.Random) -> tuple[Instance, int]:
-    # a 9- to 11-cycle plus out-pendants: at b = 0 and p = its length, a
-    # trial hits only when the whole cycle is red, once in 2^L trials, so
-    # first hits fall on both sides of trial 1024
+    # a 9- to 11-cycle plus out-pendants: at b = 0 and p = its length, the
+    # only coloring that hits makes the whole cycle red
     length = rng.randint(9, 11)
     n = length + rng.randint(0, 3)
     arcs = [(i, (i + 1) % length) for i in range(length)]
@@ -216,44 +201,28 @@ def _planted_cycle(rng: random.Random) -> tuple[Instance, int]:
     return Instance(graph=DirectedGraph.from_arcs(n, arcs), b=0, k=1, p=length), length
 
 
-@pytest.mark.parametrize("mode", ["seeded", "exhaustive"])
+@pytest.mark.parametrize("mode", ["exhaustive"])
 def test_bounded_search_matches_per_trial_reference(mode):
-    # seeded: whole verdicts, trial counts and notes included, wherever a
-    # trial hits, with caps of 1,025 to 3,072 trials; at least ten hits land
-    # in the first 1,024 trials and ten after them.  Where none hits, the
-    # piece search decides as the loop over all 2^n colorings does, with the
-    # trial count run.  exhaustive: that loop alone.  Every YES verifies.
+    # the piece search decides as the loop over all 2^n colorings does, in
+    # kind, bound and note, and every YES verifies
     rng = random.Random(227)
-    got, expect, by_trial = [], [], []
+    got, expect = [], []
     for i in range(150):
         if i % 3 == 0:
             inst, q = _planted_cycle(rng)
         else:
-            n = rng.randint(6, 18) if mode == "seeded" else rng.randint(9, 12)
+            n = rng.randint(9, 12)
             g = random_digraph_degree_capped(rng, n, rng.randint(2, 5), rng.uniform(0.3, 0.9))
             p = rng.randint(1, n)
             inst = Instance(graph=g, b=rng.randint(0, 3), k=rng.randint(1, 3), p=p)
             q = rng.randint(p, n)
-        cap = rng.randint(1025, 3072)
-        cfg = SearchConfig(mode=mode, seed=rng.getrandbits(65) - 2**64, trial_cap=cap)
-        verdict = bounded_core_search(inst, q, cfg)
+        verdict = bounded_core_search(inst, q)
         if verdict.is_yes:
             assert verify_solution(inst, verdict.solution)
         got.append(verdict)
-        ref, hit = bounded_search_reference(inst, q, cfg)
-        expect.append(ref)
-        by_trial.append(hit)
+        expect.append(bounded_search_reference(inst, q))
     assert sum(v.kind == "no_up_to" for v in got) >= 15
-    def outcome(verdicts):
-        return [(v.kind, v.bound, v.trials, v.note) for v in verdicts]
-
-    assert outcome(got) == outcome(expect)
-    if mode == "exhaustive":
-        return
-    assert [v for v, hit in zip(got, by_trial) if hit] == [v for v, hit in zip(expect, by_trial) if hit]
-    hits = [v.trials for v, hit in zip(got, by_trial) if hit]
-    assert sum(t <= 1024 for t in hits) >= 10
-    assert sum(t > 1024 for t in hits) >= 10
+    assert [(v.kind, v.bound, v.note) for v in got] == [(v.kind, v.bound, v.note) for v in expect]
 
 
 def _connected(g, mask: int) -> bool:

@@ -14,7 +14,7 @@ from dakc import (
 )
 from helpers import cycle_graph, path_graph, random_dag_degree_capped
 
-EXH = SearchConfig(mode="exhaustive")
+EXH = SearchConfig()
 
 
 def test_solve_dag_examples():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dakc import separators, solver_bounded, solver_degree
+from dakc import separators, solver_degree
 from dakc import (
     CyclicGraphError,
     DirectedGraph,
@@ -23,7 +23,6 @@ from dakc import (
 )
 from dakc.graph import reach, reverse
 from helpers import (
-    coloring_trial_reference,
     cut_fits_reference,
     cycle_graph,
     disjoint_paths_reference,
@@ -37,7 +36,7 @@ from helpers import (
     without_arcs_reference,
 )
 
-EXH = SearchConfig(mode="exhaustive")
+EXH = SearchConfig()
 
 
 def test_strip_examples():
@@ -326,35 +325,18 @@ def _kernel_pool(regime: str, rng: random.Random, size: int) -> list[Instance]:
 
 @pytest.mark.parametrize("regime", ["high", "half", "stage3", "dag"])
 def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
-    # whole verdicts, trial counts and notes included, with the coloring
-    # trial, the min vertex cut, the stage-3 disjoint paths, the stage-3
-    # flow repair and the stage-3 arc deletion swapped for their plain
-    # references.  Where the capped trials miss, the piece search decides,
-    # so every kind is the oracle's
-    cfg = SearchConfig(mode="seeded", trial_cap=500)
-
+    # whole verdicts, notes included, with the min vertex cut, the stage-3
+    # disjoint paths, the stage-3 flow repair and the stage-3 arc deletion
+    # swapped for their plain references; every kind is the oracle's
     def solve(inst):
         if regime == "high":
-            return solve_high_k(inst, cfg=cfg)
+            return solve_high_k(inst)
         if regime == "dag":
-            return solve_dag(inst, cfg=cfg)
-        return solve_half_k(inst, max_degree=2 * inst.k, cfg=cfg, force_stage3=regime == "stage3")
+            return solve_dag(inst)
+        return solve_half_k(inst, max_degree=2 * inst.k, force_stage3=regime == "stage3")
 
     pool = _kernel_pool(regime, random.Random(229), 150)
-    searched = []  # per solve, whether the piece search ran after the trials
-    piece_search = solver_bounded._piece_search
-
-    def spy_piece_search(*args):
-        searched[-1] = True
-        return piece_search(*args)
-
-    monkeypatch.setattr(solver_bounded, "_piece_search", spy_piece_search)
-    got = []
-    for inst in pool:
-        searched.append(False)
-        got.append(solve(inst))
-    monkeypatch.setattr(solver_bounded, "_piece_search", piece_search)
-    monkeypatch.setattr(solver_bounded, "search_with_coloring", coloring_trial_reference)
+    got = [solve(inst) for inst in pool]
     monkeypatch.setattr(separators, "_min_vertex_cut", min_vertex_cut_reference)
     monkeypatch.setattr(solver_degree, "_without_arcs", without_arcs_reference)
     monkeypatch.setattr(solver_degree, "disjoint_paths", disjoint_paths_reference)
@@ -363,7 +345,6 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
     assert sum(v.is_yes for v in got) >= len(pool) // 10
     if regime != "stage3":
         assert [v.kind for v in got] == [oracle_solve(inst).kind for inst in pool]
-        assert sum(searched) >= len(pool) // 10
 
 
 def _record_stage3(monkeypatch) -> tuple[list, dict]:
@@ -504,16 +485,15 @@ def test_half_k_unforced_stage3_matches_oracle(monkeypatch):
     # at n <= 9 the bounded stage covers every core size; these rings are
     # large enough that stage 3 has to run on their NOs.  The planted chains
     # have no core within the probe's bound, so stage 3 must find their YES
-    # after the capped trials and the piece search both miss
+    # after the piece search misses
     calls, _ = _record_stage3(monkeypatch)
     rng = random.Random(241)
-    cfg = SearchConfig(mode="seeded", trial_cap=20)
     reached = {"yes": 0, "no": 0}
     rings = [ring_instance(rng) for _ in range(30)]
     chains = [Instance(graph=_planted_chain(n), b=1, k=2, p=3) for n in range(20, 61, 5)]
     for inst in rings + chains:
         del calls[:]
-        got = solve_half_k(inst, cfg=cfg)
+        got = solve_half_k(inst)
         expect = oracle_solve(inst)
         assert got.kind == expect.kind
         if got.is_yes:
