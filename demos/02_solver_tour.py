@@ -11,7 +11,6 @@ import random
 from dakc import (
     DirectedGraph,
     Instance,
-    SearchConfig,
     oracle_solve,
     solve_by_degree,
     solve_dag,
@@ -19,7 +18,6 @@ from dakc import (
     vertices_of,
 )
 
-EXH = SearchConfig()
 rng = random.Random(7)
 
 
@@ -35,25 +33,25 @@ def show(title, inst, verdict):
 print("threshold 1: a cycle feeds a tail, one more anchor engages a stray source")
 g = DirectedGraph.from_arcs(6, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5)])
 inst = Instance(graph=g, b=1, k=1, p=6)
-show("k=1", inst, solve_by_degree(inst, EXH))
+show("k=1", inst, solve_by_degree(inst))
 
 print("\n2k > max degree: two feeders into one sink at k = 2")
 g = DirectedGraph.from_arcs(3, [(0, 2), (1, 2)])
 inst = Instance(graph=g, b=2, k=2, p=3)
-show("high", inst, solve_by_degree(inst, EXH))
+show("high", inst, solve_by_degree(inst))
 
 print("\n2k = max degree: a long path at k = 1 (max degree 2)")
 print("  (dispatch prefers the threshold-1 solver here; calling the")
 print("  separator-pipeline solver directly to show it handles the regime)")
 g = DirectedGraph.from_arcs(7, [(i, i + 1) for i in range(6)])
 inst = Instance(graph=g, b=1, k=1, p=7)
-half = solve_half_k(inst, cfg=EXH, force_stage3=True)
+half = solve_half_k(inst, force_stage3=True)
 show("half", inst, half)
 
 print("\nDAG at k = 2 with max degree 5 (outside both degree regimes):")
 g = DirectedGraph.from_arcs(6, [(i, 5) for i in range(5)])
 inst = Instance(graph=g, b=2, k=2, p=3)
-show("dag", inst, solve_dag(inst, EXH))
+show("dag", inst, solve_dag(inst))
 
 print("\nrandom cross-check: dispatch vs oracle on 30 degree-4 digraphs")
 disagreements = 0
@@ -73,6 +71,6 @@ for _ in range(30):
         k=rng.choice([1, 2]),
         p=rng.randint(1, n),
     )
-    if solve_by_degree(inst, EXH).kind != oracle_solve(inst).kind:
+    if solve_by_degree(inst).kind != oracle_solve(inst).kind:
         disagreements += 1
 print(f"  disagreements: {disagreements}")

@@ -12,11 +12,11 @@ from dakc import DirectedGraph, enumerate_important_separators, is_important, ve
 def show(g, s, t, h):
     seps = enumerate_important_separators(g, s, t, h)
     print(f"  important separators (size <= {h}): ", [
-        [v + 1 for v in vertices_of(sep.vertices)] for sep in seps
+        [v + 1 for v in vertices_of(sep)] for sep in seps
     ])
     print(f"  count {len(seps)} <= 4^{h} = {4 ** h}")
     for sep in seps:
-        assert is_important(g, s, t, sep.vertices, h)
+        assert is_important(g, s, t, sep, h)
     print("  every member passes the brute-force definition check")
 
 

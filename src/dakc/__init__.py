@@ -51,14 +51,12 @@ from .reductions import (
     parse_undirected_text,
 )
 from .separators import (
-    SeparatorSet,
     enumerate_important_separators,
     is_important,
     is_separator,
 )
 from .solver_bounded import (
     SearchBudgetError,
-    SearchConfig,
     bounded_core_search,
     coloring_stream,
     knapsack_select,
@@ -74,7 +72,7 @@ from .solver_degree import (
     solve_high_k,
     strip_special_components,
 )
-from .solver_k1 import SetCoverQuery, partial_set_cover, solve_k1
+from .solver_k1 import partial_set_cover, solve_k1
 
 __all__ = [
     "CnfFormula",
@@ -88,10 +86,7 @@ __all__ = [
     "ParseError",
     "ParsedInstance",
     "SearchBudgetError",
-    "SearchConfig",
-    "SeparatorSet",
     "SetCoverInstance",
-    "SetCoverQuery",
     "Solution",
     "Stripped",
     "Verdict",

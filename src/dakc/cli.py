@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .core import (
     Instance,
-    OracleBudgetError,
     Solution,
     Verdict,
     solution_violation,
@@ -320,7 +319,7 @@ def _cmd_seps(args) -> int:
             "t": args.t,
             "h": args.h,
             "count": len(seps),
-            "separators": [_mask_list(sep.vertices) for sep in seps],
+            "separators": [_mask_list(sep) for sep in seps],
         }
     )
     return EXIT_YES
@@ -372,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dakc: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OracleBudgetError as exc:
-        print(f"dakc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
         print(f"dakc: {exc}", file=sys.stderr)
         return EXIT_USAGE

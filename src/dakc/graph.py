@@ -386,10 +386,6 @@ class InducedSubgraph:
     graph: DirectedGraph
     to_parent: tuple[int, ...]
 
-    def lift_mask(self, mask: Mask) -> Mask:
-        """Translate a vertex set of the subgraph into parent-graph ids."""
-        return lift_mask(mask, self.to_parent)
-
 
 def lift_mask(mask: Mask, to_parent: tuple[int, ...]) -> Mask:
     """Translate a vertex set through an index map: vertex ``v`` becomes

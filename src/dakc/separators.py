@@ -23,20 +23,10 @@ one flow per deletion guess that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from .graph import DirectedGraph, Mask, iter_vertices, reach, reverse, vertices_of, vset
-
-
-@dataclass(frozen=True)
-class SeparatorSet:
-    """A vertex set claimed to separate s from t (context retained)."""
-
-    vertices: Mask
-    s: int
-    t: int
 
 
 def _check_endpoints(g: DirectedGraph, s: int, t: int, symmetric: bool) -> None:
@@ -302,9 +292,9 @@ def _is_important_std(rev: DirectedGraph, src: int, sink: int, sep: Mask) -> boo
 
 def enumerate_important_separators(
     g: DirectedGraph, s: int, t: int, h: int
-) -> list[SeparatorSet]:
-    """All important s-t separators of size at most ``h``, deduplicated and
-    sorted by their vertex lists.
+) -> list[Mask]:
+    """The vertex masks of all important s-t separators of size at most
+    ``h``, deduplicated and sorted by their vertex lists.
 
     Branches on the minimum cut closest to the target side: each cut vertex
     is either taken into the separator (budget shrinks) or surrendered to the
@@ -335,4 +325,4 @@ def enumerate_important_separators(
     walk(g.full_mask, 1 << t, 0, h)
     keep = [m for m in found if _is_important_std(rev, t, s, m)]
     keep.sort(key=lambda m: tuple(vertices_of(m)))
-    return [SeparatorSet(vertices=m, s=s, t=t) for m in keep]
+    return keep

@@ -21,8 +21,8 @@ such members spends the whole budget on them, so it is also cut when an
 anchored peel of what it can reach drops one of its members or leaves fewer
 than p - |K0| vertices outside K0.  A piece of at least p - |K0| vertices
 answers at once; otherwise a depth-first search combines disjoint pieces,
-largest first.  The enumerated sets, pieces and unions alike, are capped,
-and the cap raises instead of answering.
+largest first.  The enumerated sets, pieces and unions alike, are capped at
+``SET_CAP``, and the cap raises instead of answering.
 
 The random-separation kernels (Cai, Chan & Chan, 2006) are library
 functions that no solver runs: ``coloring_stream`` draws reproducible
@@ -32,7 +32,6 @@ coloring's weakly connected red components with ``knapsack_select``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Instance, Solution, Verdict, normalize, peel
@@ -73,24 +72,13 @@ def coloring_stream(seed: int, n: int) -> Iterator[Mask]:
         yield mask & keep
 
 
+# the most sets (pieces and unions of pieces) the piece search enumerates;
+# past it ``bounded_core_search`` raises instead of answering
+SET_CAP = 1_000_000
+
+
 class SearchBudgetError(RuntimeError):
-    """The piece search would enumerate more sets than its configured cap."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the bounded search.
-
-    ``exhaustive_limit`` caps the sets the piece search enumerates (pieces
-    and unions of pieces); reaching the cap raises ``SearchBudgetError``
-    instead of answering.
-    """
-
-    exhaustive_limit: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.exhaustive_limit < 0:
-            raise ValueError("exhaustive_limit must be nonnegative")
+    """The piece search would enumerate more sets than ``SET_CAP``."""
 
 
 def red_components(g: DirectedGraph, red: Mask) -> list[Mask]:
@@ -132,56 +120,28 @@ def knapsack_select(
 def search_with_coloring(
     g: DirectedGraph, k: int, b: int, p: int, red: Mask
 ) -> Solution | None:
-    """Evaluate one coloring: component summaries, then knapsack assembly.
-
-    Components needing more than b anchors are discarded outright.  The
-    components and the knapsack are skipped when an upper bound on what they
-    could assemble falls short of p, so they could not succeed either.  A
-    returned solution is unchecked; the caller verifies the witness it
-    reports.
+    """Evaluate one coloring: each weakly connected red component with its
+    members deficient in it, then ``knapsack_select`` over the components
+    that need at most b anchors.  A returned solution is unchecked; the
+    caller verifies the witness it reports.
     """
-    if red.bit_count() < p:
-        return None  # every core assembled here lies inside the red set
-    red &= g.full_mask
-    # A red vertex's red in-neighbours lie in its own red component, so it is
-    # deficient in its component iff it is deficient in the whole red set.
     in_mask = g.in_mask
-    deficient = 0
-    rest = red
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if (in_mask[low.bit_length() - 1] & red).bit_count() < k:
-            deficient |= low
-    # an assembly anchors each of its deficient vertices, so at most b
-    if (red & ~deficient).bit_count() + min(b, deficient.bit_count()) < p:
-        return None
-    comps: list[Mask] = []
-    items: list[tuple[int, int]] = []
-    free = 0
-    paid: list[int] = []
-    for comp in weakly_connected_components(g, within=red):
-        need = (deficient & comp).bit_count()
-        if need > b:
-            continue
-        size = comp.bit_count()
-        comps.append(comp)
-        items.append((need, size))
-        if need:
-            paid.append(size)
-        else:
-            free += size
-    # each paid component needs at least one anchor, so at most b are picked
-    if free + sum(sorted(paid, reverse=True)[:b]) < p:
-        return None
-    picked = knapsack_select(items, b, p)
+    comps: list[tuple[Mask, Mask]] = []
+    for comp in red_components(g, red):
+        deficient = 0
+        for v in iter_vertices(comp):
+            if (in_mask[v] & comp).bit_count() < k:
+                deficient |= 1 << v
+        if deficient.bit_count() <= b:
+            comps.append((comp, deficient))
+    picked = knapsack_select([(d.bit_count(), c.bit_count()) for c, d in comps], b, p)
     if picked is None:
         return None
     anchors = 0
     core = 0
     for i in picked:
-        anchors |= deficient & comps[i]
-        core |= comps[i]
+        core |= comps[i][0]
+        anchors |= comps[i][1]
     return Solution(anchors=anchors, core=core)
 
 
@@ -359,18 +319,14 @@ def _piece_search(
     return None
 
 
-def bounded_core_search(
-    inst: Instance, q: int, cfg: SearchConfig | None = None
-) -> Verdict:
+def bounded_core_search(inst: Instance, q: int) -> Verdict:
     """Find a solution, or certify that none has a core of at most q vertices.
 
     YES carries a witness that the caller verifies (the CLI checks each YES
     it prints, once); its core may legitimately be larger than q (the banked
     core K0 plus several pieces).  NO_UP_TO(q) is exact: the piece search
-    raises ``SearchBudgetError`` rather than answer past its set cap.
+    raises ``SearchBudgetError`` rather than answer past ``SET_CAP`` sets.
     """
-    if cfg is None:
-        cfg = SearchConfig()
     if q < inst.p:
         raise ValueError(f"q={q} must be at least the target core size p={inst.p}")
     nrm = normalize(inst)
@@ -378,7 +334,7 @@ def bounded_core_search(
         if nrm.is_yes:
             return nrm
         return Verdict.no_up_to(q, note=nrm.note)
-    sol = _piece_search(nrm.graph, nrm.k, nrm.b, nrm.p, q, cfg.exhaustive_limit)
+    sol = _piece_search(nrm.graph, nrm.k, nrm.b, nrm.p, q, SET_CAP)
     if sol is None:
         return Verdict.no_up_to(q)
     return Verdict.yes(sol)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .core import Instance, Verdict, normalize, peel
 from .graph import DirectedGraph, Mask, strongly_connected_components
-from .solver_bounded import SearchConfig, bounded_core_search
+from .solver_bounded import bounded_core_search
 
 
 class CyclicGraphError(ValueError):
@@ -53,13 +53,13 @@ def require_acyclic(g: DirectedGraph) -> None:
     raise CyclicGraphError(_find_cycle(g, comp))
 
 
-def solve_dag(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
+def solve_dag(inst: Instance) -> Verdict:
     """Exact YES/NO for DAGs."""
     require_acyclic(inst.graph)
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
         return nrm
-    res = bounded_core_search(nrm, nrm.p, cfg)
+    res = bounded_core_search(nrm, nrm.p)
     if res.is_yes:
         return res
     return Verdict.no()

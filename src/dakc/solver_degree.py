@@ -31,7 +31,7 @@ from .graph import (
     weakly_connected_components,
 )
 from .separators import _max_flow, disjoint_paths, enumerate_important_separators
-from .solver_bounded import SearchConfig, bounded_core_search
+from .solver_bounded import bounded_core_search
 from .solver_dag import is_acyclic, solve_dag
 from .solver_k1 import solve_k1
 
@@ -100,9 +100,7 @@ def _resolve_delta(inst: Instance, max_degree: int | None) -> int:
     return max_degree
 
 
-def solve_high_k(
-    inst: Instance, max_degree: int | None = None, cfg: SearchConfig | None = None
-) -> Verdict:
+def solve_high_k(inst: Instance, max_degree: int | None = None) -> Verdict:
     """Exact solver for 2k > max degree: cores cannot exceed (max_degree+1)*b."""
     delta = _resolve_delta(inst, max_degree)
     if 2 * inst.k <= delta:
@@ -113,7 +111,7 @@ def solve_high_k(
     q = (delta + 1) * nrm.b
     if nrm.p > q:
         return Verdict.no(note=f"every core here has at most {q} vertices")
-    res = bounded_core_search(nrm, q, cfg)
+    res = bounded_core_search(nrm, q)
     if res.is_yes:
         return res
     # no core within q vertices, and no core can be larger in this regime
@@ -184,7 +182,6 @@ def _cut_fits(
 def solve_half_k(
     inst: Instance,
     max_degree: int | None = None,
-    cfg: SearchConfig | None = None,
     force_stage3: bool = False,
 ) -> Verdict:
     """Exact solver for 2k = max degree.
@@ -254,7 +251,7 @@ def solve_half_k(
     exact_bound = 0  # every solution core of ``red`` has more vertices
     if not force_stage3:
         q = (delta * p1 + 1) * b
-        probe = bounded_core_search(red, q, cfg)
+        probe = bounded_core_search(red, q)
         if probe.is_yes:
             return Verdict.yes(_lift_solution(probe.solution, stripped))
         if q >= g1.n:
@@ -300,10 +297,7 @@ def solve_half_k(
         }
         expanded: set[tuple[int, ...]] = set()
         for sep_star in enumerate_important_separators(aug, s_idx, t, sep_budget):
-            inside = (
-                reach(g1, 1 << t, "backward", within=g1.full_mask & ~sep_star.vertices)
-                | sep_star.vertices
-            )
+            inside = reach(g1, 1 << t, "backward", within=g1.full_mask & ~sep_star) | sep_star
             # candidates for the core's in-boundary: the vertices inside
             # that can lose an in-arc from outside the core
             d_list = vertices_of(inside & movable)
@@ -331,31 +325,22 @@ def solve_half_k(
                             f_aug, s_idx, t, b
                         ):
                             core = (
-                                reach(
-                                    f_aug,
-                                    1 << t,
-                                    "backward",
-                                    within=f_aug.full_mask & ~sep_hat.vertices,
-                                )
-                                | sep_hat.vertices
+                                reach(f_aug, 1 << t, "backward", within=f_aug.full_mask & ~sep_hat)
+                                | sep_hat
                             )
-                            cand = _lift_solution(
-                                Solution(anchors=sep_hat.vertices, core=core),
-                                stripped,
-                            )
+                            cand = _lift_solution(Solution(anchors=sep_hat, core=core), stripped)
                             if verify_solution(nrm, cand):
                                 return Verdict.yes(cand)
     return Verdict.no()
 
 
-def solve_by_degree(inst: Instance, cfg: SearchConfig | None = None) -> Verdict:
+def solve_by_degree(inst: Instance) -> Verdict:
     """``solve`` by degree regime alone, with no DAG or oracle fallback."""
-    return solve(inst, cfg, solver="degree")
+    return solve(inst, solver="degree")
 
 
 def solve(
     inst: Instance,
-    cfg: SearchConfig | None = None,
     *,
     solver: str = "auto",
     allow_oracle: bool = False,
@@ -371,7 +356,7 @@ def solve(
     if solver == "k1":
         return replace(solve_k1(inst), solver="k1")
     if solver == "dag":
-        return replace(solve_dag(inst, cfg), solver="dag")
+        return replace(solve_dag(inst), solver="dag")
     if solver not in ("degree", "auto"):
         raise ValueError(f"unknown solver {solver!r}")
     nrm = normalize(inst)
@@ -381,9 +366,9 @@ def solve(
         return replace(solve_k1(nrm), solver="k1")
     delta = nrm.graph.max_degree()
     if 2 * nrm.k > delta:
-        return replace(solve_high_k(nrm, delta, cfg), solver="high")
+        return replace(solve_high_k(nrm, delta), solver="high")
     if 2 * nrm.k == delta:
-        return replace(solve_half_k(nrm, delta, cfg), solver="half")
+        return replace(solve_half_k(nrm, delta), solver="half")
     if solver == "degree":
         return Verdict.unsupported(
             "no exact routine for k >= 2 with max degree above 2k (that regime is "
@@ -391,7 +376,7 @@ def solve(
             "instances"
         )
     if is_acyclic(nrm.graph):
-        return replace(solve_dag(nrm, cfg), solver="dag")
+        return replace(solve_dag(nrm), solver="dag")
     if allow_oracle:
         return replace(oracle_solve(nrm, cap=cap), solver="oracle")
     return Verdict.unsupported(

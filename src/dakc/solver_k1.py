@@ -25,18 +25,9 @@ from .core import Instance, Solution, Verdict, normalize
 from .graph import DirectedGraph, Mask, vertices_of, vset
 
 
-@dataclass(frozen=True)
-class SetCoverQuery:
-    """Cover at least ``target`` of ``universe`` elements with <= ``budget`` sets."""
-
-    universe: int
-    sets: tuple[Mask, ...]
-    budget: int
-    target: int
-
-
-def partial_set_cover(q: SetCoverQuery) -> set[int] | None:
-    """Exact partial set cover by exhaustive search, smallest selections first.
+def partial_set_cover(sets: tuple[Mask, ...], budget: int, target: int) -> set[int] | None:
+    """Indices of at most ``budget`` of ``sets`` whose union has at least
+    ``target`` elements, by exhaustive search, smallest selections first.
 
     Selections of each size are tried in lexicographic index order, so the
     returned index set is deterministic (fewest sets, then lexicographically
@@ -47,26 +38,26 @@ def partial_set_cover(q: SetCoverQuery) -> set[int] | None:
     searched in ascending order, and the largest size's cover stands only if
     none of them has one.
     """
-    r = len(q.sets)
+    r = len(sets)
     suffix = [0] * (r + 1)
     for i in range(r - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | q.sets[i]
+        suffix[i] = suffix[i + 1] | sets[i]
 
     def first_cover(start: int, need: int, covered: Mask) -> set[int] | None:
         if need == 0:
-            return set() if covered.bit_count() >= q.target else None
+            return set() if covered.bit_count() >= target else None
         if r - start < need:
             return None
-        if (covered | suffix[start]).bit_count() < q.target:
+        if (covered | suffix[start]).bit_count() < target:
             return None
         for i in range(start, r):
-            rest = first_cover(i + 1, need - 1, covered | q.sets[i])
+            rest = first_cover(i + 1, need - 1, covered | sets[i])
             if rest is not None:
                 rest.add(i)
                 return rest
         return None
 
-    top = min(q.budget, r)
+    top = min(budget, r)
     found = first_cover(0, top, 0)
     if found is None:
         return None
@@ -151,14 +142,7 @@ def solve_k1(inst: Instance) -> Verdict:
     if len(sources) <= b:
         return Verdict.yes(Solution(anchors=vset(sources), core=g.full_mask))
 
-    picked = partial_set_cover(
-        SetCoverQuery(
-            universe=g.n - banked_size,
-            sets=plan.reach_sets,
-            budget=b,
-            target=p - banked_size,
-        )
-    )
+    picked = partial_set_cover(plan.reach_sets, b, p - banked_size)
     if picked is None:
         return Verdict.no()
     anchors = vset(sources[i] for i in picked)

@@ -12,7 +12,6 @@ from itertools import combinations, product
 from dakc import (
     DirectedGraph,
     Instance,
-    SetCoverQuery,
     Solution,
     Verdict,
     enumerate_important_separators,
@@ -181,19 +180,17 @@ def k1_reference(inst: Instance) -> Verdict:
     dag = sub.graph
     sources = [v for v in range(dag.n) if dag.in_degrees[v] == 0]
     if len(sources) <= b:
-        return Verdict.yes(Solution(anchors=sub.lift_mask(vset(sources)), core=g.full_mask))
+        return Verdict.yes(Solution(anchors=lift_mask(vset(sources), sub.to_parent), core=g.full_mask))
     reach_sets = tuple(reach(dag, 1 << s, "forward") for s in sources)
-    picked = partial_set_cover(
-        SetCoverQuery(universe=dag.n, sets=reach_sets, budget=b, target=p - banked_size)
-    )
+    picked = partial_set_cover(reach_sets, b, p - banked_size)
     if picked is None:
         return Verdict.no()
     covered = 0
     for i in picked:
         covered |= reach_sets[i]
     return Verdict.yes(Solution(
-        anchors=sub.lift_mask(vset(sources[i] for i in picked)),
-        core=sub.lift_mask(covered) | banked,
+        anchors=lift_mask(vset(sources[i] for i in picked), sub.to_parent),
+        core=lift_mask(covered, sub.to_parent) | banked,
     ))
 
 
@@ -418,8 +415,8 @@ def stage3_reference(inst: Instance, delta: int):
         if g1.in_degrees[t] < k:
             continue
         for sep_star in enumerate_important_separators(aug, s, t, (delta * (k - 1) + 1) * b):
-            inside = reach(g1, 1 << t, "backward", within=g1.full_mask & ~sep_star.vertices)
-            inside |= sep_star.vertices
+            inside = reach(g1, 1 << t, "backward", within=g1.full_mask & ~sep_star)
+            inside |= sep_star
             d_list = [
                 v for v in vertices_of(inside)
                 if g1.in_degrees[v] > k or (g1.in_mask[v] & inside).bit_count() < k
@@ -443,10 +440,10 @@ def stage3_reference(inst: Instance, delta: int):
                         seps = enumerate_important_separators(f_aug, s, t, b)
                         calls.append((t, deleted, seps))
                         for sep in seps:
-                            core = reach(f_aug, 1 << t, "backward", within=f_aug.full_mask & ~sep.vertices)
+                            core = reach(f_aug, 1 << t, "backward", within=f_aug.full_mask & ~sep)
                             sol = Solution(
-                                anchors=lift_mask(sep.vertices, stripped.to_parent),
-                                core=lift_mask(core | sep.vertices, stripped.to_parent)
+                                anchors=lift_mask(sep, stripped.to_parent),
+                                core=lift_mask(core | sep, stripped.to_parent)
                                 | stripped.removed,
                             )
                             if verify_solution(nrm, sol):

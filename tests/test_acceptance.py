@@ -12,7 +12,6 @@ from itertools import combinations
 from dakc import (
     CnfFormula,
     Instance,
-    SearchConfig,
     SetCoverInstance,
     amplify_k,
     enumerate_important_separators,
@@ -44,9 +43,6 @@ from helpers import (
     sat_brute_force,
     solution_exists_with_core_at_most,
 )
-
-EXH = SearchConfig()
-
 
 def _report(num: int, label: str, mismatches: int, extra: str = "") -> None:
     status = "PASS" if mismatches == 0 else f"FAIL ({mismatches} mismatches)"
@@ -90,7 +86,7 @@ def test_criterion_2_oracle_equivalence_degree_regimes():
     start = time.monotonic()
     mismatches = 0
     for inst in _high_k_pool(300):
-        got = solve_high_k(inst, cfg=EXH)
+        got = solve_high_k(inst)
         expect = oracle_solve(inst)
         if got.kind != expect.kind:
             mismatches += 1
@@ -102,7 +98,7 @@ def test_criterion_2_oracle_equivalence_degree_regimes():
         k = rng.choice([1, 2])  # max degree 2k in {2, 4}
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.2, 0.8))
         inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n))
-        got = solve_half_k(inst, max_degree=2 * k, cfg=EXH)
+        got = solve_half_k(inst, max_degree=2 * k)
         expect = oracle_solve(inst)
         if got.kind != expect.kind:
             mismatches += 1
@@ -127,7 +123,7 @@ def test_criterion_3_oracle_equivalence_dag():
         inst = Instance(
             graph=g, b=rng.randint(0, 2), k=rng.randint(1, 3), p=rng.randint(1, n)
         )
-        got = solve_dag(inst, EXH)
+        got = solve_dag(inst)
         expect = oracle_solve(inst)
         if got.kind != expect.kind:
             mismatches += 1
@@ -153,7 +149,7 @@ def test_criterion_4_important_separators():
             continue
         s, t = rng.choice(pairs)
         h = rng.randint(0, 4)
-        got = {sep.vertices for sep in enumerate_important_separators(g, s, t, h)}
+        got = set(enumerate_important_separators(g, s, t, h))
         others = [v for v in range(n) if v != s and v != t]
         expect = set()
         for r in range(min(h, len(others)) + 1):

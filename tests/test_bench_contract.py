@@ -1,11 +1,14 @@
 """What the benchmark reads of the program by name: every corpus op's argv
 must parse with the CLI's parser, and every name the tracer rebinds must
-resolve in its ``dakc`` module.  The ``bench`` modules are imported from the
+resolve in its ``dakc`` module.  A traced ``bounded-regimes`` run must also
+exit 0 with no wrong answer.  The ``bench`` modules are imported from the
 source tree and write nothing there; the corpus goes into a temporary
 directory."""
 
 import importlib
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +45,20 @@ def test_bench_traced_names_resolve(monkeypatch):
             for part in name.split("."):
                 target = getattr(target, part)
             assert callable(target), f"{layer}.{name}"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_traced_bounded_regimes_run_exits_0(seed):
+    # a traced run exits 3 when its two traced passes disagree on a count or
+    # a path check reads 0 (separator, high-k, half-k or DAG calls), and
+    # prints a FAILED line for each op answered wrongly
+    argv = ["--workload", "bounded-regimes", "--seed", str(seed), "--seconds", "0", "--trace", "1"]
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), *argv],
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert not [line for line in done.stdout.splitlines() if line.startswith("FAILED")]

@@ -2,7 +2,6 @@ import argparse
 import json
 import random
 import re
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -85,9 +84,7 @@ def test_piece_search_cap_exits_4_and_prints_no_answer(capsys, tmp_path, monkeyp
     f.write_text("p dakc 4 2\na 2 1\na 4 3\n")
     argv = ("solve", str(f), "--b", "1", "--k", "1", "--p", "3", "--solver", "dag")
     assert run(capsys, *argv)[0] == 1
-    monkeypatch.setattr(
-        solver_bounded, "SearchConfig", partial(solver_bounded.SearchConfig, exhaustive_limit=2)
-    )
+    monkeypatch.setattr(solver_bounded, "SET_CAP", 2)
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""

@@ -1,4 +1,5 @@
 import ast
+import types
 from pathlib import Path
 
 import dakc
@@ -68,3 +69,15 @@ def test_dead_helper_guard_flags_an_unused_definition():
     )
     names = [name for name, node in _private_definitions(tree) if name not in _references(tree, skip=node)]
     assert names == ["_SPARE", "_recursive"]
+
+
+def test_all_lists_every_public_name_once_in_order():
+    # a removed name left in __all__, or a new export missing from it, shows
+    # up as a difference against what the package actually binds
+    public = {
+        name
+        for name, value in vars(dakc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert dakc.__all__ == sorted(set(dakc.__all__))
+    assert set(dakc.__all__) == public

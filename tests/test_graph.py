@@ -18,6 +18,7 @@ from dakc import (
     vset,
     weakly_connected_components,
 )
+from dakc.graph import lift_mask
 from dakc.solver_degree import _without_arcs
 from helpers import adjacency_reference, random_digraph, vertices_of_reference
 
@@ -266,7 +267,8 @@ def test_wcc_within_matches_induced_subgraph():
         g = random_digraph(rng, n, rng.uniform(0.0, 0.4))
         keep = rng.getrandbits(n) if n else 0
         sub = induced_subgraph(g, keep)
-        lifted = sorted(sub.lift_mask(c) for c in weakly_connected_components(sub.graph))
+        comps = weakly_connected_components(sub.graph)
+        lifted = sorted(lift_mask(c, sub.to_parent) for c in comps)
         got = weakly_connected_components(g, within=keep)
         assert sorted(got) == lifted
         assert got == sorted(got, key=lambda m: (m & -m).bit_length())
@@ -285,7 +287,7 @@ def test_induced_subgraph():
     cycle = DirectedGraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     two = induced_subgraph(cycle, vset([0, 1]))
     assert list(two.graph.arcs()) == [(0, 1)]
-    assert two.lift_mask(vset([0, 1])) == vset([0, 1])
+    assert lift_mask(vset([0, 1]), two.to_parent) == vset([0, 1])
 
 
 def test_to_bidirected():

@@ -7,7 +7,6 @@ from dakc import (
     DirectedGraph,
     Instance,
     SearchBudgetError,
-    SearchConfig,
     bounded_core_search,
     coloring_stream,
     knapsack_select,
@@ -37,34 +36,31 @@ from helpers import (
     solution_exists_with_core_at_most,
 )
 
-EXH = SearchConfig()
-
-
 def test_bounded_search_examples():
     path = path_graph(3)
-    v = bounded_core_search(Instance(graph=path, b=1, k=1, p=3), 3, EXH)
+    v = bounded_core_search(Instance(graph=path, b=1, k=1, p=3), 3)
     assert v.is_yes
     assert v.solution.anchors == vset([0]) and v.solution.core == vset([0, 1, 2])
 
-    v = bounded_core_search(Instance(graph=path, b=0, k=1, p=1), 3, EXH)
+    v = bounded_core_search(Instance(graph=path, b=0, k=1, p=1), 3)
     assert v.kind == "no_up_to" and v.bound == 3
 
-    v = bounded_core_search(Instance(graph=cycle_graph(3), b=0, k=1, p=3), 3, EXH)
+    v = bounded_core_search(Instance(graph=cycle_graph(3), b=0, k=1, p=3), 3)
     assert v.is_yes and v.solution.anchors == 0
 
 
 def test_bounded_search_requires_q_at_least_p():
     with pytest.raises(ValueError, match="at least the target"):
-        bounded_core_search(Instance(graph=path_graph(3), b=1, k=1, p=3), 2, EXH)
+        bounded_core_search(Instance(graph=path_graph(3), b=1, k=1, p=3), 2)
 
 
-def test_exhaustive_mode_refuses_large_graphs():
+def test_exhaustive_mode_refuses_large_graphs(monkeypatch):
     # a set cap below what the piece search must enumerate raises; it never
     # answers NO
     g = path_graph(6)
-    cfg = SearchConfig(exhaustive_limit=5)
+    monkeypatch.setattr(solver_bounded, "SET_CAP", 5)
     with pytest.raises(SearchBudgetError, match="refused"):
-        bounded_core_search(Instance(graph=g, b=1, k=1, p=6), 6, cfg)
+        bounded_core_search(Instance(graph=g, b=1, k=1, p=6), 6)
 
 
 def test_knapsack_examples():
@@ -110,7 +106,7 @@ def test_exhaustive_mode_is_exact_for_bounded_cores():
         p = rng.randint(1, n)
         q = rng.randint(p, n + 2)
         inst = Instance(graph=g, b=b, k=k, p=p)
-        verdict = bounded_core_search(inst, q, EXH)
+        verdict = bounded_core_search(inst, q)
         exists_small = solution_exists_with_core_at_most(inst, q)
         if verdict.is_yes:
             assert verify_solution(inst, verdict.solution)
@@ -173,8 +169,8 @@ def test_per_trial_never_emits_unverified_yes():
 
 
 def test_search_with_coloring_matches_reference_trial():
-    # the fused trial (red-count exit, two assembly bounds, deficiency taken
-    # over the whole red set) against the plain summarize-then-knapsack trial
+    # the library trial against the plain summarize-then-knapsack trial
+    # spelled out in the test helpers
     rng = random.Random(211)
     draws = 5000
     hits = misses = 0
@@ -188,7 +184,7 @@ def test_search_with_coloring_matches_reference_trial():
         hits += got is not None
         misses += got is None and (red & g.full_mask).bit_count() >= p
     assert hits >= draws // 20
-    assert misses >= draws // 20  # misses that get past the red-count exit
+    assert misses >= draws // 20  # misses with at least p red vertices
 
 
 def _planted_cycle(rng: random.Random) -> tuple[Instance, int]:
@@ -407,7 +403,7 @@ def test_piece_cut_matches_uncut_search(monkeypatch):
     assert dropped >= 8000 and size_cuts >= 7000
 
 
-def test_piece_search_cuts_branches_that_cannot_hold_a_piece():
+def test_piece_search_cuts_branches_that_cannot_hold_a_piece(monkeypatch):
     # on a path out of vertex 0 at k = 2, no vertex has 2 in-neighbours, so
     # each root is its one stuck member, as many as b = 1 allows, and the
     # anchored peel runs: with the root as its only anchor it drops every
@@ -416,10 +412,12 @@ def test_piece_search_cuts_branches_that_cannot_hold_a_piece():
     # uncut search would walk n (n + 1) / 2 sets
     g = path_graph(40)
     inst = Instance(graph=g, b=1, k=2, p=2)
-    v = bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=40))
+    monkeypatch.setattr(solver_bounded, "SET_CAP", 40)
+    v = bounded_core_search(inst, 40)
     assert v.kind == "no_up_to"
+    monkeypatch.setattr(solver_bounded, "SET_CAP", 39)
     with pytest.raises(SearchBudgetError):
-        bounded_core_search(inst, 40, SearchConfig(exhaustive_limit=39))
+        bounded_core_search(inst, 40)
 
 
 def test_piece_search_banks_the_unanchored_core():
@@ -506,7 +504,7 @@ def test_piece_search_stages_match_oracle_on_rings(regime):
         assert probe_yes >= len(pool) // 4
 
 
-# (smallest exhaustive_limit that answers, answer) for the two instances of
+# (smallest SET_CAP that answers, answer) for the two instances of
 # _ring_pool(regime, random.Random(1), 2), found by bisection
 _CAP_PINS = {
     "high": [(29, "yes"), (68, "no_up_to")],
@@ -516,7 +514,7 @@ _CAP_PINS = {
 
 
 @pytest.mark.parametrize("regime", ["high", "half", "dag"])
-def test_piece_search_cap_boundaries_are_pinned(regime):
+def test_piece_search_cap_boundaries_are_pinned(regime, monkeypatch):
     # the set count decides where exit 4 starts, so each stage's search, at
     # the q its solver runs it at, answers at its pinned cap and raises one
     # below it; the half-k probe runs on the stripped instance
@@ -529,30 +527,32 @@ def test_piece_search_cap_boundaries_are_pinned(regime):
             q = (delta * inst.p + 1) * inst.b
         else:
             q = inst.p
-        assert bounded_core_search(inst, q, SearchConfig(exhaustive_limit=cap)).kind == kind
+        monkeypatch.setattr(solver_bounded, "SET_CAP", cap)
+        assert bounded_core_search(inst, q).kind == kind
+        monkeypatch.setattr(solver_bounded, "SET_CAP", cap - 1)
         with pytest.raises(SearchBudgetError):
-            bounded_core_search(inst, q, SearchConfig(exhaustive_limit=cap - 1))
+            bounded_core_search(inst, q)
 
 
-def test_piece_search_runs_without_recursion():
+def test_piece_search_runs_without_recursion(monkeypatch):
     # a 1,200-vertex path into vertex 0: from root 0 every set has one
     # deficient member, its far end, so at b = 1 the search walks one branch
     # past depth 1,100, beyond the recursion limit, and the set cap then
     # stops it with an error, never a NO
     g = DirectedGraph.from_arcs(1200, [(v + 1, v) for v in range(1199)])
-    cfg = SearchConfig(exhaustive_limit=1100)
+    monkeypatch.setattr(solver_bounded, "SET_CAP", 1100)
     with pytest.raises(SearchBudgetError):
-        bounded_core_search(Instance(graph=g, b=1, k=1, p=1200), 1200, cfg)
+        bounded_core_search(Instance(graph=g, b=1, k=1, p=1200), 1200)
 
 
-def test_piece_search_at_b0_answers_from_the_unanchored_core():
+def test_piece_search_at_b0_answers_from_the_unanchored_core(monkeypatch):
     # every piece holds a deficient member, so at b = 0 no piece qualifies
     # and the unanchored core alone decides: no set is enumerated, and a
     # cap of 0 still answers
     g = DirectedGraph.from_arcs(1200, [(v + 1, v) for v in range(1199)])
-    cfg = SearchConfig(exhaustive_limit=0)
-    v = bounded_core_search(Instance(graph=g, b=0, k=1, p=1), 1200, cfg)
+    monkeypatch.setattr(solver_bounded, "SET_CAP", 0)
+    v = bounded_core_search(Instance(graph=g, b=0, k=1, p=1), 1200)
     assert v.kind == "no_up_to"
     ring = cycle_graph(5)
-    v = bounded_core_search(Instance(graph=ring, b=0, k=1, p=5), 5, cfg)
+    v = bounded_core_search(Instance(graph=ring, b=0, k=1, p=5), 5)
     assert v.is_yes and v.solution.core == ring.full_mask

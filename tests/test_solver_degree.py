@@ -7,7 +7,6 @@ from dakc import (
     CyclicGraphError,
     DirectedGraph,
     Instance,
-    SearchConfig,
     Stripped,
     Verdict,
     oracle_solve,
@@ -35,9 +34,6 @@ from helpers import (
     stage3_reference,
     without_arcs_reference,
 )
-
-EXH = SearchConfig()
-
 
 def test_strip_examples():
     v = strip_special_components(Instance(graph=cycle_graph(3), b=0, k=1, p=3))
@@ -69,39 +65,51 @@ def test_strip_lifts_later_immediate_yes_through_removals():
 
 def test_high_k_examples():
     join = DirectedGraph.from_arcs(3, [(0, 2), (1, 2)])
-    v = solve_high_k(Instance(graph=join, b=2, k=2, p=3), max_degree=3, cfg=EXH)
+    v = solve_high_k(Instance(graph=join, b=2, k=2, p=3), max_degree=3)
     assert v.is_yes and v.solution.anchors == vset([0, 1])
 
     single = DirectedGraph.from_arcs(2, [(0, 1)])
-    assert solve_high_k(Instance(graph=single, b=1, k=2, p=2), cfg=EXH).kind == "no"
+    assert solve_high_k(Instance(graph=single, b=1, k=2, p=2)).kind == "no"
 
-    assert solve_high_k(Instance(graph=join, b=0, k=2, p=1), cfg=EXH).kind == "no"
+    assert solve_high_k(Instance(graph=join, b=0, k=2, p=1)).kind == "no"
+
+
+def test_high_k_answers_yes_exactly_at_its_size_bound():
+    # max degree 3 < 2k = 4, so every core has at most (3 + 1) * b = 4
+    # vertices; p = 4 sits on that bound and is still reachable: anchor
+    # vertex 0 and the 3-cycle 1 -> 2 -> 3 -> 1 gets its second in-arcs
+    g = DirectedGraph.from_arcs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])
+    inst = Instance(graph=g, b=1, k=2, p=4)
+    assert g.max_degree() == 3
+    assert oracle_solve(inst).is_yes
+    v = solve_high_k(inst)
+    assert v.is_yes and verify_solution(inst, v.solution)
 
 
 def test_high_k_contract_errors():
     g = cycle_graph(4)
     with pytest.raises(ValueError, match="2k > max degree"):
-        solve_high_k(Instance(graph=g, b=1, k=1, p=2), cfg=EXH)
+        solve_high_k(Instance(graph=g, b=1, k=1, p=2))
     with pytest.raises(ValueError, match="below the graph"):
-        solve_high_k(Instance(graph=g, b=1, k=2, p=2), max_degree=1, cfg=EXH)
+        solve_high_k(Instance(graph=g, b=1, k=2, p=2), max_degree=1)
 
 
 def test_half_k_examples():
-    v = solve_half_k(Instance(graph=path_graph(3), b=1, k=1, p=3), cfg=EXH)
+    v = solve_half_k(Instance(graph=path_graph(3), b=1, k=1, p=3))
     assert v.is_yes
 
     cyc_iso = DirectedGraph.from_arcs(4, [(0, 1), (1, 2), (2, 0)])
-    v = solve_half_k(Instance(graph=cyc_iso, b=0, k=1, p=3), max_degree=2, cfg=EXH)
+    v = solve_half_k(Instance(graph=cyc_iso, b=0, k=1, p=3), max_degree=2)
     assert v.is_yes and v.solution.core == vset([0, 1, 2])
 
     single = DirectedGraph.from_arcs(2, [(0, 1)])
-    v = solve_half_k(Instance(graph=single, b=0, k=1, p=1), max_degree=2, cfg=EXH)
+    v = solve_half_k(Instance(graph=single, b=0, k=1, p=1), max_degree=2)
     assert v.kind == "no"
 
 
 def test_half_k_contract_error():
     with pytest.raises(ValueError, match="2k = max degree"):
-        solve_half_k(Instance(graph=cycle_graph(3), b=1, k=2, p=2), cfg=EXH)
+        solve_half_k(Instance(graph=cycle_graph(3), b=1, k=2, p=2))
 
 
 def test_half_k_stage3_finds_large_core():
@@ -109,7 +117,7 @@ def test_half_k_stage3_finds_large_core():
     # guessing stage is forced, so the separator pipeline must produce it
     g = path_graph(8)
     inst = Instance(graph=g, b=1, k=1, p=8)
-    v = solve_half_k(inst, cfg=EXH, force_stage3=True)
+    v = solve_half_k(inst, force_stage3=True)
     assert v.is_yes
     assert verify_solution(inst, v.solution)
     assert v.solution.anchors == vset([0])
@@ -124,7 +132,7 @@ def test_half_k_stage3_soundness_in_isolation():
         b = rng.randint(0, 2)
         p = rng.randint(1, n)
         inst = Instance(graph=g, b=b, k=k, p=p)
-        v = solve_half_k(inst, max_degree=2 * k, cfg=EXH, force_stage3=True)
+        v = solve_half_k(inst, max_degree=2 * k, force_stage3=True)
         if v.is_yes:
             assert verify_solution(inst, v.solution)
 
@@ -137,7 +145,7 @@ def test_degree_sum_balance_on_found_solutions():
         k = rng.choice([1, 2])
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.3, 0.8))
         inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n))
-        v = solve_half_k(inst, max_degree=2 * k, cfg=EXH)
+        v = solve_half_k(inst, max_degree=2 * k)
         if not v.is_yes:
             continue
         core, anchors = v.solution.core, v.solution.anchors
@@ -162,7 +170,7 @@ def test_high_k_matches_oracle():
         delta = 2 * k - rng.randint(1, 2)
         g = random_digraph_degree_capped(rng, n, delta, rng.uniform(0.2, 0.8))
         inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n))
-        got = solve_high_k(inst, cfg=EXH)
+        got = solve_high_k(inst)
         expect = oracle_solve(inst)
         assert got.kind == expect.kind
         if got.is_yes:
@@ -176,7 +184,7 @@ def test_half_k_matches_oracle():
         k = rng.choice([1, 2])
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.2, 0.8))
         inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n))
-        got = solve_half_k(inst, max_degree=2 * k, cfg=EXH)
+        got = solve_half_k(inst, max_degree=2 * k)
         expect = oracle_solve(inst)
         assert got.kind == expect.kind
         if got.is_yes:
@@ -186,16 +194,16 @@ def test_half_k_matches_oracle():
 def test_dispatch_rules():
     # k=1 routes to the threshold-1 solver regardless of degree
     star = DirectedGraph.from_arcs(6, [(0, i) for i in range(1, 6)])
-    v = solve_by_degree(Instance(graph=star, b=1, k=1, p=6), cfg=EXH)
+    v = solve_by_degree(Instance(graph=star, b=1, k=1, p=6))
     assert v.solver == "k1" and v.is_yes
 
     join = DirectedGraph.from_arcs(3, [(0, 2), (1, 2)])
-    v = solve_by_degree(Instance(graph=join, b=2, k=2, p=3), cfg=EXH)
+    v = solve_by_degree(Instance(graph=join, b=2, k=2, p=3))
     assert v.solver == "high" and v.is_yes
 
     # max degree 5 with k=2 is out of reach
     fan = DirectedGraph.from_arcs(6, [(i, 5) for i in range(5)])
-    v = solve_by_degree(Instance(graph=fan, b=1, k=2, p=4), cfg=EXH)
+    v = solve_by_degree(Instance(graph=fan, b=1, k=2, p=4))
     assert v.kind == "unsupported" and "W[2]" in v.note
 
 
@@ -206,7 +214,7 @@ def test_dispatch_matches_oracle_on_low_degree_graphs():
         g = random_digraph_degree_capped(rng, n, 4, rng.uniform(0.2, 0.8))
         k = rng.choice([1, 2])
         inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n))
-        got = solve_by_degree(inst, cfg=EXH)
+        got = solve_by_degree(inst)
         assert got.kind != "unsupported"  # max degree <= 4 and k <= 2 is covered
         expect = oracle_solve(inst)
         assert got.kind == expect.kind
@@ -253,7 +261,7 @@ def test_solve_routes_match_oracle_and_stamp_the_route():
         inst = Instance(graph=g, b=rng.randint(0, 2), k=rng.choice([1, 2, 3]), p=rng.randint(1, n + 1))
         expect = oracle_solve(inst)
         for solver, allow_oracle in (("auto", True), ("auto", False), ("degree", False)):
-            got = solve(inst, EXH, solver=solver, allow_oracle=allow_oracle)
+            got = solve(inst, solver=solver, allow_oracle=allow_oracle)
             route = _expected_route(inst, solver, allow_oracle)
             seen.add(route)
             if route == "unsupported":
@@ -262,7 +270,7 @@ def test_solve_routes_match_oracle_and_stamp_the_route():
             assert got.solver == route and got.kind == expect.kind
             if got.is_yes:
                 assert verify_solution(inst, got.solution)
-        assert solve_by_degree(inst, EXH) == solve(inst, EXH, solver="degree")
+        assert solve_by_degree(inst) == solve(inst, solver="degree")
     assert seen == {"normalize", "k1", "high", "half", "dag", "oracle", "unsupported"}
 
 
@@ -397,7 +405,7 @@ def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
         inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
         del calls[:]
         paths_of.clear()
-        got = solve_half_k(inst, max_degree=2 * k, cfg=EXH, force_stage3=True)
+        got = solve_half_k(inst, max_degree=2 * k, force_stage3=True)
         ran = [c for c in calls if c[1] is not None]
         expect, ref = stage3_reference(inst, 2 * k)
         assert got == expect
@@ -457,7 +465,7 @@ def test_stage3_flow_repair_decides_as_a_min_cut_from_scratch(monkeypatch):
         k = rng.choice([1, 2])
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.4, 0.9))
         inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
-        solve_half_k(inst, max_degree=2 * k, cfg=EXH, force_stage3=True)
+        solve_half_k(inst, max_degree=2 * k, force_stage3=True)
     assert seen.count(True) >= 350 and seen.count(False) >= 150
 
 
@@ -474,7 +482,7 @@ def test_stage3_runs_each_deletion_guess_once_per_t(monkeypatch):
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.4, 0.9))
         inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
         del calls[:]
-        solve_half_k(inst, max_degree=2 * k, cfg=EXH, force_stage3=True)
+        solve_half_k(inst, max_degree=2 * k, force_stage3=True)
         pairs = [(t, deleted) for t, deleted, _ in calls if deleted is not None]
         assert len(pairs) == len(set(pairs))
         inner += len(pairs)
@@ -514,8 +522,8 @@ def test_stage3_cut_on_backward_reach_is_exact(monkeypatch):
     probe = solver_degree.bounded_core_search
     disjoint_paths = solver_degree.disjoint_paths
 
-    def spy_probe(red, q, cfg=None):
-        verdict = probe(red, q, cfg)
+    def spy_probe(red, q):
+        verdict = probe(red, q)
         probes.append((red.graph, verdict))
         return verdict
 

@@ -8,7 +8,6 @@ import pytest
 from dakc import (
     DirectedGraph,
     Instance,
-    SetCoverQuery,
     oracle_solve,
     partial_set_cover,
     peel,
@@ -38,17 +37,26 @@ def test_solve_k1_examples():
     assert solve_k1(Instance(graph=two_pairs, b=1, k=1, p=4)).kind == "no"
 
 
+def test_solve_k1_tops_up_the_bank_when_the_budget_covers_the_gap():
+    # the 3-cycle is banked, and b = p - |bank| = 1 lets one anchor close
+    # the gap: the lowest residual vertex, not the source the cover search
+    # would pick, whose reach engages the whole graph
+    g = DirectedGraph.from_arcs(5, [(0, 1), (1, 2), (2, 0), (4, 3)])
+    v = solve_k1(Instance(graph=g, b=1, k=1, p=4))
+    assert v.is_yes
+    assert v.solution.anchors == vset([3]) and v.solution.core == vset([0, 1, 2, 3])
+
+
 def test_solve_k1_rejects_other_thresholds():
     with pytest.raises(ValueError, match="k = 1"):
         solve_k1(Instance(graph=cycle_graph(3), b=1, k=2, p=2))
 
 
 def test_partial_set_cover_examples():
-    q = SetCoverQuery(universe=3, sets=(vset([0, 1]), vset([1, 2])), budget=1, target=2)
-    assert partial_set_cover(q) == {0}
-    q = SetCoverQuery(universe=3, sets=(vset([0, 1]), vset([1, 2])), budget=1, target=3)
-    assert partial_set_cover(q) is None
-    assert partial_set_cover(SetCoverQuery(universe=0, sets=(), budget=0, target=0)) == set()
+    sets = (vset([0, 1]), vset([1, 2]))
+    assert partial_set_cover(sets, 1, 2) == {0}
+    assert partial_set_cover(sets, 1, 3) is None
+    assert partial_set_cover((), 0, 0) == set()
 
 
 def test_partial_set_cover_matches_subset_search():
@@ -61,9 +69,7 @@ def test_partial_set_cover_matches_subset_search():
         )
         budget = rng.randint(0, 4)
         target = rng.randint(0, universe)
-        got = partial_set_cover(
-            SetCoverQuery(universe=universe, sets=sets, budget=budget, target=target)
-        )
+        got = partial_set_cover(sets, budget, target)
         best = None
         for size in range(min(budget, r) + 1):
             for combo in combinations(range(r), size):
