@@ -40,13 +40,18 @@ g = DirectedGraph.from_arcs(3, [(0, 2), (1, 2)])
 inst = Instance(graph=g, b=2, k=2, p=3)
 show("high", inst, solve_by_degree(inst))
 
-print("\n2k = max degree: a long path at k = 1 (max degree 2)")
-print("  (dispatch prefers the threshold-1 solver here; calling the")
-print("  separator-pipeline solver directly to show it handles the regime)")
-g = DirectedGraph.from_arcs(7, [(i, i + 1) for i in range(6)])
-inst = Instance(graph=g, b=1, k=1, p=7)
-half = solve_half_k(inst, force_stage3=True)
+print("\n2k = max degree: a 20-vertex chain at k = 2 (max degree 4)")
+print("  (arcs v-1 -> v and v-2 -> v, plus 20 -> 2; one anchor at vertex 1")
+print("  keeps the whole chain, and no core is smaller)")
+n = 20
+arcs = [(v - 1, v) for v in range(1, n)] + [(v - 2, v) for v in range(2, n)]
+g = DirectedGraph.from_arcs(n, arcs + [(n - 1, 1)])
+inst = Instance(graph=g, b=1, k=2, p=3)
+half = solve_half_k(inst)
 show("half", inst, half)
+q = (g.max_degree() * inst.p + 1) * inst.b
+print(f"  the probe searches cores of at most {q} vertices; the separator")
+print(f"  stage found this core of {half.solution.core.bit_count()} past it")
 
 print("\nDAG at k = 2 with max degree 5 (outside both degree regimes):")
 g = DirectedGraph.from_arcs(6, [(i, 5) for i in range(5)])

@@ -284,7 +284,7 @@ def _cmd_gen(args) -> int:
         base_labels = None
         if Path(labels_path).exists():
             base_labels = parse_labels(_read_text(labels_path), labels_path)
-        base = Instance(graph=parsed.graph, b=b, k=1, p=p)
+        base = Instance(graph=parsed.graph, b=b, k=params[1] if params else 1, p=p)
         generated = amplify_k(base, k=k, delta=delta, base_labels=base_labels)
     inst = generated.instance
     out_path = Path(args.out)

@@ -54,13 +54,6 @@ def vertices_of(mask: Mask) -> list[int]:
     return out
 
 
-def iter_vertices(mask: Mask) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class ParseError(ValueError):
     """Raised for malformed instance text; carries the offending line number.
 
@@ -292,12 +285,16 @@ def reach(
         step = g.in_mask
     else:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    alive = g.full_mask if within is None else within
-    seen = seeds & alive
-    frontier = seen
+    return _closure(step, seeds, g.full_mask if within is None else within)
+
+
+def _closure(step: Sequence[Mask], seeds: Mask, alive: Mask) -> Mask:
+    """The members of ``alive`` that ``seeds`` reach by ``step`` rows through
+    ``alive`` alone, the seeds in ``alive`` included."""
+    seen = frontier = seeds & alive
     while frontier:
         nxt = 0
-        for v in iter_vertices(frontier):
+        for v in vertices_of(frontier):
             nxt |= step[v]
         frontier = nxt & alive & ~seen
         seen |= frontier
@@ -361,19 +358,10 @@ def weakly_connected_components(g: DirectedGraph, within: Mask | None = None) ->
     When ``within`` is given, these are the components of the subgraph it
     induces, in parent-graph ids.
     """
-    und = g.und_mask
     remaining = g.full_mask if within is None else within & g.full_mask
     comps = []
     while remaining:
-        comp = frontier = remaining & -remaining
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= und[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & remaining & ~comp
-            comp |= frontier
+        comp = _closure(g.und_mask, remaining & -remaining, remaining)
         comps.append(comp)
         remaining &= ~comp
     return comps
@@ -391,7 +379,7 @@ def lift_mask(mask: Mask, to_parent: tuple[int, ...]) -> Mask:
     """Translate a vertex set through an index map: vertex ``v`` becomes
     ``to_parent[v]``."""
     out = 0
-    for v in iter_vertices(mask):
+    for v in vertices_of(mask):
         out |= 1 << to_parent[v]
     return out
 
@@ -508,8 +496,9 @@ def _parse_canonical(text: str) -> ParsedInstance | None:
     # serialize_instance writes the arcs in strictly ascending order, which
     # also rules out repeats.  Other orders, a vertex count too large for a
     # list and failed checks are left to the line reader, which sorts the
-    # arcs and names the line of an error.
-    if n > sys.maxsize or len(tails) != m or tails and (
+    # arcs and names the line of an error.  The q line's fields are digit
+    # strings, so only its p can be out of range.
+    if n > sys.maxsize or len(tails) != m or params and params[2] < 1 or tails and (
         min(heads) < 0 or max(heads) >= n or any(map(eq, tails, heads))
     ):
         return None
@@ -555,6 +544,8 @@ def _parse_lines(text: str) -> ParsedInstance:
             if len(fields) != 4:
                 raise ParseError(line_no, "params", f"expected 'q <b> <k> <p>', got {line!r}")
             params = tuple(_int(f, line_no, "params", "non-integer parameter in {line!r}", line) for f in fields[1:])
+            if min(params[:2]) < 0 or params[2] < 1:
+                raise ParseError(line_no, "params", f"expected b >= 0, k >= 0 and p >= 1, got {line!r}")
         else:
             raise ParseError(line_no, "token", f"unrecognized line tag {tag!r}")
     if n is None:

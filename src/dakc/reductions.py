@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, peel
+from .core import Instance
 from .graph import DirectedGraph, Mask, ParseError, _counts, _edge_keys, _int, _lines, _problem_line
+from .solver_dag import is_acyclic
 
 
 @dataclass(frozen=True)
@@ -262,8 +263,7 @@ def amplify_k(
         raise ValueError("base graph must have max degree at most 3")
     if g.n < 3:
         raise ValueError("base graph must have at least 3 vertices")
-    # threshold-1 peeling empties the graph iff it is acyclic
-    if peel(g, 1):
+    if not is_acyclic(g):
         raise ValueError("base graph must be acyclic")
     if base_labels is not None and len(base_labels) != g.n:
         raise ValueError("base_labels length must match the base vertex count")

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .graph import DirectedGraph, Mask, iter_vertices, reach, reverse, vertices_of, vset
+from .graph import DirectedGraph, Mask, reach, reverse, vertices_of, vset
 
 
 def _check_endpoints(g: DirectedGraph, s: int, t: int, symmetric: bool) -> None:
@@ -264,7 +264,7 @@ def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[i
     _check_endpoints(g, s, t, symmetric=False)
     _, _, out_flow, _ = _max_flow(g.out_mask, g.in_mask, g.full_mask, 1 << s, t, limit)
     paths = []
-    for v in iter_vertices(out_flow[s]):
+    for v in vertices_of(out_flow[s]):
         path = [s, v]
         while v != t:
             v = out_flow[v].bit_length() - 1

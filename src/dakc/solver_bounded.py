@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .core import Instance, Solution, Verdict, normalize, peel
-from .graph import DirectedGraph, Mask, iter_vertices, weakly_connected_components
+from .graph import DirectedGraph, Mask, vertices_of, weakly_connected_components
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -129,7 +129,7 @@ def search_with_coloring(
     comps: list[tuple[Mask, Mask]] = []
     for comp in red_components(g, red):
         deficient = 0
-        for v in iter_vertices(comp):
+        for v in vertices_of(comp):
             if (in_mask[v] & comp).bit_count() < k:
                 deficient |= 1 << v
         if deficient.bit_count() <= b:
@@ -233,7 +233,7 @@ def _pieces(
     """
     und, in_mask = g.und_mask, g.in_mask
     free = g.full_mask & ~banked
-    for root in iter_vertices(free):
+    for root in vertices_of(free):
         above = free >> root + 1 << root + 1
         start = 1 << root
         stack = [(start, und[root] & above, start | und[root], 1)]

@@ -23,7 +23,6 @@ from .graph import (
     DirectedGraph,
     Mask,
     induced_subgraph,
-    iter_vertices,
     lift_mask,
     reach,
     vertices_of,
@@ -68,7 +67,7 @@ def strip_special_components(inst: Instance) -> Verdict | Stripped:
     for comp in weakly_connected_components(g):
         if not all(
             g.in_degrees[v] == k and g.out_degrees[v] == k
-            for v in iter_vertices(comp)
+            for v in vertices_of(comp)
         ):
             continue
         size = comp.bit_count()
@@ -179,11 +178,7 @@ def _cut_fits(
     return flow <= b
 
 
-def solve_half_k(
-    inst: Instance,
-    max_degree: int | None = None,
-    force_stage3: bool = False,
-) -> Verdict:
+def solve_half_k(inst: Instance, max_degree: int | None = None) -> Verdict:
     """Exact solver for 2k = max degree.
 
     Stages: strip self-contained components; bounded search up to the size
@@ -218,17 +213,15 @@ def solve_half_k(
     run in the order of their first occurrence in the plain guessing loop, so
     the answer and witness do not change.
 
-    A probe that answers NO_UP_TO(q) is exact: every
-    solution of the stripped instance has a core of more than q vertices.  A
-    candidate that verifies is such a solution, since the stripped
-    components share no arcs with the rest, and its core lies inside t's
-    backward reach (the separator vertices included, each on a path to t).
-    So a t whose backward reach holds at most q vertices is skipped before
-    any flow; no candidate under it could verify.  ``force_stage3`` gives no
-    bound, so it tries every t.
-
-    ``force_stage3`` skips the bounded stage; it exists for tests that probe
-    the guessing stage in isolation and is not part of the public contract.
+    The probe's NO_UP_TO verdict is exact: every solution of the stripped
+    instance has a core of more than its ``bound`` vertices.  A candidate
+    that verifies is such a solution, since the stripped components share no
+    arcs with the rest, and its core lies inside t's backward reach (the
+    separator vertices included, each on a path to t).  So a t whose
+    backward reach holds at most ``bound`` vertices is skipped before any
+    flow; no candidate under it could verify.  A bound of at least the
+    stripped vertex count skips every t, so stage 3 then answers NO without
+    a flow.
     """
     delta = _resolve_delta(inst, max_degree)
     if 2 * inst.k != delta:
@@ -248,16 +241,9 @@ def solve_half_k(
         # components just stripped; none remain.
         return Verdict.no()
 
-    exact_bound = 0  # every solution core of ``red`` has more vertices
-    if not force_stage3:
-        q = (delta * p1 + 1) * b
-        probe = bounded_core_search(red, q)
-        if probe.is_yes:
-            return Verdict.yes(_lift_solution(probe.solution, stripped))
-        if q >= g1.n:
-            # the bounded certificate already covers every possible core size
-            return Verdict.no()
-        exact_bound = q
+    probe = bounded_core_search(red, (delta * p1 + 1) * b)
+    if probe.is_yes:
+        return Verdict.yes(_lift_solution(probe.solution, stripped))
 
     # Stage 3: any remaining witness has a non-anchor vertex t reachable from
     # the entire core by paths avoiding the anchors.
@@ -266,14 +252,14 @@ def solve_half_k(
     aug = DirectedGraph.from_arcs(g1.n + 1, list(g1.arcs()) + source_arcs)
     sep_budget = (delta * (k - 1) + 1) * b
     movable = vset(v for v in range(g1.n) if g1.in_degrees[v] > k)
-    choices = {v: _deletion_choices(g1, v, k) for v in iter_vertices(movable)}
+    choices = {v: _deletion_choices(g1, v, k) for v in vertices_of(movable)}
     # aug's rows, which each _cut_fits call patches and restores
     out_rows, in_rows = list(aug.out_mask), list(aug.in_mask)
     for t in range(g1.n):
         if g1.in_degrees[t] < k:
             continue
         # every candidate core under t lies in t's backward reach
-        if exact_bound and reach(g1, 1 << t, "backward").bit_count() <= exact_bound:
+        if reach(g1, 1 << t, "backward").bit_count() <= probe.bound:
             continue
         paths = disjoint_paths(aug, s_idx, t, sep_budget)
         # a deletion set runs only if it cuts at least ``need`` distinct
@@ -293,7 +279,7 @@ def solve_half_k(
         # one vertex lie on distinct paths, so their bits add
         offers = {
             v: [(gone, sum(path_bit.get((u, v), 0) for u in gone)) for gone in choices[v]]
-            for v in iter_vertices(movable)
+            for v in vertices_of(movable)
         }
         expanded: set[tuple[int, ...]] = set()
         for sep_star in enumerate_important_separators(aug, s_idx, t, sep_budget):
@@ -317,7 +303,7 @@ def solve_half_k(
                             for v, (gone, _) in zip(boundary, assignment)
                             for u in gone
                         )
-                        survivors = [paths[i] for i in iter_vertices(every & ~hit)]
+                        survivors = [paths[i] for i in vertices_of(every & ~hit)]
                         if not _cut_fits(out_rows, in_rows, deleted, s_idx, t, b, survivors):
                             continue
                         f_aug = _without_arcs(aug, deleted)

@@ -7,8 +7,10 @@ the library's algorithms, so agreement between the two is meaningful.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from itertools import combinations, product
 
+from dakc import solver_degree
 from dakc import (
     DirectedGraph,
     Instance,
@@ -28,7 +30,7 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.graph import iter_vertices, lift_mask, reverse
+from dakc.graph import lift_mask, reverse
 
 
 def random_digraph(rng: random.Random, n: int, arc_prob: float) -> DirectedGraph:
@@ -69,7 +71,7 @@ def solution_violation_reference(inst: Instance, sol: Solution) -> str | None:
         return f"anchor count {sol.anchors.bit_count()} exceeds budget {inst.b}"
     if sol.core.bit_count() < inst.p:
         return f"core size {sol.core.bit_count()} is below target {inst.p}"
-    for v in iter_vertices(sol.core & ~sol.anchors):
+    for v in vertices_of(sol.core & ~sol.anchors):
         if (g.in_mask[v] & sol.core).bit_count() < inst.k:
             return f"non-anchor vertex {v + 1} has in-degree below {inst.k} inside the core"
     return None
@@ -389,11 +391,23 @@ def cut_fits_reference(out_rows, in_rows, deleted, s, t, b, paths) -> bool:
     return min_vertex_cut_reference(reverse(g), g.full_mask, 1 << t, s, b) is not None
 
 
+@contextmanager
+def stage3_only():
+    """Run ``solve_half_k``'s stage 3 on its own: inside the block its probe
+    answers ``Verdict.no_up_to(0)``, which finds no core and rules out no t."""
+    probe = solver_degree.bounded_core_search
+    solver_degree.bounded_core_search = lambda inst, q: Verdict.no_up_to(0)
+    try:
+        yield
+    finally:
+        solver_degree.bounded_core_search = probe
+
+
 def stage3_reference(inst: Instance, delta: int):
     """Stage 3 of ``solve_half_k`` with no pruning: every deletion set of
     every boundary guess under every separator runs the inner enumeration.
 
-    Returns the verdict, which under ``force_stage3`` must equal the
+    Returns the verdict, which inside ``stage3_only`` must equal the
     solver's, and every inner call in order as ``(t, deleted, separators)``.
     """
     calls: list[tuple[int, frozenset, list]] = []

@@ -114,6 +114,19 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "self-loop" in err
 
 
+@pytest.mark.parametrize("q_line", ["q -1 1 2", "q 1 -1 2", "q 1 1 0"])
+@pytest.mark.parametrize("flags", [(), ("--b", "1", "--k", "1", "--p", "2")], ids=["q-line", "flags"])
+def test_bad_q_line_values_exit_3_naming_the_line(capsys, tmp_path, q_line, flags):
+    # a negative b once exited 4 with a message that named no line, a p of 0
+    # passed the canonical reader, and with --b/--k/--p the bad line went
+    # unnoticed
+    f = tmp_path / "q.gr"
+    f.write_text(PATH3 + q_line + "\n")
+    code, out, err = run(capsys, "solve", str(f), *flags)
+    assert (code, out) == (3, "")
+    assert err == f"dakc: parse error: line 4: expected b >= 0, k >= 0 and p >= 1, got {q_line!r}\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent.gr", "--b", "1", "--k", "1", "--p", "1")
     assert code == 3
@@ -233,6 +246,20 @@ def test_gen_amplify_reads_the_base_label_sidecar(capsys, tmp_path):
     code, out, err = run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))
     assert (code, out) == (3, "")
     assert err == f"dakc: parse error: line 2: label id '3' in {sidecar} is not the next id 2\n"
+
+
+def test_gen_amplify_refuses_a_base_whose_q_line_k_is_not_1(capsys, tmp_path):
+    # amplify raises threshold 1 only; a k = 2 base was once amplified as if
+    # its k were 1, so the output answered a different question
+    base = tmp_path / "base.gr"
+    base.write_text(PATH3 + "q 1 2 4\n")
+    amp = tmp_path / "amp.gr"
+    code, out, err = run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))
+    assert (code, out) == (4, "")
+    assert "threshold k = 1" in err
+    assert not amp.exists()
+    base.write_text(PATH3 + "q 1 1 3\n")
+    assert run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))[0] == 0
 
 
 def test_gen_clique(capsys, tmp_path):

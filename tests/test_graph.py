@@ -95,7 +95,7 @@ CANONICAL = "p dakc 4 3\na 1 2\na 2 3\na 3 4\nq 1 1 3\n"
         (CANONICAL.replace("a 1 2", "a\t1\t2"), None),
         (CANONICAL.replace("a 1 2", "  a 1 2"), None),
         (CANONICAL.replace("a 2 3", "a 2 +3"), None),
-        (CANONICAL.replace("q 1 1 3", "q -1 1 3"), None),
+        (CANONICAL.replace("q 1 1 3", "q -1 1 3"), (5, "params")),
         (CANONICAL.replace("a 1 2", "a 0 2"), (2, "vertex-range")),
         (CANONICAL.replace("a 3 4", "a 3 5"), (4, "vertex-range")),
         (CANONICAL.replace("a 2 3", "a 2 2"), (3, "self-loop")),
@@ -111,6 +111,7 @@ CANONICAL = "p dakc 4 3\na 1 2\na 2 3\na 3 4\nq 1 1 3\n"
         (CANONICAL + "q 1 1 3\n", (6, "params")),
         ("q 1 1 3\n" + CANONICAL[:-8], (1, "header")),
         (CANONICAL.replace("a 3 4", "x 3 4"), (4, "token")),
+        (CANONICAL.replace("q 1 1 3", "q 1 1 0"), (5, "params")),
     ],
 )
 def test_parse_off_canonical_text_matches_line_reader(text, expect):

@@ -90,6 +90,12 @@ BRANCHES = [
     ("labels", "2 x1\n1 x2\n", ("params", 1, "line 1: label id '2' in f.labels is not the next id 1")),
     ("labels", "1 x1\nc note\n1 x2\n", ("params", 3, "line 3: label id '1' in f.labels is not the next id 2")),
     ("labels", "1 x1\ntwo x2\n", ("params", 2, "line 2: label id 'two' in f.labels is not the next id 2")),
+    # a q line must give an instance: b >= 0, k >= 0 and p >= 1; the last
+    # text has the canonical layout
+    ("instance", "p dakc 2 0\nq -1 1 2\n", ("params", 2, "line 2: expected b >= 0, k >= 0 and p >= 1, got 'q -1 1 2'")),
+    ("instance", "p dakc 2 0\nq 1 -1 2\n", ("params", 2, "line 2: expected b >= 0, k >= 0 and p >= 1, got 'q 1 -1 2'")),
+    ("instance", "p dakc 2 0\nq 1 1 -2\n", ("params", 2, "line 2: expected b >= 0, k >= 0 and p >= 1, got 'q 1 1 -2'")),
+    ("instance", "p dakc 2 1\na 1 2\nq 1 1 0\n", ("params", 3, "line 3: expected b >= 0, k >= 0 and p >= 1, got 'q 1 1 0'")),
 ]
 
 

@@ -31,6 +31,7 @@ from helpers import (
     random_digraph_degree_capped,
     ring_digraph,
     ring_instance,
+    stage3_only,
     stage3_reference,
     without_arcs_reference,
 )
@@ -117,7 +118,8 @@ def test_half_k_stage3_finds_large_core():
     # guessing stage is forced, so the separator pipeline must produce it
     g = path_graph(8)
     inst = Instance(graph=g, b=1, k=1, p=8)
-    v = solve_half_k(inst, force_stage3=True)
+    with stage3_only():
+        v = solve_half_k(inst)
     assert v.is_yes
     assert verify_solution(inst, v.solution)
     assert v.solution.anchors == vset([0])
@@ -132,7 +134,8 @@ def test_half_k_stage3_soundness_in_isolation():
         b = rng.randint(0, 2)
         p = rng.randint(1, n)
         inst = Instance(graph=g, b=b, k=k, p=p)
-        v = solve_half_k(inst, max_degree=2 * k, force_stage3=True)
+        with stage3_only():
+            v = solve_half_k(inst, max_degree=2 * k)
         if v.is_yes:
             assert verify_solution(inst, v.solution)
 
@@ -341,7 +344,10 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
             return solve_high_k(inst)
         if regime == "dag":
             return solve_dag(inst)
-        return solve_half_k(inst, max_degree=2 * inst.k, force_stage3=regime == "stage3")
+        if regime == "stage3":
+            with stage3_only():
+                return solve_half_k(inst, max_degree=2 * inst.k)
+        return solve_half_k(inst, max_degree=2 * inst.k)
 
     pool = _kernel_pool(regime, random.Random(229), 150)
     got = [solve(inst) for inst in pool]
@@ -405,7 +411,8 @@ def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
         inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
         del calls[:]
         paths_of.clear()
-        got = solve_half_k(inst, max_degree=2 * k, force_stage3=True)
+        with stage3_only():
+            got = solve_half_k(inst, max_degree=2 * k)
         ran = [c for c in calls if c[1] is not None]
         expect, ref = stage3_reference(inst, 2 * k)
         assert got == expect
@@ -465,7 +472,8 @@ def test_stage3_flow_repair_decides_as_a_min_cut_from_scratch(monkeypatch):
         k = rng.choice([1, 2])
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.4, 0.9))
         inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
-        solve_half_k(inst, max_degree=2 * k, force_stage3=True)
+        with stage3_only():
+            solve_half_k(inst, max_degree=2 * k)
     assert seen.count(True) >= 350 and seen.count(False) >= 150
 
 
@@ -482,7 +490,8 @@ def test_stage3_runs_each_deletion_guess_once_per_t(monkeypatch):
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.4, 0.9))
         inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
         del calls[:]
-        solve_half_k(inst, max_degree=2 * k, force_stage3=True)
+        with stage3_only():
+            solve_half_k(inst, max_degree=2 * k)
         pairs = [(t, deleted) for t, deleted, _ in calls if deleted is not None]
         assert len(pairs) == len(set(pairs))
         inner += len(pairs)
@@ -549,7 +558,8 @@ def test_stage3_cut_on_backward_reach_is_exact(monkeypatch):
             continue
         cut = list(tried)
         del tried[:]
-        forced = solve_half_k(inst, force_stage3=True)
+        with stage3_only():
+            forced = solve_half_k(inst)
         assert (got.kind, got.solution) == (forced.kind, forced.solution)
         assert got.kind == oracle_solve(inst).kind
         if got.is_yes:
@@ -562,6 +572,44 @@ def test_stage3_cut_on_backward_reach_is_exact(monkeypatch):
         skipped += len(small)
         stripped += g1.n < n
     assert reached >= 40 and skipped >= 300 and stripped >= 1
+
+
+def test_probe_bound_past_the_stripped_graph_ends_stage3_without_a_flow(monkeypatch):
+    # when the probe's NO_UP_TO bound is at least the stripped graph's vertex
+    # count, the t cut skips every t: the answer is NO and no flow runs
+    probes: list = []
+    flows: list = []
+    probe = solver_degree.bounded_core_search
+    disjoint_paths = solver_degree.disjoint_paths
+
+    def spy_probe(red, q):
+        verdict = probe(red, q)
+        probes.append((red.graph.n, verdict))
+        return verdict
+
+    def spy_paths(g, s, t, limit):
+        flows.append(t)
+        return disjoint_paths(g, s, t, limit)
+
+    monkeypatch.setattr(solver_degree, "bounded_core_search", spy_probe)
+    monkeypatch.setattr(solver_degree, "disjoint_paths", spy_paths)
+    rng = random.Random(2267)
+    covered = 0
+    for _ in range(300):
+        k = rng.choice([1, 2])
+        n = rng.randint(3, 10)
+        g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.3, 0.9))
+        if g.max_degree() != 2 * k:
+            continue
+        inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
+        del probes[:], flows[:]
+        got = solve_half_k(inst)
+        if not probes or probes[0][1].kind != "no_up_to" or probes[0][1].bound < probes[0][0]:
+            continue
+        assert got.kind == "no" == oracle_solve(inst).kind
+        assert flows == []
+        covered += 1
+    assert covered >= 40
 
 
 def _planted_chain(n: int) -> DirectedGraph:
@@ -588,6 +636,7 @@ def test_stage3_answers_planted_chains_past_the_cut(monkeypatch, n):
     got = solve_half_k(inst)
     assert tried
     assert got.is_yes and verify_solution(inst, got.solution)
-    assert got == solve_half_k(inst, force_stage3=True)
+    with stage3_only():
+        assert got == solve_half_k(inst)
     assert got.solution.core.bit_count() > 13
     assert oracle_solve(inst).is_yes
