@@ -13,11 +13,19 @@ b or p, and all three come from one sweep: peeling at threshold 1 is Kahn's
 algorithm from the sources.  The plan is built once per graph and kept in
 the graph's own table dict, so repeated solves on one graph (the bisection
 steps of ``dakc max``) share it and it dies with its graph.
+
+The plan also keeps what its cover searches proved, per selection size: the
+largest union of that many reach sets once a search has reached its target
+at that size, or else the smallest target proven out of reach, with the
+lexicographically first cover of each target in between.  The records are
+keyed by size, not budget, so a solve with any b reads them; it searches
+only a size they cannot decide, and a bisection step of ``dakc max`` just
+above the maximum coverage is a NO the records already hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import not_
 
@@ -25,58 +33,102 @@ from .core import Instance, Solution, Verdict, normalize
 from .graph import DirectedGraph, Mask, vertices_of, vset
 
 
-def partial_set_cover(sets: tuple[Mask, ...], budget: int, target: int) -> set[int] | None:
+def partial_set_cover(
+    sets: tuple[Mask, ...], budget: int, target: int, records: dict | None = None
+) -> set[int] | None:
     """Indices of at most ``budget`` of ``sets`` whose union has at least
-    ``target`` elements, by exhaustive search, smallest selections first.
+    ``target`` elements: the fewest sets, then the lexicographically first.
 
-    Selections of each size are tried in lexicographic index order, so the
-    returned index set is deterministic (fewest sets, then lexicographically
-    first).  A running suffix-union bound prunes branches that cannot reach
-    the target even using every remaining set.  Coverage only grows with the
-    sets picked, so the largest size, ``min(budget, r)``, is searched first:
-    without a cover there is none at all.  With one, the smaller sizes are
-    searched in ascending order, and the largest size's cover stands only if
-    none of them has one.
+    Coverage only grows with the sets picked, so the largest size,
+    ``min(budget, r)``, is decided first: without a cover there is none at
+    all.  With one, the smaller sizes are decided in ascending order, and
+    the largest size's cover stands only if none of them has one.
+
+    ``records`` maps a selection size to what the last search at that size
+    proved: its floor and the selections ``_rising_unions`` found above it.
+    Every selection before one of them covers less, so the first that
+    reaches a target above the floor is that target's answer, and when none
+    reaches it the target is out of reach: the last one's union is the
+    largest, or the floor bounds it when there is none.  Only a target at
+    or below the floor is searched again.  Callers asking about the same
+    ``sets`` again, with any budget or target, pass the same dict.
     """
+    if records is None:
+        records = {}
+
+    def cover(size: int) -> set[int] | None:
+        record = records.get(size)
+        if record is None or target <= record[0]:
+            record = records[size] = target - 1, _rising_unions(sets, size, target - 1)
+        for union, picked in record[1]:
+            if union >= target:
+                return set(picked)
+        return None
+
+    top = min(budget, len(sets))
+    found = cover(top)
+    if found is None:
+        return None
+    for size in range(top):
+        smaller = cover(size)
+        if smaller is not None:
+            return smaller
+    return found
+
+
+def _rising_unions(sets: tuple[Mask, ...], size: int, floor: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Each selection of ``size`` sets, in lexicographic order, whose union
+    is larger than ``floor`` and than every earlier selection's union, with
+    that union's size; so the last one found is a largest union.
+
+    Branch and bound: a branch is cut once the union of its picks and of
+    every later set is no larger than the best union so far.  That bound
+    only shrinks from one sibling to the next, so the first sibling it cuts
+    ends the loop.  Until a union beats ``floor``, the search cuts exactly
+    what a search for one cover of ``floor + 1`` elements cuts.
+    """
+    if size == 0:
+        return [(0, ())] if floor < 0 else []
     r = len(sets)
     suffix = [0] * (r + 1)
     for i in range(r - 1, -1, -1):
         suffix[i] = suffix[i + 1] | sets[i]
+    rising: list[tuple[int, tuple[int, ...]]] = []
+    best = floor
+    picked: list[int] = []
 
-    def first_cover(start: int, need: int, covered: Mask) -> set[int] | None:
-        if need == 0:
-            return set() if covered.bit_count() >= target else None
-        if r - start < need:
-            return None
-        if (covered | suffix[start]).bit_count() < target:
-            return None
-        for i in range(start, r):
-            rest = first_cover(i + 1, need - 1, covered | sets[i])
-            if rest is not None:
-                rest.add(i)
-                return rest
-        return None
+    def extend(start: int, need: int, covered: Mask) -> None:
+        nonlocal best
+        if need == 1:
+            unions = [(covered | s).bit_count() for s in sets[start:]]
+            if max(unions) > best:
+                for i, union in enumerate(unions, start):
+                    if union > best:
+                        best = union
+                        rising.append((best, (*picked, i)))
+            return
+        for i in range(start, r - need + 1):
+            if (covered | suffix[i]).bit_count() <= best:
+                return
+            picked.append(i)
+            extend(i + 1, need - 1, covered | sets[i])
+            picked.pop()
 
-    top = min(budget, r)
-    found = first_cover(0, top, 0)
-    if found is None:
-        return None
-    for size in range(top):
-        smaller = first_cover(0, size, 0)
-        if smaller is not None:
-            return smaller
-    return found
+    extend(0, size, 0)
+    return rising
 
 
 @dataclass(frozen=True)
 class _Plan:
     """What ``solve_k1`` needs of a graph whatever b and p: the banked
     region, the residual sources in increasing id, and each source's reach
-    set within the residual."""
+    set within the residual; and the records of the cover searches over
+    those reach sets, which every solve on the graph reads and extends."""
 
     banked: Mask
     sources: tuple[int, ...]
     reach_sets: tuple[Mask, ...]
+    records: dict = field(default_factory=dict)
 
 
 def _plan(g: DirectedGraph) -> _Plan:
@@ -142,7 +194,7 @@ def solve_k1(inst: Instance) -> Verdict:
     if len(sources) <= b:
         return Verdict.yes(Solution(anchors=vset(sources), core=g.full_mask))
 
-    picked = partial_set_cover(plan.reach_sets, b, p - banked_size)
+    picked = partial_set_cover(plan.reach_sets, b, p - banked_size, plan.records)
     if picked is None:
         return Verdict.no()
     anchors = vset(sources[i] for i in picked)

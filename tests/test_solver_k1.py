@@ -16,6 +16,7 @@ from dakc import (
     verify_solution,
     vset,
 )
+from dakc import solver_k1
 from dakc.reductions import SetCoverInstance, gen_from_setcover
 from dakc.solver_dag import is_acyclic
 from dakc.solver_k1 import _plan
@@ -90,6 +91,45 @@ def test_partial_set_cover_matches_subset_search():
                 covered |= sets[i]
             assert covered.bit_count() >= target
             assert got == best  # smallest size, lexicographically first
+
+
+def test_partial_set_cover_answers_alike_with_shared_records():
+    # one records dict across every (budget, target) of a family, asked in
+    # shuffled order, must give what a call without records gives
+    rng = random.Random(43)
+    for _ in range(200):
+        universe = rng.randint(1, 8)
+        sets = tuple(
+            vset(e for e in range(universe) if rng.random() < 0.4) for _ in range(rng.randint(0, 7))
+        )
+        queries = [(budget, target) for budget in range(5) for target in range(-1, universe + 2)]
+        rng.shuffle(queries)
+        records = {}
+        for budget, target in queries:
+            assert partial_set_cover(sets, budget, target, records) == partial_set_cover(sets, budget, target)
+
+
+def test_rising_unions_lists_each_record_union_once():
+    # the records hold, in lexicographic order, each selection whose union
+    # beats the floor and every earlier union: strictly rising, so no union
+    # is listed twice
+    rng = random.Random(41)
+    for _ in range(300):
+        universe = rng.randint(1, 8)
+        sets = tuple(
+            vset(e for e in range(universe) if rng.random() < 0.4) for _ in range(rng.randint(0, 7))
+        )
+        size = rng.randint(0, len(sets))
+        floor = rng.randint(-1, universe)
+        expect, best = [], floor
+        for combo in combinations(range(len(sets)), size):
+            union = 0
+            for i in combo:
+                union |= sets[i]
+            if union.bit_count() > best:
+                best = union.bit_count()
+                expect.append((best, combo))
+        assert solver_k1._rising_unions(sets, size, floor) == expect
 
 
 def test_solve_k1_matches_oracle():
@@ -204,3 +244,41 @@ def test_plan_reach_sweep_matches_one_walk_per_source():
         banking += plan.banked != 0
         sharing += any(a & b for a, b in combinations(walks, 2))
     assert banking >= 30 and sharing >= 100
+
+
+def test_reused_plan_answers_every_query_as_a_fresh_graph(monkeypatch):
+    # every (b, p) asked of one graph object, in shuffled order, must give the
+    # verdict the reference gives on a fresh copy; and the plan's records must
+    # decide a fixed share of the cover queries with no search, so a plan
+    # that ignores its records fails as well as one that misreads them
+    covers, searches = [], []
+    real_cover, real_search = solver_k1.partial_set_cover, solver_k1._rising_unions
+    monkeypatch.setattr(solver_k1, "partial_set_cover", lambda *a: covers.append(a) or real_cover(*a))
+    monkeypatch.setattr(solver_k1, "_rising_unions", lambda *a: searches.append(a) or real_search(*a))
+    rng = random.Random(73)
+    graphs = []
+    for _ in range(75):
+        universe = rng.randint(1, 2)
+        sets = [vset(rng.sample(range(universe), rng.randint(1, universe))) for _ in range(rng.randint(1, 3))]
+        sets.append((1 << universe) - 1)
+        cover = SetCoverInstance(universe=universe, sets=tuple(sets), budget=0)
+        graphs.append(gen_from_setcover(cover).instance.graph)
+    for _ in range(75):
+        # a random topological order, dense enough that sources share descendants
+        n = rng.randint(2, 18)
+        order = rng.sample(range(n), n)
+        arcs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
+        graphs.append(DirectedGraph.from_arcs(n, arcs))
+    asked = decided = 0
+    for g in graphs:
+        fresh = DirectedGraph.from_arcs(g.n, list(g.arcs()))
+        queries = [(b, p) for b in range(5) for p in range(1, g.n + 1)]
+        rng.shuffle(queries)
+        for b, p in queries:
+            expect = k1_reference(Instance(graph=fresh, b=b, k=1, p=p))
+            before = len(covers), len(searches)
+            assert solve_k1(Instance(graph=g, b=b, k=1, p=p)) == expect
+            if len(covers) > before[0]:
+                asked += 1
+                decided += len(searches) == before[1]
+    assert asked >= 5000 and decided >= 0.8 * asked
