@@ -14,20 +14,23 @@ algorithm from the sources.  The plan is built once per graph and kept in
 the graph's own table dict, so repeated solves on one graph (the bisection
 steps of ``dakc max``) share it and it dies with its graph.
 
-The plan also keeps what its cover searches proved, per selection size: the
-largest union of that many reach sets once a search has reached its target
-at that size, or else the smallest target proven out of reach, with the
-lexicographically first cover of each target in between.  The records are
-keyed by size, not budget, so a solve with any b reads them; it searches
-only a size they cannot decide, and a bisection step of ``dakc max`` just
-above the maximum coverage is a NO the records already hold.
+The plan also keeps its cover searches, one per selection size, each a
+branch and bound that lists, in lexicographic order, the selections whose
+union beats its floor and every earlier union.  A query reads what a search
+has listed and resumes it only as far as its own target: a YES stops at the
+first cover, as a single solve always did, and a search that runs out is a
+NO for every higher target.  The records are keyed by size, not budget, so
+a solve with any b reads them, and the bisection steps of ``dakc max`` just
+above the maximum coverage are NOs the records already hold.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import not_
+from threading import Lock
 
 from .core import Instance, Solution, Verdict, normalize
 from .graph import DirectedGraph, Mask, vertices_of, vset
@@ -44,14 +47,15 @@ def partial_set_cover(
     all.  With one, the smaller sizes are decided in ascending order, and
     the largest size's cover stands only if none of them has one.
 
-    ``records`` maps a selection size to what the last search at that size
-    proved: its floor and the selections ``_rising_unions`` found above it.
-    Every selection before one of them covers less, so the first that
-    reaches a target above the floor is that target's answer, and when none
-    reaches it the target is out of reach: the last one's union is the
-    largest, or the floor bounds it when there is none.  Only a target at
-    or below the floor is searched again.  Callers asking about the same
-    ``sets`` again, with any budget or target, pass the same dict.
+    ``records`` maps a selection size to a search of ``_rising_unions`` at
+    that size: its floor, the selections it has listed so far and the rest
+    of it.  Every selection before a listed one covers less, so the first
+    listed one that reaches a target above the floor is that target's
+    answer.  Otherwise the search resumes and stops at the first selection
+    that reaches the target; if it runs out, the target is out of reach.
+    Only a target at or below the floor starts a new search.  Callers asking
+    about the same ``sets`` again, with any budget or target, pass the same
+    dict, one call at a time.
     """
     if records is None:
         records = {}
@@ -59,10 +63,20 @@ def partial_set_cover(
     def cover(size: int) -> set[int] | None:
         record = records.get(size)
         if record is None or target <= record[0]:
-            record = records[size] = target - 1, _rising_unions(sets, size, target - 1)
-        for union, picked in record[1]:
+            record = records[size] = target - 1, [], _rising_unions(sets, size, target - 1)
+        _, listed, rest = record
+        for union, picked in listed:
             if union >= target:
                 return set(picked)
+        try:
+            for union, picked in rest:
+                listed.append((union, picked))
+                if union >= target:
+                    return set(picked)
+        except BaseException:
+            # a search cut short has not run out, so it proves no NO
+            del records[size]
+            raise
         return None
 
     top = min(budget, len(sets))
@@ -76,46 +90,46 @@ def partial_set_cover(
     return found
 
 
-def _rising_unions(sets: tuple[Mask, ...], size: int, floor: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Each selection of ``size`` sets, in lexicographic order, whose union
-    is larger than ``floor`` and than every earlier selection's union, with
-    that union's size; so the last one found is a largest union.
+def _rising_unions(sets: tuple[Mask, ...], size: int, floor: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield each selection of ``size`` sets, in lexicographic order, whose
+    union is larger than ``floor`` and than every earlier selection's union,
+    with that union's size; so the last one yielded is a largest union.
 
     Branch and bound: a branch is cut once the union of its picks and of
     every later set is no larger than the best union so far.  That bound
     only shrinks from one sibling to the next, so the first sibling it cuts
-    ends the loop.  Until a union beats ``floor``, the search cuts exactly
-    what a search for one cover of ``floor + 1`` elements cuts.
+    ends the loop.  Up to the first selection it yields, the search cuts
+    exactly what a search for one cover of ``floor + 1`` elements cuts, and
+    it goes no further until asked for the next one.
     """
     if size == 0:
-        return [(0, ())] if floor < 0 else []
+        if floor < 0:
+            yield 0, ()
+        return
     r = len(sets)
     suffix = [0] * (r + 1)
     for i in range(r - 1, -1, -1):
         suffix[i] = suffix[i + 1] | sets[i]
-    rising: list[tuple[int, tuple[int, ...]]] = []
     best = floor
     picked: list[int] = []
 
-    def extend(start: int, need: int, covered: Mask) -> None:
+    def extend(start: int, need: int, covered: Mask) -> Iterator[tuple[int, tuple[int, ...]]]:
         nonlocal best
         if need == 1:
-            unions = [(covered | s).bit_count() for s in sets[start:]]
-            if max(unions) > best:
-                for i, union in enumerate(unions, start):
-                    if union > best:
-                        best = union
-                        rising.append((best, (*picked, i)))
+            for i in range(start, r):
+                union = (covered | sets[i]).bit_count()
+                if union > best:
+                    best = union
+                    yield best, (*picked, i)
             return
         for i in range(start, r - need + 1):
             if (covered | suffix[i]).bit_count() <= best:
                 return
             picked.append(i)
-            extend(i + 1, need - 1, covered | sets[i])
+            yield from extend(i + 1, need - 1, covered | sets[i])
             picked.pop()
 
-    extend(0, size, 0)
-    return rising
+    yield from extend(0, size, 0)
 
 
 @dataclass(frozen=True)
@@ -123,12 +137,14 @@ class _Plan:
     """What ``solve_k1`` needs of a graph whatever b and p: the banked
     region, the residual sources in increasing id, and each source's reach
     set within the residual; and the records of the cover searches over
-    those reach sets, which every solve on the graph reads and extends."""
+    those reach sets, which every solve on the graph reads and extends, one
+    at a time under ``lock``, as the graph may be shared between threads."""
 
     banked: Mask
     sources: tuple[int, ...]
     reach_sets: tuple[Mask, ...]
     records: dict = field(default_factory=dict)
+    lock: Lock = field(default_factory=Lock)
 
 
 def _plan(g: DirectedGraph) -> _Plan:
@@ -194,7 +210,8 @@ def solve_k1(inst: Instance) -> Verdict:
     if len(sources) <= b:
         return Verdict.yes(Solution(anchors=vset(sources), core=g.full_mask))
 
-    picked = partial_set_cover(plan.reach_sets, b, p - banked_size, plan.records)
+    with plan.lock:
+        picked = partial_set_cover(plan.reach_sets, b, p - banked_size, plan.records)
     if picked is None:
         return Verdict.no()
     anchors = vset(sources[i] for i in picked)

@@ -110,7 +110,7 @@ def test_partial_set_cover_answers_alike_with_shared_records():
 
 
 def test_rising_unions_lists_each_record_union_once():
-    # the records hold, in lexicographic order, each selection whose union
+    # a search yields, in lexicographic order, each selection whose union
     # beats the floor and every earlier union: strictly rising, so no union
     # is listed twice
     rng = random.Random(41)
@@ -129,7 +129,75 @@ def test_rising_unions_lists_each_record_union_once():
             if union.bit_count() > best:
                 best = union.bit_count()
                 expect.append((best, combo))
-        assert solver_k1._rising_unions(sets, size, floor) == expect
+        assert list(solver_k1._rising_unions(sets, size, floor)) == expect
+
+
+class _Counted(tuple):
+    """Sets that count how often a search reads them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _Counted.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_cover_yes_stops_at_its_first_cover():
+    # ROADMAP item 15(a)'s disjoint arcs, at most 4 of 160: the first cover of
+    # 5 elements is (0, 1, 2).  Deciding the smaller sizes reads the sets
+    # about 13k times, while going on to prove the union of 8 the largest at
+    # size 4 would visit every selection of 3 arcs, about 670k of them
+    arcs = _Counted(vset((2 * i, 2 * i + 1)) for i in range(160))
+    _Counted.reads = 0
+    assert partial_set_cover(arcs, 4, 5) == {0, 1, 2}
+    assert _Counted.reads < 100_000
+
+
+def test_cover_search_cuts_a_bound_equal_to_its_floor():
+    # 100 copies of one pair never cover 3 elements: the bound of the root's
+    # first branch is 2, the floor, so that cut ends the search at once;
+    # a cut only below the floor would visit every selection of 3
+    pairs = _Counted([vset([0, 1])] * 100)
+    _Counted.reads = 0
+    assert partial_set_cover(pairs, 3, 3) is None
+    assert _Counted.reads <= 200
+
+
+def test_cover_search_cut_short_proves_no_no():
+    # a search that raises is dropped from the records: kept, it would look
+    # run out, and the next query would read a NO from it
+    class Flaky(tuple):
+        fail_at = 50
+
+        def __getitem__(self, i):
+            Flaky.fail_at -= 1
+            if Flaky.fail_at == 0:
+                raise KeyboardInterrupt
+            return tuple.__getitem__(self, i)
+
+    arcs = Flaky(vset((2 * i, 2 * i + 1)) for i in range(80))
+    records = {}
+    with pytest.raises(KeyboardInterrupt):
+        partial_set_cover(arcs, 3, 6, records)
+    assert partial_set_cover(arcs, 3, 6, records) == {0, 1, 2}
+
+
+def test_cover_records_resume_a_search_and_keep_its_end():
+    # a YES leaves its search paused at the first cover; a higher target
+    # resumes it, and once it runs out every target above its last union is
+    # a NO with no new search
+    sets = (vset([0]), vset([1, 2]), vset([0, 3]), vset([1, 2, 3, 4]))
+    records = {}
+    assert partial_set_cover(sets, 1, 2, records) == {1}
+    floor, listed, rest = records[1]
+    assert (floor, listed) == (1, [(2, (1,))])
+    assert partial_set_cover(sets, 1, 3, records) == {3}
+    assert records[1][1] == [(2, (1,)), (4, (3,))]
+    assert partial_set_cover(sets, 1, 5, records) is None
+    assert next(rest, None) is None
+    assert records[1][0] == 1 and partial_set_cover(sets, 1, 7, records) is None
+    assert partial_set_cover(sets, 1, 1, records) == {0}  # at the floor: a new search
+    assert records[1][0] == 0
 
 
 def test_solve_k1_matches_oracle():
@@ -249,12 +317,23 @@ def test_plan_reach_sweep_matches_one_walk_per_source():
 def test_reused_plan_answers_every_query_as_a_fresh_graph(monkeypatch):
     # every (b, p) asked of one graph object, in shuffled order, must give the
     # verdict the reference gives on a fresh copy; and the plan's records must
-    # decide a fixed share of the cover queries with no search, so a plan
-    # that ignores its records fails as well as one that misreads them
+    # decide a fixed share of the cover queries with no search started or
+    # resumed, so a plan that ignores its records fails as well as one that
+    # misreads them
     covers, searches = [], []
     real_cover, real_search = solver_k1.partial_set_cover, solver_k1._rising_unions
+
+    def spied_search(*a):
+        found = real_search(*a)
+        while True:
+            searches.append(a)
+            item = next(found, None)
+            if item is None:
+                return
+            yield item
+
     monkeypatch.setattr(solver_k1, "partial_set_cover", lambda *a: covers.append(a) or real_cover(*a))
-    monkeypatch.setattr(solver_k1, "_rising_unions", lambda *a: searches.append(a) or real_search(*a))
+    monkeypatch.setattr(solver_k1, "_rising_unions", spied_search)
     rng = random.Random(73)
     graphs = []
     for _ in range(75):
@@ -281,4 +360,4 @@ def test_reused_plan_answers_every_query_as_a_fresh_graph(monkeypatch):
             if len(covers) > before[0]:
                 asked += 1
                 decided += len(searches) == before[1]
-    assert asked >= 5000 and decided >= 0.8 * asked
+    assert asked >= 5000 and decided >= 0.75 * asked
