@@ -7,6 +7,7 @@ Vertices are contiguous integers ``0..n-1`` internally; the text formats are
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import dataclass
@@ -100,7 +101,7 @@ class DirectedGraph:
             or any(map(eq, ordered, islice(ordered, 1, None)))
         ):
             raise ValueError(_first_bad_arc(n, arcs))
-        return cls._from_checked(_out_adjacency(n, tails, heads))
+        return cls._from_checked(_out_adjacency(_tally(n, tails), heads))
 
     @classmethod
     def _from_checked(cls, out_adj: Sequence[tuple[int, ...]], **tables) -> "DirectedGraph":
@@ -189,12 +190,12 @@ class DirectedGraph:
         return max(map(add, self.in_degrees, self.out_degrees), default=0)
 
 
-def _out_adjacency(n: int, tails: Iterable[int], heads: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """The out-adjacency lists of the checked arcs ``tails[i] -> heads[i]``,
-    listed in ascending (tail, head) order.  Each vertex's list is a slice of
-    one tuple of the heads, cut at the running sums of the out-degrees, so no
-    list is made per vertex."""
-    ends = list(accumulate(_tally(n, tails), initial=0))
+def _out_adjacency(out_degrees: Iterable[int], heads: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The out-adjacency lists of checked arcs listed in ascending (tail,
+    head) order, given each vertex's out-degree and the arcs' heads.  Each
+    vertex's list is a slice of one tuple of the heads, cut at the running
+    sums of the out-degrees, so no list is made per vertex."""
+    ends = list(accumulate(out_degrees, initial=0))
     heads = tuple(heads)
     return tuple(map(heads.__getitem__, map(slice, ends, islice(ends, 1, None))))
 
@@ -471,9 +472,11 @@ _ZERO_BASED = (-1).__add__  # a 1-based vertex id to its 0-based one
 def parse_instance_text(text: str) -> ParsedInstance:
     """Parse instance text, checking every line.
 
-    Canonical text is read by one regex match and whole-list checks; any
-    other text, and any canonical text that fails a check, goes through the
-    line-by-line reader, which alone raises, so each error names its line.
+    Canonical text is read by one regex match, one JSON decode of the arc
+    block's ids and whole-list checks.  Any other text, and any canonical
+    text that fails a check, goes through the line-by-line reader, which
+    alone raises, so each error names its line.  JSON refuses ids with
+    leading zeros, so arc lines with such ids take the line reader too.
     """
     return _parse_canonical(text) or _parse_lines(text)
 
@@ -487,27 +490,31 @@ def _parse_canonical(text: str) -> ParsedInstance | None:
     n_text, m_text, arc_block, *q_text = match.groups()
     try:
         n, m = int(n_text), int(m_text)
-        tokens = arc_block.split()
-        tails = list(map(_ZERO_BASED, map(int, tokens[1::3])))
-        heads = list(map(_ZERO_BASED, map(int, tokens[2::3])))
+        # the block is "\na u v" per arc, so with commas for its separators
+        # it is one JSON array of the 1-based ids, decoded in one call
+        ids = json.loads("[" + arc_block.replace("\na ", ",").replace(" ", ",")[1:] + "]")
         params = None if q_text[0] is None else tuple(map(int, q_text))
-    except ValueError:  # a digit string beyond int's limit
+    except ValueError:  # an id JSON refuses, or a digit string beyond int's limit
         return None
+    tails, heads = ids[0::2], ids[1::2]
     # serialize_instance writes the arcs in strictly ascending order, which
     # also rules out repeats.  Other orders, a vertex count too large for a
-    # list and failed checks are left to the line reader, which sorts the
-    # arcs and names the line of an error.  The q line's fields are digit
-    # strings, so only its p can be out of range.
-    if n > sys.maxsize or len(tails) != m or params and params[2] < 1 or tails and (
-        min(heads) < 0 or max(heads) >= n or any(map(eq, tails, heads))
+    # list of n + 1 entries and failed checks are left to the line reader,
+    # which sorts the arcs and names the line of an error.  The q line's
+    # fields are digit strings, so only its p can be out of range.
+    if n >= sys.maxsize or len(tails) != m or params and params[2] < 1 or tails and (
+        min(heads) < 1 or max(heads) > n or any(map(eq, tails, heads))
     ):
         return None
-    # with every head in 0..n-1, u * n + v orders the arcs as (u, v) does, so
+    # with every head in 1..n, u * n + v orders the arcs as (u, v) does, so
     # ascending keys also put the least and greatest tail first and last
     keys = list(map(add, map(mul, tails, repeat(n)), heads))
-    if not all(map(lt, keys, islice(keys, 1, None))) or tails and (tails[0] < 0 or tails[-1] >= n):
+    if not all(map(lt, keys, islice(keys, 1, None))) or tails and (tails[0] < 1 or tails[-1] > n):
         return None
-    graph = DirectedGraph._from_checked(_out_adjacency(n, tails, heads))
+    heads = list(map(_ZERO_BASED, heads))
+    # the tails stay 1-based, so their tally's entry 0 is empty
+    out_adj = _out_adjacency(islice(_tally(n + 1, tails), 1, None), heads)
+    graph = DirectedGraph._from_checked(out_adj, in_degrees=tuple(_tally(n, heads)))
     return ParsedInstance(graph=graph, params=params)
 
 
@@ -555,7 +562,7 @@ def _parse_lines(text: str) -> ParsedInstance:
     # every arc line was checked above, so no check runs a second time
     arcs.sort()
     tails, heads = zip(*arcs) if arcs else ((), ())
-    graph = DirectedGraph._from_checked(_out_adjacency(n, tails, heads))
+    graph = DirectedGraph._from_checked(_out_adjacency(_tally(n, tails), heads))
     return ParsedInstance(graph=graph, params=params)
 
 

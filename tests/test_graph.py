@@ -1,10 +1,15 @@
 import random
+import sys
+from collections import Counter
+from itertools import chain
 
 import pytest
 
 from dakc import (
     DirectedGraph,
     ParseError,
+    SetCoverInstance,
+    gen_from_setcover,
     graph,
     induced_subgraph,
     parse_digraph,
@@ -54,6 +59,15 @@ def test_parse_errors(text, kind):
     assert exc.value.kind == kind
 
 
+@pytest.mark.parametrize("n", [sys.maxsize - 1, sys.maxsize])
+def test_parse_vertex_count_past_memory_raises_memory_error(n):
+    # no list of n entries fits, and asking for one fails before anything is
+    # allocated; the CLI turns the MemoryError into exit 4, where an
+    # OverflowError from a list of n + 1 entries would crash with exit 1
+    with pytest.raises(MemoryError):
+        parse_instance_text(f"p dakc {n} 0\n")
+
+
 def _canonical_texts(rng, count):
     for _ in range(count):
         n = rng.randint(0, 40)
@@ -63,17 +77,36 @@ def _canonical_texts(rng, count):
         yield text if rng.random() < 0.5 else text[:-1]
 
 
+def _setcover_texts(rng, count):
+    # serialized set-cover gadgets of about 0.85k and 3.3k vertices, as the
+    # k1-setcover benchmark's smallest and largest schedule entries build
+    for i in range(count):
+        universe, size = ((6, 10), (10, 15))[i % 2]
+        sets = tuple(rng.getrandbits(universe) | 1 << rng.randrange(universe) for _ in range(size))
+        inst = gen_from_setcover(SetCoverInstance(universe, sets, 3)).instance
+        yield serialize_instance(inst.graph, (inst.b, inst.k, inst.p))
+
+
 def test_parse_fast_path_matches_line_reader():
     rng = random.Random(83)
     texts = list(_canonical_texts(rng, 500))
     assert any(not t.endswith("\n") for t in texts) and any("\nq " in t for t in texts)
     for text in texts:
-        assert parse_instance_text(text) == graph._parse_lines(text)
+        parsed = parse_instance_text(text)
+        assert parsed == graph._parse_lines(text)
+        # the reader hands over the in-degrees, so they are not rebuilt
+        g = parsed.graph
+        tally = Counter(chain.from_iterable(g.out_adj))
+        assert g.__dict__["in_degrees"] == tuple(tally[v] for v in range(g.n))
 
 
 def test_parse_fast_path_serves_canonical_text(monkeypatch):
     rng = random.Random(89)
-    expected = [(t, graph._parse_lines(t)) for t in _canonical_texts(rng, 200)]
+    texts = [*_canonical_texts(rng, 200), *_setcover_texts(rng, 4)]
+    assert max(parse_instance_text(t).graph.n for t in texts) > 2000
+    # a leading zero in a count is read by int, which the fast path still uses
+    texts.append(CANONICAL.replace("p dakc 4 3", "p dakc 04 3"))
+    expected = [(t, graph._parse_lines(t)) for t in texts]
 
     def refuse(text):
         raise AssertionError("canonical text reached the line reader")
@@ -98,6 +131,8 @@ CANONICAL = "p dakc 4 3\na 1 2\na 2 3\na 3 4\nq 1 1 3\n"
         (CANONICAL.replace("q 1 1 3", "q -1 1 3"), (5, "params")),
         (CANONICAL.replace("a 1 2", "a 0 2"), (2, "vertex-range")),
         (CANONICAL.replace("a 3 4", "a 3 5"), (4, "vertex-range")),
+        (CANONICAL.replace("a 3 4", "a 3 0"), (4, "vertex-range")),
+        (CANONICAL.replace("a 3 4", "a 5 4"), (4, "vertex-range")),
         (CANONICAL.replace("a 2 3", "a 2 2"), (3, "self-loop")),
         (CANONICAL.replace("a 2 3", "a 1 2"), (3, "duplicate-arc")),
         (CANONICAL.replace("p dakc 4 3", "p dakc 4 4"), (0, "arc-count")),
@@ -112,6 +147,14 @@ CANONICAL = "p dakc 4 3\na 1 2\na 2 3\na 3 4\nq 1 1 3\n"
         ("q 1 1 3\n" + CANONICAL[:-8], (1, "header")),
         (CANONICAL.replace("a 3 4", "x 3 4"), (4, "token")),
         (CANONICAL.replace("q 1 1 3", "q 1 1 0"), (5, "params")),
+        # JSON refuses leading zeros, so such ids take the line reader
+        (CANONICAL.replace("a 2 3", "a 02 3"), None),
+        (CANONICAL.replace("a 2 3", "a 2 03"), None),
+        (CANONICAL.replace("p dakc 4 3", "p dakc 04 3"), None),
+        # past int's digit limit, which JSON keeps too
+        (CANONICAL.replace("a 2 3", "a 2 " + "3" * 5000), (3, "token")),
+        ("p dakc 4 0\nq 1 1 3\n", None),
+        ("p dakc 4 0\n", None),
     ],
 )
 def test_parse_off_canonical_text_matches_line_reader(text, expect):
