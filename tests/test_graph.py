@@ -102,11 +102,10 @@ def test_parse_fast_path_matches_line_reader():
 
 def test_parse_fast_path_serves_canonical_text(monkeypatch):
     rng = random.Random(89)
-    texts = [*_canonical_texts(rng, 200), *_setcover_texts(rng, 4)]
-    assert max(parse_instance_text(t).graph.n for t in texts) > 2000
     # a leading zero in a count is read by int, which the fast path still uses
-    texts.append(CANONICAL.replace("p dakc 4 3", "p dakc 04 3"))
+    texts = [*_canonical_texts(rng, 200), *_setcover_texts(rng, 4), CANONICAL.replace("p dakc 4 3", "p dakc 04 3")]
     expected = [(t, graph._parse_lines(t)) for t in texts]
+    assert max(parsed.graph.n for _, parsed in expected) > 2000
 
     def refuse(text):
         raise AssertionError("canonical text reached the line reader")
@@ -131,8 +130,6 @@ CANONICAL = "p dakc 4 3\na 1 2\na 2 3\na 3 4\nq 1 1 3\n"
         (CANONICAL.replace("q 1 1 3", "q -1 1 3"), (5, "params")),
         (CANONICAL.replace("a 1 2", "a 0 2"), (2, "vertex-range")),
         (CANONICAL.replace("a 3 4", "a 3 5"), (4, "vertex-range")),
-        (CANONICAL.replace("a 3 4", "a 3 0"), (4, "vertex-range")),
-        (CANONICAL.replace("a 3 4", "a 5 4"), (4, "vertex-range")),
         (CANONICAL.replace("a 2 3", "a 2 2"), (3, "self-loop")),
         (CANONICAL.replace("a 2 3", "a 1 2"), (3, "duplicate-arc")),
         (CANONICAL.replace("p dakc 4 3", "p dakc 4 4"), (0, "arc-count")),
@@ -155,6 +152,9 @@ CANONICAL = "p dakc 4 3\na 1 2\na 2 3\na 3 4\nq 1 1 3\n"
         (CANONICAL.replace("a 2 3", "a 2 " + "3" * 5000), (3, "token")),
         ("p dakc 4 0\nq 1 1 3\n", None),
         ("p dakc 4 0\n", None),
+        # a head of 0 and a tail past n
+        (CANONICAL.replace("a 3 4", "a 3 0"), (4, "vertex-range")),
+        (CANONICAL.replace("a 3 4", "a 5 4"), (4, "vertex-range")),
     ],
 )
 def test_parse_off_canonical_text_matches_line_reader(text, expect):
