@@ -27,7 +27,6 @@ from .graph import (
     ParseError,
     ParsedInstance,
     induced_subgraph,
-    parse_digraph,
     parse_instance_text,
     reach,
     reverse,
@@ -103,7 +102,6 @@ __all__ = [
     "knapsack_select",
     "normalize",
     "oracle_solve",
-    "parse_digraph",
     "parse_dimacs_cnf",
     "parse_instance_text",
     "parse_setcover_text",

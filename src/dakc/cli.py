@@ -18,6 +18,7 @@ from functools import cache
 from pathlib import Path
 
 from .core import (
+    ORACLE_CAP,
     Instance,
     Solution,
     Verdict,
@@ -81,7 +82,7 @@ def _build_parser() -> _Parser:
         # accepted and ignored: its only reason is the benchmark corpus's argv
         p.add_argument("--trial-cap", type=int, help="accepted and ignored")
         p.add_argument("--allow-oracle", action="store_true", help="let auto dispatch fall back to the exhaustive oracle")
-        p.add_argument("--cap", type=int, default=10_000_000, help="oracle anchor-subset cap")
+        p.add_argument("--cap", type=int, default=ORACLE_CAP, help="oracle anchor-subset cap")
 
     ps = sub.add_parser("solve", help="solve an instance with a chosen or auto-dispatched solver")
     add_params(ps)
@@ -90,7 +91,9 @@ def _build_parser() -> _Parser:
 
     po = sub.add_parser("oracle", help="solve by exhaustive anchor enumeration")
     add_params(po)
-    po.add_argument("--cap", type=int, default=10_000_000)
+    po.add_argument("--cap", type=int, default=ORACLE_CAP)
+    # the command is solve with its solver fixed
+    po.set_defaults(solver="oracle", allow_oracle=False)
 
     pv = sub.add_parser("verify", help="check a solution JSON against an instance")
     add_params(pv)
@@ -128,24 +131,22 @@ def _read_text(path: str) -> str:
         raise ParseError(line_no, "encoding", f"{path} is not UTF-8 ({exc.reason})") from exc
 
 
-def _load_instance(args, need_p: bool = True) -> Instance:
+def _load_instance(args) -> Instance:
     parsed = parse_instance_text(_read_text(args.instance))
     qb, qk, qp = parsed.params if parsed.params is not None else (None, None, None)
     b = args.b if args.b is not None else qb
     k = args.k if args.k is not None else qk
-    p = getattr(args, "p", None)
-    if p is None:
-        p = qp
-    missing = [
-        name
-        for name, val in (("--b", b), ("--k", k), ("--p", p if need_p else 0))
-        if val is None
-    ]
+    if hasattr(args, "p"):
+        p = args.p if args.p is not None else qp
+    else:
+        # max takes no --p: it searches over p, so any placeholder will do
+        p = parsed.graph.n or 1
+    missing = [name for name, val in (("--b", b), ("--k", k), ("--p", p)) if val is None]
     if missing:
         raise _UsageError(
             f"missing {' '.join(missing)} (no q-line defaults in {args.instance})"
         )
-    return Instance(graph=parsed.graph, b=b, k=k, p=p if need_p else parsed.graph.n or 1)
+    return Instance(graph=parsed.graph, b=b, k=k, p=p)
 
 
 def _mask_list(mask) -> list[int]:
@@ -219,12 +220,6 @@ def _emit_answer(inst: Instance, verdict: Verdict) -> int:
 def _cmd_solve(args) -> int:
     inst = _load_instance(args)
     verdict = solve(inst, solver=args.solver, allow_oracle=args.allow_oracle, cap=args.cap)
-    return _emit_answer(inst, verdict)
-
-
-def _cmd_oracle(args) -> int:
-    inst = _load_instance(args)
-    verdict = solve(inst, solver="oracle", cap=args.cap)
     return _emit_answer(inst, verdict)
 
 
@@ -326,7 +321,7 @@ def _cmd_seps(args) -> int:
 
 
 def _cmd_max(args) -> int:
-    inst = _load_instance(args, need_p=False)
+    inst = _load_instance(args)
     g, b, k = inst.graph, inst.b, inst.k
     # the bisection steps verify nothing; only the best YES is checked
     best, best_yes = 0, None
@@ -355,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         handler = {
             "solve": _cmd_solve,
-            "oracle": _cmd_oracle,
+            "oracle": _cmd_solve,
             "verify": _cmd_verify,
             "gen": _cmd_gen,
             "seps": _cmd_seps,

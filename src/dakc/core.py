@@ -9,10 +9,14 @@ degree requirement.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
-from .graph import DirectedGraph, Mask, vertices_of
+from .graph import DirectedGraph, Mask, vertices_of, vset
+
+# the most anchor subsets the exhaustive oracle will enumerate
+ORACLE_CAP = 10_000_000
 
 
 class OracleBudgetError(RuntimeError):
@@ -203,18 +207,42 @@ def normalize(inst: Instance) -> Instance | Verdict:
     if inst.p > n:
         return Verdict.no(note="target core size exceeds vertex count")
     if inst.b >= inst.p:
-        low_p = (1 << inst.p) - 1
-        return Verdict.yes(Solution(anchors=low_p, core=low_p))
+        return Verdict.yes(_top_up(inst.graph, 0, inst.p))
     if inst.k == 0:
         return Verdict.yes(Solution(anchors=0, core=(1 << inst.p) - 1))
     return inst
+
+
+def _top_up(g: DirectedGraph, free: Mask, p: int) -> Solution:
+    """``free``, a set that needs no anchors, grown to ``p`` vertices by
+    anchoring the lowest-id vertices outside it."""
+    need = p - free.bit_count()
+    extra = vset(vertices_of(g.full_mask & ~free)[:need]) if need > 0 else 0
+    return Solution(anchors=extra, core=free | extra)
+
+
+def _fewest_first(search: Callable, top: int, smallest: int):
+    """The hit of the fewest picks, from ``smallest`` to ``top``, where
+    ``search(size)`` returns a size's first hit or None and a hit at one
+    size means a hit at every larger one.  So ``top`` is decided first:
+    without a hit there is none at all.  With one, the smaller sizes are
+    decided in ascending order, and the size-``top`` hit stands only if
+    none of them has one."""
+    found = search(top)
+    if found is None:
+        return None
+    for size in range(smallest, top):
+        hit = search(size)
+        if hit is not None:
+            return hit
+    return found
 
 
 def anchor_subset_count(n: int, b: int) -> int:
     return sum(comb(n, i) for i in range(min(n, b) + 1))
 
 
-def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
+def oracle_solve(inst: Instance, cap: int = ORACLE_CAP) -> Verdict:
     """Exhaustive ground truth: the first anchor set of size at most b whose
     peel reaches ``p`` vertices, in smallest-first, lexicographic order.
 
@@ -226,10 +254,9 @@ def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
       from V minus K0 only.  Anchoring a vertex that survives anyway leaves
       the peel unchanged, so a first hit never contains one.
     - Peeling is monotone in the anchors, so a hit stays a hit when anchors
-      are added, and the largest size, ``top = min(|V - K0|, b)``, has a hit
-      if any size does.  It is searched first; without a hit the answer is
-      NO.  Otherwise sizes 1 to ``top - 1`` are searched in ascending order,
-      and the size-``top`` hit stands only if none of them has one.
+      are added, and ``_fewest_first`` finds the fewest anchors from 1 to
+      ``top = min(|V - K0|, b)``, deciding ``top`` first; without a hit
+      there the answer is NO.
     - Within each size, a depth-first search takes candidates in increasing
       id order.  With anchors A chosen and candidates R left,
       ``peel(G, k, A | R)`` bounds every completion; the branch is pruned
@@ -299,11 +326,5 @@ def oracle_solve(inst: Instance, cap: int = 10_000_000) -> Verdict:
         return first_hit(0, 0, size, *_whole_graph(g, k))
 
     top = min(len(cand), b)
-    sol = search(top) if top else None
-    if sol is None:
-        return Verdict.no()
-    for size in range(1, top):
-        hit = search(size)
-        if hit is not None:
-            return Verdict.yes(hit)
-    return Verdict.yes(sol)
+    sol = _fewest_first(search, top, 1) if top else None
+    return Verdict.no() if sol is None else Verdict.yes(sol)

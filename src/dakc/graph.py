@@ -179,9 +179,6 @@ class DirectedGraph:
     def has_arc(self, u: int, v: int) -> bool:
         return bool((self.out_mask[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return self.in_degrees[v] + self.out_degrees[v]
-
     def max_degree(self) -> int:
         return self._max_degree
 
@@ -559,15 +556,7 @@ def _parse_lines(text: str) -> ParsedInstance:
         raise ParseError(0, "header", "missing problem line 'p dakc <n> <m>'")
     if len(arcs) != m:
         raise ParseError(0, "arc-count", f"problem line promises {m} arcs, found {len(arcs)}")
-    # every arc line was checked above, so no check runs a second time
-    arcs.sort()
-    tails, heads = zip(*arcs) if arcs else ((), ())
-    graph = DirectedGraph._from_checked(_out_adjacency(_tally(n, tails), heads))
-    return ParsedInstance(graph=graph, params=params)
-
-
-def parse_digraph(text: str) -> DirectedGraph:
-    return parse_instance_text(text).graph
+    return ParsedInstance(graph=DirectedGraph.from_arcs(n, arcs), params=params)
 
 
 def serialize_instance(

@@ -98,6 +98,16 @@ def gen_from_sat(f: CnfFormula, k: int = 1) -> GeneratedInstance:
         labels.append(label)
         return len(labels) - 1
 
+    def pad(target: int, helper: str, source: str) -> None:
+        """k - 1 helpers into ``target``, labelled ``helper#1`` on, each fed
+        by k private sources, labelled ``source#1`` on."""
+        helpers = [fresh(f"{helper}#{a + 1}") for a in range(k - 1)]
+        for y in helpers:
+            arcs.append((y, target))
+        for a, y in enumerate(helpers):
+            for c in range(k):
+                arcs.append((fresh(f"{source}#{a * k + c + 1}"), y))
+
     pos_vertex: dict[int, int] = {}
     neg_vertex: dict[int, int] = {}
     for i in range(1, n + 1):
@@ -107,25 +117,13 @@ def gen_from_sat(f: CnfFormula, k: int = 1) -> GeneratedInstance:
         pos_vertex[i], neg_vertex[i] = xi, nxi
         arcs.append((xi, ri))
         arcs.append((nxi, ri))
-        helpers = [fresh(f"Y{i}#{a + 1}") for a in range(k - 1)]
-        for y in helpers:
-            arcs.append((y, ri))
-        for a, y in enumerate(helpers):
-            for c in range(k):
-                z = fresh(f"Z{i}#{a * k + c + 1}")
-                arcs.append((z, y))
+        pad(ri, f"Y{i}", f"Z{i}")
     for j, clause in enumerate(f.clauses, start=1):
         vj = fresh(f"v{j}")
         for lit in clause:
             src = pos_vertex[lit] if lit > 0 else neg_vertex[-lit]
             arcs.append((src, vj))
-        helpers = [fresh(f"U{j}#{a + 1}") for a in range(k - 1)]
-        for u in helpers:
-            arcs.append((u, vj))
-        for a, u in enumerate(helpers):
-            for c in range(k):
-                w = fresh(f"W{j}#{a * k + c + 1}")
-                arcs.append((w, u))
+        pad(vj, f"U{j}", f"W{j}")
 
     b = n * (k * (k - 1) + 1) + m * k * (k - 1)
     p = n * ((k + 1) * (k - 1) + 2) + m * ((k + 1) * (k - 1) + 1)

@@ -211,7 +211,7 @@ def _min_vertex_cut(
     if (sources >> sink) & 1:
         return None
     if not (alive >> sink) & 1:
-        return None if limit < 0 else (0, 0)  # nothing reaches a dead sink
+        return 0, 0  # nothing reaches a dead sink
     sources &= alive
     in_mask = g.in_mask
     if in_mask[sink] & sources:
@@ -309,8 +309,6 @@ def enumerate_important_separators(
     found: set[Mask] = set()
 
     def walk(alive: Mask, protected: Mask, chosen: Mask, budget: int) -> None:
-        if budget < 0:
-            return
         res = _min_vertex_cut(rev, alive, protected, s, limit=budget)
         if res is None:
             return

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 
-from .core import Instance, Solution, Verdict, normalize, oracle_solve, verify_solution
+from .core import ORACLE_CAP, Instance, Solution, Verdict, _top_up, normalize, oracle_solve, verify_solution
 from .graph import (
     DirectedGraph,
     Mask,
@@ -72,10 +72,7 @@ def strip_special_components(inst: Instance) -> Verdict | Stripped:
             continue
         size = comp.bit_count()
         if b >= p_cur - size:
-            need = max(0, p_cur - size)
-            outside = g.full_mask & ~removed & ~comp
-            extra = vset(vertices_of(outside)[:need])
-            return Verdict.yes(Solution(anchors=extra, core=extra | comp | removed))
+            return Verdict.yes(_top_up(g, comp | removed, p))
         removed |= comp
         p_cur -= size
     if not removed:
@@ -330,7 +327,7 @@ def solve(
     *,
     solver: str = "auto",
     allow_oracle: bool = False,
-    cap: int = 10_000_000,
+    cap: int = ORACLE_CAP,
 ) -> Verdict:
     """Run the named solver and stamp its name on the verdict, whose witness
     the caller verifies.  ``"degree"`` and ``"auto"`` normalize once and route

@@ -32,8 +32,8 @@ from itertools import compress
 from operator import not_
 from threading import Lock
 
-from .core import Instance, Solution, Verdict, normalize
-from .graph import DirectedGraph, Mask, vertices_of, vset
+from .core import Instance, Solution, Verdict, _fewest_first, _top_up, normalize
+from .graph import DirectedGraph, Mask, vset
 
 
 def partial_set_cover(
@@ -41,11 +41,8 @@ def partial_set_cover(
 ) -> set[int] | None:
     """Indices of at most ``budget`` of ``sets`` whose union has at least
     ``target`` elements: the fewest sets, then the lexicographically first.
-
-    Coverage only grows with the sets picked, so the largest size,
-    ``min(budget, r)``, is decided first: without a cover there is none at
-    all.  With one, the smaller sizes are decided in ascending order, and
-    the largest size's cover stands only if none of them has one.
+    Coverage only grows with the sets picked, so ``_fewest_first`` finds
+    the fewest, from 0 to ``min(budget, len(sets))``.
 
     ``records`` maps a selection size to a search of ``_rising_unions`` at
     that size: its floor, the selections it has listed so far and the rest
@@ -79,15 +76,7 @@ def partial_set_cover(
             raise
         return None
 
-    top = min(budget, len(sets))
-    found = cover(top)
-    if found is None:
-        return None
-    for size in range(top):
-        smaller = cover(size)
-        if smaller is not None:
-            return smaller
-    return found
+    return _fewest_first(cover, min(budget, len(sets)), 0)
 
 
 def _rising_unions(sets: tuple[Mask, ...], size: int, floor: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -201,9 +190,7 @@ def solve_k1(inst: Instance) -> Verdict:
     banked = plan.banked
     banked_size = banked.bit_count()
     if b >= p - banked_size:
-        need = p - banked_size
-        extra = vset(vertices_of(g.full_mask & ~banked)[:need]) if need > 0 else 0
-        return Verdict.yes(Solution(anchors=extra, core=extra | banked))
+        return Verdict.yes(_top_up(g, banked, p))
 
     # Residual DAG: anchoring a source engages exactly its reach set.
     sources = plan.sources

@@ -60,6 +60,10 @@ def test_solve_unsupported_exit_code(capsys, tmp_path):
     report = json.loads(out)
     assert report["answer"] == "unsupported"
     assert "W[2]" in report["note"]
+    # max stops at its first bisection step, which is the same question
+    code, out, err = run(capsys, "max", str(f), "--b", "1", "--k", "2")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"answer": "unsupported", "note": report["note"]}
     # the oracle fallback is only a flag away
     code, out, _ = run(
         capsys, "solve", str(f), "--b", "1", "--k", "2", "--p", "4", "--allow-oracle"
@@ -104,6 +108,10 @@ def test_missing_params_is_usage_error(capsys, path_file):
     code, _, err = run(capsys, "solve", path_file, "--b", "1")
     assert code == 4
     assert "--k" in err and "--p" in err
+    # max takes no --p, so it misses only --k
+    code, out, err = run(capsys, "max", path_file, "--b", "1")
+    assert (code, out) == (4, "")
+    assert err == f"dakc: usage error: missing --k (no q-line defaults in {path_file})\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -137,6 +145,29 @@ def test_oracle_command(capsys, path_file):
     assert code == 0
     report = json.loads(out)
     assert report["solver"] == "oracle" and report["anchors"] == [1]
+
+
+@pytest.mark.parametrize(
+    "params,code",
+    [(("--b", "1", "--k", "1", "--p", "3"), 0), (("--b", "0", "--k", "1", "--p", "1"), 1)],
+    ids=["yes", "no"],
+)
+def test_oracle_command_is_solve_with_the_oracle(capsys, path_file, params, code):
+    # oracle runs solve's handler with the solver fixed, so both print alike
+    oracle = run(capsys, "oracle", path_file, *params)
+    assert oracle[0] == code
+    assert oracle == run(capsys, "solve", path_file, *params, "--solver", "oracle")
+
+
+def test_cap_flags_default_to_the_oracle_cap():
+    # one constant sets every default cap, and the literal is written once
+    parser = _build_parser()
+    for argv in (["solve", "f"], ["oracle", "f"], ["max", "f"]):
+        assert parser.parse_args(argv).cap == core.ORACLE_CAP
+    oracle = parser.parse_args(["oracle", "f"])
+    assert (oracle.solver, oracle.allow_oracle) == ("oracle", False)
+    sources = Path(core.__file__).parent.glob("*.py")
+    assert sum(path.read_text(encoding="utf-8").count("10_000_000") for path in sources) == 1
 
 
 def test_solve_then_verify_roundtrip(capsys, path_file, tmp_path):
@@ -260,6 +291,33 @@ def test_gen_amplify_refuses_a_base_whose_q_line_k_is_not_1(capsys, tmp_path):
     assert not amp.exists()
     base.write_text(PATH3 + "q 1 1 3\n")
     assert run(capsys, "gen", "amplify", str(base), "--k", "2", "--delta", "5", "-o", str(amp))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "kind,text,message",
+    [
+        ("clique", "p ug 2 1\ne 1 2\n", "gen clique requires --b (clique size)"),
+        ("setcover", "u 1\ns 1\n", "gen setcover requires --b (cover budget)"),
+    ],
+)
+def test_gen_without_budget_is_usage_error(capsys, tmp_path, kind, text, message):
+    src = tmp_path / "src.txt"
+    src.write_text(text)
+    out_file = tmp_path / "out.gr"
+    code, out, err = run(capsys, "gen", kind, str(src), "-o", str(out_file))
+    assert (code, out) == (4, "")
+    assert err == f"dakc: usage error: {message}\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--b", "1"), ("--p", "3")], ids=["none", "b-only", "p-only"])
+def test_gen_amplify_without_base_parameters_is_usage_error(capsys, tmp_path, path_file, flags):
+    # the base has no q line, so amplify needs both --b and --p
+    out_file = tmp_path / "amp.gr"
+    code, out, err = run(capsys, "gen", "amplify", path_file, *flags, "-o", str(out_file))
+    assert (code, out) == (4, "")
+    assert err == "dakc: usage error: gen amplify needs a base q-line or explicit --b/--p\n"
+    assert not out_file.exists()
 
 
 def test_gen_clique(capsys, tmp_path):
@@ -571,8 +629,10 @@ def test_oracle_cap_exit_code_counts_every_vertex(capsys, tmp_path):
     f = tmp_path / "cycle.gr"
     f.write_text(serialize_instance(cycle_with_pendants(), (3, 1, 23)))
     total = anchor_subset_count(23, 3)
-    code, _, err = run(capsys, "oracle", str(f), "--cap", str(total - 1))
+    code, out, err = run(capsys, "oracle", str(f), "--cap", str(total - 1))
     assert code == 4 and "cap" in err
+    # solve's oracle refuses alike: the oracle command is solve's handler
+    assert run(capsys, "solve", str(f), "--solver", "oracle", "--cap", str(total - 1)) == (code, out, err)
     code, out, _ = run(capsys, "oracle", str(f), "--cap", str(total))
     assert code == 0 and json.loads(out)["anchors"] == [21, 22, 23]
 

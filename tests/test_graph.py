@@ -12,7 +12,6 @@ from dakc import (
     gen_from_setcover,
     graph,
     induced_subgraph,
-    parse_digraph,
     parse_instance_text,
     reach,
     reverse,
@@ -29,7 +28,7 @@ from helpers import adjacency_reference, random_digraph, vertices_of_reference
 
 
 def test_parse_path():
-    g = parse_digraph("p dakc 3 2\na 1 2\na 2 3\n")
+    g = parse_instance_text("p dakc 3 2\na 1 2\na 2 3\n").graph
     assert g.n == 3
     assert list(g.arcs()) == [(0, 1), (1, 2)]
 
@@ -251,11 +250,11 @@ def test_vertices_of_matches_bit_loop():
 
 def test_parse_error_names_line():
     with pytest.raises(ParseError, match="line 3"):
-        parse_digraph("p dakc 3 2\na 1 2\na 2 2\n")
+        parse_instance_text("p dakc 3 2\na 1 2\na 2 2\n")
 
 
 def test_reach_examples():
-    g = parse_digraph("p dakc 3 2\na 1 2\na 2 3\n")
+    g = parse_instance_text("p dakc 3 2\na 1 2\na 2 3\n").graph
     assert reach(g, vset([0]), "forward") == vset([0, 1, 2])
     assert reach(g, vset([2]), "forward") == vset([2])
     assert reach(g, vset([2]), "backward") == vset([0, 1, 2])

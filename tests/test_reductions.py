@@ -40,6 +40,14 @@ def test_sat_examples():
 
     gen = gen_from_sat(CnfFormula(1, ((1,),)), k=2)
     assert gen.instance.graph.n == 10
+    # k - 1 helpers into r1 and into v1, each fed by k private sources
+    assert gen.labels == ("x1", "~x1", "r1", "Y1#1", "Z1#1", "Z1#2", "v1", "U1#1", "W1#1", "W1#2")
+    assert set(gen.instance.graph.arcs()) == {(0, 2), (1, 2), (3, 2), (4, 3), (5, 3), (0, 6), (7, 6), (8, 7), (9, 7)}
+    gen = gen_from_sat(CnfFormula(1, ((1,),)), k=3)
+    assert gen.labels == (
+        "x1", "~x1", "r1", "Y1#1", "Y1#2", *(f"Z1#{i}" for i in range(1, 7)),
+        "v1", "U1#1", "U1#2", *(f"W1#{i}" for i in range(1, 7)),
+    )
 
 
 def test_sat_structural_bounds():
@@ -133,9 +141,9 @@ def test_amplify_preserves_no_and_checks_degrees():
     amp = amplify_k(base, k=2, delta=5).instance
     g = amp.graph
     for v in range(base.graph.n):
-        assert g.degree(v) <= 2 + 2  # base degree <= 3 plus k-1 block arcs
+        assert g.in_degrees[v] + g.out_degrees[v] <= 2 + 2  # base degree <= 3 plus k-1 block arcs
     for v in range(base.graph.n, g.n):
-        assert g.degree(v) <= 2 * 2 + 1
+        assert g.in_degrees[v] + g.out_degrees[v] <= 2 * 2 + 1
     assert oracle_solve(amp).kind == "no"
 
 

@@ -7,9 +7,11 @@ from dakc import (
     DirectedGraph,
     Instance,
     SearchBudgetError,
+    Verdict,
     bounded_core_search,
     coloring_stream,
     knapsack_select,
+    normalize,
     oracle_solve,
     peel,
     red_components,
@@ -47,6 +49,11 @@ def test_bounded_search_examples():
 
     v = bounded_core_search(Instance(graph=cycle_graph(3), b=0, k=1, p=3), 3)
     assert v.is_yes and v.solution.anchors == 0
+
+    # a target past n is NO to every q, with normalize's note
+    inst = Instance(graph=path, b=1, k=1, p=4)
+    assert bounded_core_search(inst, 5) == Verdict.no_up_to(5, note=normalize(inst).note)
+    assert normalize(inst).note == "target core size exceeds vertex count"
 
 
 def test_bounded_search_requires_q_at_least_p():
