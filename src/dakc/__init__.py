@@ -29,7 +29,6 @@ from .graph import (
     induced_subgraph,
     parse_instance_text,
     reach,
-    reverse,
     serialize_instance,
     strongly_connected_components,
     to_bidirected,
@@ -110,7 +109,6 @@ __all__ = [
     "peel",
     "reach",
     "red_components",
-    "reverse",
     "search_with_coloring",
     "serialize_instance",
     "solution_violation",

@@ -243,29 +243,6 @@ def _edge_keys(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]
     return sorted(seen)
 
 
-_MIRRORED = (
-    ("out_mask", "in_mask"),
-    ("in_mask", "out_mask"),
-    ("out_degrees", "in_degrees"),
-    ("in_degrees", "out_degrees"),
-)
-
-
-def reverse(g: DirectedGraph) -> DirectedGraph:
-    """The graph with every arc flipped.
-
-    Its in-adjacency is ``g.out_adj``, and every mask or degree table that
-    ``g`` has already built is handed over swapped (the reverse's
-    ``out_mask`` is ``g.in_mask``), not rebuilt.
-    """
-    built = g.__dict__
-    return DirectedGraph._from_checked(
-        g.in_adj,
-        in_adj=g.out_adj,
-        **{name: built[mirror] for name, mirror in _MIRRORED if mirror in built},
-    )
-
-
 def reach(
     g: DirectedGraph, seeds: Mask, direction: str = "forward", within: Mask | None = None
 ) -> Mask:

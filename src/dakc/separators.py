@@ -3,22 +3,19 @@
 A separator here is a vertex set S (disjoint from {s, t}) whose removal leaves
 t unreachable from s.  S is *important* when it is minimal and no separator of
 equal or smaller size leaves a strictly larger set of vertices able to reach
-t.  Importance in this orientation pushes separators toward s, which is the
-arc-reversed form of the usual reachable-from-source convention, so the
-enumerator runs the classical branching on the reversed graph with the roles
-of s and t swapped.
+t.
 
 Each branch asks for a minimum vertex cut.  The max flow behind it runs on
 the split graph (an entry and an exit node per vertex) without building it.
 Every arc carries 0 or 1 unit, so the flow is a few vertex bitmasks, and each
 search grows a mask of entry nodes and a mask of exit nodes from the graph's
 ``out_mask``/``in_mask`` rows, a level at a time.  One flow step,
-``_max_flow``, serves two readers: ``_min_vertex_cut`` takes the sink side of
-its residual graph, and ``disjoint_paths`` follows its flow from s to t into
-internally vertex-disjoint paths.  The flow step reads only the rows, so a
-caller may patch a copy of them in place, and it may start from paths
-already known to be disjoint instead of from zero: half-k stage 3 repairs
-one flow per deletion guess that way.
+``_max_flow``, serves two readers: ``_min_vertex_cut`` takes the cut that
+its last, failed search leaves, and ``disjoint_paths`` follows its flow from
+s to t into internally vertex-disjoint paths.  The flow step reads only the
+rows, so a caller may patch a copy of them in place, and it may start from
+paths already known to be disjoint instead of from zero: half-k stage 3
+repairs one flow per deletion guess that way.
 """
 
 from __future__ import annotations
@@ -26,23 +23,21 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .graph import DirectedGraph, Mask, reach, reverse, vertices_of, vset
+from .graph import DirectedGraph, Mask, reach, vertices_of, vset
 
 
-def _check_endpoints(g: DirectedGraph, s: int, t: int, symmetric: bool) -> None:
+def _check_endpoints(g: DirectedGraph, s: int, t: int) -> None:
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"s={s}, t={t} out of range for n={g.n}")
     if s == t:
         raise ValueError("s and t must be distinct")
     if g.has_arc(s, t):
         raise ValueError("s and t are adjacent: no s-t separator exists")
-    if symmetric and g.has_arc(t, s):
-        raise ValueError("s and t must be non-adjacent")
 
 
 def is_separator(g: DirectedGraph, s: int, t: int, sep: Mask) -> bool:
     """True iff t is unreachable from s once ``sep`` is removed."""
-    _check_endpoints(g, s, t, symmetric=False)
+    _check_endpoints(g, s, t)
     if sep & (1 << s) or sep & (1 << t):
         raise ValueError("a separator may not contain s or t")
     if sep & ~g.full_mask:
@@ -58,7 +53,7 @@ def is_important(g: DirectedGraph, s: int, t: int, sep: Mask, h: int) -> bool:
     strictly larger backward-reach of t; minimality is checked first over all
     proper subsets.  Exponential by design, so the size cap ``h`` is enforced.
     """
-    _check_endpoints(g, s, t, symmetric=True)
+    _check_endpoints(g, s, t)
     size = sep.bit_count()
     if size > h:
         raise ValueError(f"separator size {size} exceeds the cap h={h}")
@@ -86,15 +81,16 @@ def is_important(g: DirectedGraph, s: int, t: int, sep: Mask, h: int) -> bool:
 # Minimum vertex cuts via unit-capacity max flow on the split graph.
 # Vertex v becomes an entry node and an exit node joined by an internal arc
 # entry(v) -> exit(v) of capacity 1 (unbounded for protected vertices: the
-# sources and the sink); each arc u -> w becomes exit(u) -> entry(w) with
+# sources and the sinks); each arc u -> w becomes exit(u) -> entry(w) with
 # unbounded capacity.  The split graph is never built.  With no arc from a
-# source to the sink every arc carries 0 or 1 unit: at most one unit enters
-# an unprotected vertex, and no augmenting path enters a source's entry.  So
-# the flow is a ``through`` mask, the unprotected vertices whose internal arc
-# carries a unit, plus per-vertex masks of the arcs that carry one.  Every
-# residual arc joins an entry node and an exit node, so each search steps
-# from a mask of entry nodes to a mask of exit nodes and back.  The returned
-# cut is the unique minimum cut closest to the sink.
+# source to a sink every arc carries 0 or 1 unit: at most one unit enters
+# an unprotected vertex, and no augmenting path enters a source's entry or
+# leaves a sink's.  So the flow is a ``through`` mask, the unprotected
+# vertices whose internal arc carries a unit, plus per-vertex masks of the
+# arcs that carry one.  Every residual arc joins an entry node and an exit
+# node, so each search steps from a mask of entry nodes to a mask of exit
+# nodes and back.  The returned cut is the unique minimum cut closest to the
+# sources.
 # ---------------------------------------------------------------------------
 
 
@@ -103,27 +99,27 @@ def _max_flow(
     in_mask: Sequence[Mask],
     alive: Mask,
     sources: Mask,
-    sink: int,
+    sinks: Mask,
     limit: int,
     start: Sequence[tuple[int, ...]] = (),
-) -> tuple[int, Mask, list[Mask], list[Mask]]:
-    """Augment a unit at a time from ``sources`` to ``sink`` inside ``alive``
-    of the graph with rows ``out_mask`` and ``in_mask``, stopping at the
-    maximum or at ``limit + 1`` units, whichever comes first.
+) -> tuple[int, Mask, list[Mask], list[Mask], Mask | None]:
+    """Augment a unit at a time from ``sources`` to ``sinks`` inside
+    ``alive`` of the graph with rows ``out_mask`` and ``in_mask``, stopping
+    at the maximum or at ``limit + 1`` units, whichever comes first.
 
-    The flow starts from ``start``: paths from a source to the sink inside
+    The flow starts from ``start``: paths from a source to a sink inside
     ``alive``, over arcs of the graph, that share no vertex but their ends,
     one unit each.  Augmenting paths repair any feasible flow into a
     maximum one, so the value does not depend on the start.
 
-    Returns ``(flow, through, out_flow, in_flow)``: the flow value, the
-    unprotected vertices whose internal arc carries a unit, and per vertex v
+    Returns ``(flow, through, out_flow, in_flow, cut)``: the flow value, the
+    unprotected vertices whose internal arc carries a unit, per vertex v
     the heads of v's arcs that carry a unit and the tails of the arcs into v
-    that do.  Sources and the sink have no vertex capacity.  The caller rules
-    out an arc straight from a source to the sink, which would carry
-    unbounded flow, and a sink that is a source or not alive.
+    that do, and the minimum cut closest to the sources, or None when the
+    flow passed ``limit``.  Sources and sinks have no vertex capacity.  The
+    caller rules out an arc straight from a source to a sink, which would
+    carry unbounded flow, and a sink that is a source.
     """
-    sink_bit = 1 << sink
     through = 0
     out_flow = [0] * len(out_mask)
     in_flow = [0] * len(out_mask)
@@ -142,7 +138,7 @@ def _max_flow(
         exits: list[Mask] = []
         seen_in = front = sources
         seen_out = 0
-        while not front & sink_bit:
+        while front and not front & sinks:
             entries.append(front)
             # entry(v) -> exit(v) if v has room; entry(w) -> exit(u) back
             # along a flow arc u -> w, which only a vertex with flow has
@@ -153,8 +149,6 @@ def _max_flow(
                 rest ^= low
                 nxt |= in_flow[low.bit_length() - 1]
             nxt &= ~seen_out
-            if not nxt:
-                return flow, through, out_flow, in_flow  # the flow is maximum
             seen_out |= nxt
             exits.append(nxt)
             # exit(v) -> entry(w) along any arc v -> w; exit(v) -> entry(v)
@@ -166,14 +160,19 @@ def _max_flow(
                 rest ^= low
                 front |= out_mask[low.bit_length() - 1]
             front &= alive & ~seen_in
-            if not front:
-                return flow, through, out_flow, in_flow  # the flow is maximum
             seen_in |= front
-        # Walk back from the sink's entry a level at a time, to the lowest
-        # predecessor on the level below, augmenting on the way.  Each node
-        # of the path has a level of its own, so no step reads state that a
-        # later step of the path (an earlier one of the walk) has changed.
-        w = sink
+        if not front:
+            # The flow is maximum.  The search reached the source side of
+            # the residual graph, and the cut closest to the sources is the
+            # vertices whose entry lies on that side and whose exit does not.
+            return flow, through, out_flow, in_flow, seen_in & ~seen_out
+        # Walk back from the lowest sink's entry a level at a time, to the
+        # lowest predecessor on the level below, augmenting on the way.  Each
+        # node of the path has a level of its own, so no step reads state
+        # that a later step of the path (an earlier one of the walk) has
+        # changed.
+        hit = front & sinks
+        w = (hit & -hit).bit_length() - 1
         for i in range(len(exits) - 1, -1, -1):
             if (exits[i] & through) >> w & 1:
                 u = w  # back along w's internal arc
@@ -193,62 +192,30 @@ def _max_flow(
                 out_flow[u] ^= 1 << w  # back along the flow arc u -> w
                 in_flow[w] ^= 1 << u
         flow += 1
-    return flow, through, out_flow, in_flow
+    return flow, through, out_flow, in_flow, None
 
 
 def _min_vertex_cut(
-    g: DirectedGraph, alive: Mask, sources: Mask, sink: int, limit: int
+    g: DirectedGraph, alive: Mask, source: int, sinks: Mask, limit: int
 ) -> tuple[int, Mask] | None:
-    """Minimum vertex cut separating ``sources`` from ``sink`` inside ``alive``.
+    """Minimum vertex cut separating ``source`` from ``sinks`` inside ``alive``.
 
-    Returns ``(size, cut_mask)`` for the min cut closest to the sink, or None
-    when every cut is larger than ``limit`` (including the uncuttable case of
-    an arc straight from a source to the sink).  The flow value and the set
-    of nodes that can reach the sink in the residual graph are the same for
-    every maximum flow, so the result does not depend on which augmenting
-    paths the search happens to take.
+    Returns ``(size, cut_mask)`` for the min cut closest to the source, or
+    None when every cut is larger than ``limit`` (including the uncuttable
+    case of an arc straight from the source to a sink).  The flow value and
+    the set of nodes that the source reaches in the residual graph are the
+    same for every maximum flow, so the result does not depend on which
+    augmenting paths the search happens to take.
     """
-    if (sources >> sink) & 1:
+    if (sinks >> source) & 1:
         return None
-    if not (alive >> sink) & 1:
-        return 0, 0  # nothing reaches a dead sink
-    sources &= alive
-    in_mask = g.in_mask
-    if in_mask[sink] & sources:
-        return None  # an arc straight from a source to the sink: no cut exists
-    flow, through, out_flow, _ = _max_flow(g.out_mask, in_mask, alive, sources, sink, limit)
-    if flow > limit:
-        return None
-
-    # Sink side of the residual graph, the nodes that can still reach the
-    # sink, grown backwards to a fixpoint: side_in holds entry nodes,
-    # side_out exit nodes.  A source's nodes never join (that would be an
-    # augmenting path) and the sink's entry is in from the start, so
-    # neither is ever cut.
-    side_in = new_in = 1 << sink
-    side_out = 0
-    while new_in:
-        # exit(u) -> entry(w) along any arc u -> w; exit(w) -> entry(w) back
-        # along w's internal arc if it carries a unit
-        new_out = new_in & through
-        rest = new_in
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            new_out |= in_mask[low.bit_length() - 1]
-        new_out &= alive & ~side_out
-        side_out |= new_out
-        # entry(u) -> exit(u) if u has room; entry(w) -> exit(u) back along
-        # a flow arc u -> w, which only a vertex with flow has
-        new_in = new_out & ~through
-        rest = new_out & through
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            new_in |= out_flow[low.bit_length() - 1]
-        new_in &= ~side_in
-        side_in |= new_in
-    return flow, side_out & ~side_in
+    if not (alive >> source) & 1:
+        return 0, 0  # a dead source reaches nothing
+    sinks &= alive
+    if g.out_mask[source] & sinks:
+        return None  # an arc straight from the source to a sink: no cut exists
+    flow, _, _, _, cut = _max_flow(g.out_mask, g.in_mask, alive, 1 << source, sinks, limit)
+    return None if cut is None else (flow, cut)
 
 
 def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
@@ -257,12 +224,13 @@ def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[i
 
     s and t have no vertex capacity, so several paths may leave s and several
     may end in t, each over its own arc.  The paths are read off the flow of
-    ``_max_flow``: every other vertex carries at most one unit, so it has one
-    flow arc in and one out, and the walk from each arc out of s ends in t.
+    ``_max_flow``, with t as the one sink: every other vertex carries at most
+    one unit, so it has one flow arc in and one out, and the walk from each
+    arc out of s ends in t.
     Flow that circulates away from s is never reached and is ignored.
     """
-    _check_endpoints(g, s, t, symmetric=False)
-    _, _, out_flow, _ = _max_flow(g.out_mask, g.in_mask, g.full_mask, 1 << s, t, limit)
+    _check_endpoints(g, s, t)
+    out_flow = _max_flow(g.out_mask, g.in_mask, g.full_mask, 1 << s, 1 << t, limit)[2]
     paths = []
     for v in vertices_of(out_flow[s]):
         path = [s, v]
@@ -273,20 +241,20 @@ def disjoint_paths(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[i
     return paths
 
 
-def _is_important_std(rev: DirectedGraph, src: int, sink: int, sep: Mask) -> bool:
-    """Importance in the standard orientation (maximize reach of ``src``),
-    checked with one min cut: S must separate and must equal the minimum
-    cut closest to the sink from its own reach set (Marx 2006).
+def _is_important_std(g: DirectedGraph, s: int, t: int, sep: Mask) -> bool:
+    """Importance checked with one min cut: S must separate s from t and
+    must equal the minimum cut closest to s from the vertices that still
+    reach t once S is gone (Marx 2006).
 
     Minimality needs no check of its own.  A proper subset of S that
-    separates src from the sink also cuts the reach set from the sink, since
-    src reaches that set without passing S, so the minimum cut is smaller
-    than S and cannot equal it.
+    separates s from t also cuts s from that set, since the set reaches t
+    without passing S, so the minimum cut is smaller than S and cannot equal
+    it.
     """
-    reached = reach(rev, 1 << src, "forward", within=rev.full_mask & ~sep)
-    if (reached >> sink) & 1:
+    reaching = reach(g, 1 << t, "backward", within=g.full_mask & ~sep)
+    if (reaching >> s) & 1:
         return False
-    res = _min_vertex_cut(rev, rev.full_mask, reached, sink, limit=sep.bit_count())
+    res = _min_vertex_cut(g, g.full_mask, s, reaching, limit=sep.bit_count())
     return res is not None and res[1] == sep
 
 
@@ -296,20 +264,20 @@ def enumerate_important_separators(
     """The vertex masks of all important s-t separators of size at most
     ``h``, deduplicated and sorted by their vertex lists.
 
-    Branches on the minimum cut closest to the target side: each cut vertex
-    is either taken into the separator (budget shrinks) or surrendered to the
-    protected side (the cut must then grow), which bounds the candidate tree.
-    Candidates are then filtered through the importance check, so the output
-    matches the brute-force definition exactly.
+    Branches on the minimum cut closest to s, with t and every vertex
+    surrendered so far as the sinks: each cut vertex is either taken into
+    the separator (budget shrinks) or surrendered to the sinks (the cut must
+    then grow), which bounds the candidate tree.  Candidates are then
+    filtered through the importance check, so the output matches the
+    brute-force definition exactly.
     """
-    _check_endpoints(g, s, t, symmetric=True)
+    _check_endpoints(g, s, t)
     if h < 0:
         raise ValueError("h must be nonnegative")
-    rev = reverse(g)
     found: set[Mask] = set()
 
-    def walk(alive: Mask, protected: Mask, chosen: Mask, budget: int) -> None:
-        res = _min_vertex_cut(rev, alive, protected, s, limit=budget)
+    def walk(alive: Mask, sinks: Mask, chosen: Mask, budget: int) -> None:
+        res = _min_vertex_cut(g, alive, s, sinks, limit=budget)
         if res is None:
             return
         lam, cut = res
@@ -317,10 +285,10 @@ def enumerate_important_separators(
             found.add(chosen)
             return
         v = (cut & -cut).bit_length() - 1
-        walk(alive & ~(1 << v), protected, chosen | (1 << v), budget - 1)
-        walk(alive, protected | (1 << v), chosen, budget)
+        walk(alive & ~(1 << v), sinks, chosen | (1 << v), budget - 1)
+        walk(alive, sinks | (1 << v), chosen, budget)
 
     walk(g.full_mask, 1 << t, 0, h)
-    keep = [m for m in found if _is_important_std(rev, t, s, m)]
+    keep = [m for m in found if _is_important_std(g, s, t, m)]
     keep.sort(key=lambda m: tuple(vertices_of(m)))
     return keep

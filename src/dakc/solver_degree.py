@@ -168,7 +168,7 @@ def _cut_fits(
     for u, v in deleted:
         out_rows[u] ^= 1 << v
         in_rows[v] ^= 1 << u
-    flow = _max_flow(out_rows, in_rows, (1 << len(out_rows)) - 1, 1 << s, t, b, paths)[0]
+    flow = _max_flow(out_rows, in_rows, (1 << len(out_rows)) - 1, 1 << s, 1 << t, b, paths)[0]
     for u, v in deleted:
         out_rows[u] ^= 1 << v
         in_rows[v] ^= 1 << u

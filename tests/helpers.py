@@ -30,7 +30,7 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.graph import lift_mask, reverse
+from dakc.graph import lift_mask
 
 
 def random_digraph(rng: random.Random, n: int, arc_prob: float) -> DirectedGraph:
@@ -110,6 +110,11 @@ def random_dag_degree_capped(
             deg[u] += 1
             deg[v] += 1
     return DirectedGraph.from_arcs(n, arcs)
+
+
+def flipped(g: DirectedGraph) -> DirectedGraph:
+    """``g`` with every arc turned around, rebuilt from its arc list."""
+    return DirectedGraph.from_arcs(g.n, [(v, u) for u, v in g.arcs()])
 
 
 def path_graph(n: int) -> DirectedGraph:
@@ -351,6 +356,16 @@ def min_vertex_cut_reference(
     return flow, cut
 
 
+def min_cut_from_source_reference(
+    g: DirectedGraph, alive: int, source: int, sinks: int, limit: int
+) -> tuple[int, int] | None:
+    """``separators._min_vertex_cut`` from scratch: ``min_vertex_cut_reference``
+    on the flipped graph, from the sinks to the source.  Flipping every arc
+    keeps the minimum cuts and swaps their sides, so the cut closest to the
+    reference's sink is the one closest to the source here."""
+    return min_vertex_cut_reference(flipped(g), alive, sinks, source, limit)
+
+
 def disjoint_paths_reference(g: DirectedGraph, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
     """Internally vertex-disjoint s-t paths read off the flow of
     ``split_graph_flow``: from each flow arc out of s, follow the one flow
@@ -380,15 +395,15 @@ def without_arcs_reference(g: DirectedGraph, deleted) -> DirectedGraph:
 
 def cut_fits_reference(out_rows, in_rows, deleted, s, t, b, paths) -> bool:
     """``solver_degree._cut_fits`` from scratch: the graph of the rows minus
-    ``deleted``, rebuilt, reversed and cut by ``min_vertex_cut_reference``
-    from t to s as the inner enumeration's first cut is; ``paths`` is not
-    read."""
+    ``deleted``, rebuilt, flipped and cut by ``min_vertex_cut_reference``
+    from t to s, which has the size of the inner enumeration's first cut,
+    from s to t; ``paths`` is not read."""
     n = len(out_rows)
     g = without_arcs_reference(
         DirectedGraph.from_arcs(n, [(u, w) for u in range(n) for w in vertices_of(out_rows[u])]),
         deleted,
     )
-    return min_vertex_cut_reference(reverse(g), g.full_mask, 1 << t, s, b) is not None
+    return min_vertex_cut_reference(flipped(g), g.full_mask, 1 << t, s, b) is not None
 
 
 @contextmanager

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_bounded, solver_degree, solver_k1, verify_solution, vset
+from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_bounded, solver_degree, solver_k1
 from dakc.cli import _build_parser, _json_text, main
 from dakc.core import anchor_subset_count
 from dakc.graph import serialize_instance
@@ -500,6 +500,19 @@ def test_reports_print_as_indented_json(capsys, tmp_path):
         (1, (2, 3)),
     ):
         assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_seps_answers_with_an_arc_from_t_to_s(capsys, tmp_path):
+    # an arc t -> s plays no part in separating s from t; only an arc s -> t
+    # leaves no separator, and is refused
+    f = tmp_path / "back.gr"
+    f.write_text("p dakc 4 5\na 1 2\na 1 3\na 2 4\na 3 4\na 4 1\n")
+    code, out, err = run(capsys, "seps", str(f), "--s", "1", "--t", "4", "--h", "2")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["count"], report["separators"]) == (1, [[2, 3]])
+    code, out, err = run(capsys, "seps", str(f), "--s", "4", "--t", "1", "--h", "2")
+    assert (code, out, err) == (4, "", "dakc: s and t are adjacent: no s-t separator exists\n")
 
 
 def test_seps_range_error_names_ids_as_typed(capsys, tmp_path):

@@ -5,6 +5,9 @@ from pathlib import Path
 import dakc
 
 SOURCES = sorted(Path(dakc.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# the folders whose modules must read every name they import
+IMPORTING = ("src/dakc", "tests", "tools", "demos")
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
@@ -81,3 +84,40 @@ def test_all_lists_every_public_name_once_in_order():
     }
     assert dakc.__all__ == sorted(set(dakc.__all__))
     assert set(dakc.__all__) == public
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    # every name an import binds that no expression in the module reads;
+    # ``from __future__`` binds nothing
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # an import nothing reads is dead; the package's __init__ imports the
+    # names it lists in __all__ to export them
+    checked = 0
+    unread = []
+    for folder in IMPORTING:
+        for path in sorted((ROOT / folder).glob("*.py")):
+            names = _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if path == Path(dakc.__file__).resolve():
+                names = [name for name in names if name not in dakc.__all__]
+            unread += [f"{folder}/{path.name}:{name}" for name in names]
+            checked += 1
+    assert checked >= 30
+    assert unread == []
+
+
+def test_unread_import_guard_flags_an_unread_name():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport json as j\n"
+        "from x import a, b as c\nprint(os.sep, c)\n"
+    )
+    assert _unread_imports(tree) == ["a", "j"]

@@ -14,7 +14,6 @@ from dakc import (
     induced_subgraph,
     parse_instance_text,
     reach,
-    reverse,
     serialize_instance,
     strongly_connected_components,
     to_bidirected,
@@ -24,7 +23,7 @@ from dakc import (
 )
 from dakc.graph import lift_mask
 from dakc.solver_degree import _without_arcs
-from helpers import adjacency_reference, random_digraph, vertices_of_reference
+from helpers import adjacency_reference, flipped, random_digraph, vertices_of_reference
 
 
 def test_parse_path():
@@ -188,7 +187,6 @@ def test_lazy_tables_match_arc_list_reference():
             (parse_instance_text(serialize_instance(g)).graph, arcs),
             (parse_instance_text(text).graph, arcs),
             (graph._parse_lines("c line reader\n" + text).graph, arcs),
-            (reverse(g), [(v, u) for u, v in arcs]),
             (_without_arcs(g, deleted), [a for a in arcs if a not in deleted]),
         ]
         for h, h_arcs in built:
@@ -354,30 +352,12 @@ def test_reach_self_membership_and_reverse_relation():
     for _ in range(40):
         n = rng.randint(1, 9)
         g = random_digraph(rng, n, rng.uniform(0.05, 0.4))
-        rev = reverse(g)
+        rev = flipped(g)
         for v in range(n):
             assert (reach(g, 1 << v, "forward") >> v) & 1
             assert (reach(g, 1 << v, "backward") >> v) & 1
         seeds = vset(v for v in range(n) if rng.random() < 0.3)
         assert reach(g, seeds, "backward") == reach(rev, seeds, "forward")
-
-
-def test_reverse_takes_built_tables_swapped():
-    rng = random.Random(19)
-    tables = ("out_mask", "in_mask", "out_degrees", "in_degrees", "und_mask", "in_degree_below")
-    for _ in range(40):
-        n = rng.randint(0, 9)
-        g = random_digraph(rng, n, rng.uniform(0.05, 0.5))
-        flipped = DirectedGraph.from_arcs(n, [(v, u) for u, v in g.arcs()])
-        own = reverse(g)  # taken before g built any table, so it builds its own
-        for t in tables:
-            getattr(g, t)
-        shared = reverse(g)
-        assert shared.out_mask is g.in_mask and shared.in_mask is g.out_mask
-        assert shared.out_degrees is g.in_degrees and shared.in_degrees is g.out_degrees
-        for rev in (own, shared):
-            assert rev == flipped
-            assert all(getattr(rev, t) == getattr(flipped, t) for t in tables)
 
 
 def test_degree_sums_match_arc_count():

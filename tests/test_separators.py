@@ -11,10 +11,10 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.graph import reverse
 from dakc.separators import _is_important_std, _max_flow, _min_vertex_cut, disjoint_paths
 from helpers import (
     disjoint_paths_reference,
+    flipped,
     min_vertex_cut_reference,
     random_digraph,
     random_digraph_degree_capped,
@@ -103,23 +103,20 @@ def test_enumerate_when_already_separated():
     assert is_important(g, 0, 2, 0, 2)
 
 
-def _random_nonadjacent_pair(rng, g):
-    pairs = [
-        (s, t)
-        for s in range(g.n)
-        for t in range(g.n)
-        if s != t and not g.has_arc(s, t) and not g.has_arc(t, s)
-    ]
+def _random_separable_pair(rng, g):
+    # any s != t with no arc s -> t; an arc t -> s plays no part in
+    # separating s from t, so pairs with one are drawn too
+    pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t and not g.has_arc(s, t)]
     return rng.choice(pairs) if pairs else None
 
 
 def test_enumeration_matches_definition_on_random_graphs():
     rng = random.Random(43)
-    checked = 0
+    checked = back_arc = 0
     while checked < 120:
         n = rng.randint(3, 8)
         g = random_digraph(rng, n, rng.uniform(0.1, 0.45))
-        pair = _random_nonadjacent_pair(rng, g)
+        pair = _random_separable_pair(rng, g)
         if pair is None:
             continue
         s, t = pair
@@ -132,6 +129,8 @@ def test_enumeration_matches_definition_on_random_graphs():
             for v in vertices_of(sep):
                 assert not is_separator(g, s, t, sep & ~(1 << v))
         checked += 1
+        back_arc += g.has_arc(t, s)
+    assert back_arc >= 20
 
 
 def test_one_cut_importance_check_matches_definition():
@@ -139,20 +138,20 @@ def test_one_cut_importance_check_matches_definition():
     # set of at most 3 vertices, separators that are not minimal included:
     # a min cut equal to S already rules out a smaller separator inside S
     rng = random.Random(47)
-    important = non_minimal = 0
+    important = non_minimal = back_arc = 0
     for _ in range(300):
         n = rng.randint(4, 8)
         g = random_digraph(rng, n, rng.uniform(0.15, 0.5))
-        pair = _random_nonadjacent_pair(rng, g)
+        pair = _random_separable_pair(rng, g)
         if pair is None:
             continue
         s, t = pair
-        rev = reverse(g)
+        back_arc += g.has_arc(t, s)
         others = [v for v in range(n) if v != s and v != t]
         for r in range(min(3, len(others)) + 1):
             for combo in combinations(others, r):
                 sep = vset(combo)
-                got = _is_important_std(rev, t, s, sep)
+                got = _is_important_std(g, s, t, sep)
                 assert got == is_important(g, s, t, sep, 3)
                 important += got
                 non_minimal += is_separator(g, s, t, sep) and any(
@@ -160,30 +159,35 @@ def test_one_cut_importance_check_matches_definition():
                 )
     assert important >= 250
     assert non_minimal >= 2500
+    assert back_arc >= 60
 
 
 def test_min_vertex_cut_walks_back_through_used_vertices():
-    # the shortest path 0-1-2-3-4-5 takes the first unit; the second unit
-    # must enter 4 from the chain 6-9 and undo the flow through 3, back to
-    # 2's exit, which leaves over 10-12
+    # the cut runs forward from its source, so each case is cut on the
+    # flipped graph from the reference's sink to its sources.  Flipped, the
+    # shortest path 5-4-3-2-1-0 takes the first unit; the second unit must
+    # enter 2 from the chain 12-10 and undo the flow through 3, back to 4's
+    # exit, which leaves over 9-6
     arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 8), (8, 9),
             (9, 4), (2, 10), (10, 11), (11, 12), (12, 5)]
     g = DirectedGraph.from_arcs(13, arcs)
-    got = _min_vertex_cut(g, g.full_mask, vset([0]), 5, 3)
+    got = _min_vertex_cut(flipped(g), g.full_mask, 5, vset([0]), 3)
     assert got == min_vertex_cut_reference(g, g.full_mask, vset([0]), 5, 3)
     assert got[0] == 2
-    # one unit along 0-1-2-3-4; 1's exit reaches the sink over the detour
-    # 5-6-7, and 3's entry only back through 2's used internal arc, so the
+    # flipped, one unit along 4-3-2-1-0; the detour 7-6-5 reaches 1's
+    # entry, and 3's exit only back through 2's used internal arc, so the
     # one cut vertex is 1, not {1, 3}
     arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (7, 4)]
     g = DirectedGraph.from_arcs(8, arcs)
     expect = (1, vset([1]))
     assert min_vertex_cut_reference(g, g.full_mask, vset([0]), 4, 3) == expect
-    assert _min_vertex_cut(g, g.full_mask, vset([0]), 4, 3) == expect
+    assert _min_vertex_cut(flipped(g), g.full_mask, 4, vset([0]), 3) == expect
 
 
 def test_min_vertex_cut_matches_split_graph_reference():
-    # the adjacency-walking flow against max flow on an explicit split graph
+    # the adjacency-walking flow against max flow on an explicit split
+    # graph, cut on the flipped graph from the reference's sink to its
+    # sources, which are the cut's sinks
     rng = random.Random(223)
     draws = 2000
     over_limit = adjacent = dead_sink = cuts = 0
@@ -196,7 +200,7 @@ def test_min_vertex_cut_matches_split_graph_reference():
         if rng.random() < 0.95:
             sources &= ~(1 << sink)
         limit = rng.randint(0, 4)
-        got = _min_vertex_cut(g, alive, sources, sink, limit)
+        got = _min_vertex_cut(flipped(g), alive, sink, sources, limit)
         assert got == min_vertex_cut_reference(g, alive, sources, sink, limit)
         sink_alive = (alive >> sink) & 1
         dead_sink += not sink_alive
@@ -238,14 +242,15 @@ def test_disjoint_paths_are_a_maximum_flow():
     assert several >= draws // 10
 
 
-def _check_flow_state(g, alive, sources, sink, state):
+def _check_flow_state(g, alive, sources, sinks, state):
     """The mask flow state is a feasible flow: each flow arc is an arc of
     the graph inside ``alive``, the per-vertex tail and head masks agree
     (so an arc carries at most one unit), an unprotected vertex has at most
     one unit in, as much out, and is in ``through`` exactly when it carries
-    one, and the value leaves the sources and enters the sink."""
-    flow, through, out_flow, in_flow = state
-    protected = sources | (1 << sink)
+    one, and the value leaves the sources and enters the sinks, and no flow
+    enters a source or leaves a sink."""
+    flow, through, out_flow, in_flow, _ = state
+    protected = sources | sinks
     assert through & ~alive == 0 and through & protected == 0
     for v in range(g.n):
         assert out_flow[v] & ~(g.out_mask[v] & alive) == 0
@@ -254,34 +259,52 @@ def _check_flow_state(g, alive, sources, sink, state):
         if not (protected >> v) & 1:
             assert in_flow[v].bit_count() == out_flow[v].bit_count() == (through >> v) & 1
     assert flow == sum(out_flow[v].bit_count() for v in vertices_of(sources))
-    assert flow == in_flow[sink].bit_count()
+    assert flow == sum(in_flow[v].bit_count() for v in vertices_of(sinks))
     assert all(in_flow[v] == 0 for v in vertices_of(sources))
+    assert all(out_flow[v] == 0 for v in vertices_of(sinks))
 
 
 def test_max_flow_state_is_a_unit_flow_of_the_reference_value():
-    # random alive sets and one to three sources; the caller of the flow
-    # step keeps the sources and the sink alive and rules out an arc from a
-    # source straight to the sink
+    # random alive sets, and either one to three sources and one sink or
+    # one source and one to three sinks; the caller of the flow step keeps
+    # the sources and the sinks alive and rules out an arc from a source
+    # straight to a sink.  The reference takes one sink, so a sink set is
+    # checked on the flipped graph, from the sinks to the source.  From one
+    # source, the returned cut is the flipped reference's: the cut closest
+    # to the reference's sink is the one closest to the source here
     rng = random.Random(229)
     draws = 2000
-    done = several = stopped = 0
+    done = several = stopped = sink_sets = cut = 0
     while done < draws:
         n = rng.randint(3, 12)
         g = random_digraph(rng, n, rng.uniform(0.2, 0.7))
-        sink = rng.randrange(n)
-        sources = vset(rng.sample([v for v in range(n) if v != sink], min(n - 1, rng.randint(1, 3))))
-        if g.in_mask[sink] & sources:
+        one = rng.randrange(n)
+        many = vset(rng.sample([v for v in range(n) if v != one], min(n - 1, rng.randint(1, 3))))
+        to_sinks = rng.random() < 0.5
+        sources, sinks = (1 << one, many) if to_sinks else (many, 1 << one)
+        if any(g.out_mask[v] & sinks for v in vertices_of(sources)):
             continue
         done += 1
-        alive = rng.getrandbits(n) | sources | (1 << sink) if rng.random() < 0.7 else g.full_mask
+        alive = rng.getrandbits(n) | sources | sinks if rng.random() < 0.7 else g.full_mask
         limit = rng.randint(0, 4)
-        state = _max_flow(g.out_mask, g.in_mask, alive, sources, sink, limit)
-        _check_flow_state(g, alive, sources, sink, state)
-        ref = min_vertex_cut_reference(g, alive, sources, sink, limit)
+        state = _max_flow(g.out_mask, g.in_mask, alive, sources, sinks, limit)
+        _check_flow_state(g, alive, sources, sinks, state)
+        if to_sinks:
+            ref = min_vertex_cut_reference(flipped(g), alive, sinks, one, limit)
+        else:
+            ref = min_vertex_cut_reference(g, alive, sources, one, limit)
         assert state[0] == (limit + 1 if ref is None else ref[0])
+        assert (state[4] is None) == (ref is None)
+        if sources.bit_count() == 1:
+            source = sources.bit_length() - 1
+            back = min_vertex_cut_reference(flipped(g), alive, sinks, source, limit)
+            assert state[4] == (None if back is None else back[1])
+            cut += back is not None and back[0] > 0
         several += state[0] >= 2
         stopped += ref is None
+        sink_sets += to_sinks and sinks.bit_count() >= 2
     assert several >= draws // 8 and stopped >= draws // 8
+    assert sink_sets >= draws // 5 and cut >= draws // 8
 
 
 def test_max_flow_from_disjoint_paths_reaches_the_reference_value():
@@ -304,8 +327,8 @@ def test_max_flow_from_disjoint_paths_reaches_the_reference_value():
         kept = [a for a in g.arcs() if a in on_paths or rng.random() < 0.8]
         h = DirectedGraph.from_arcs(n, kept)
         limit = rng.randint(len(start), 4)
-        state = _max_flow(h.out_mask, h.in_mask, h.full_mask, 1 << s, t, limit, start)
-        _check_flow_state(h, h.full_mask, 1 << s, t, state)
+        state = _max_flow(h.out_mask, h.in_mask, h.full_mask, 1 << s, 1 << t, limit, start)
+        _check_flow_state(h, h.full_mask, 1 << s, 1 << t, state)
         ref = min_vertex_cut_reference(h, h.full_mask, 1 << s, t, limit)
         assert state[0] == (limit + 1 if ref is None else ref[0])
         started += len(start) >= 1
@@ -322,13 +345,13 @@ def test_second_path_cancels_flow_on_an_arc_into_vertex_zero():
     # -1 sentinel
     arcs = [(1, 2), (2, 0), (0, 7), (1, 3), (3, 6), (6, 0), (2, 4), (4, 5), (5, 7)]
     g = DirectedGraph.from_arcs(8, arcs)
-    state = _max_flow(g.out_mask, g.in_mask, g.full_mask, 1 << 1, 7, 3)
-    _check_flow_state(g, g.full_mask, 1 << 1, 7, state)
-    flow, through, out_flow, in_flow = state
+    state = _max_flow(g.out_mask, g.in_mask, g.full_mask, 1 << 1, 1 << 7, 3)
+    _check_flow_state(g, g.full_mask, 1 << 1, 1 << 7, state)
+    flow, through, out_flow, in_flow, _ = state
     assert flow == 2 and through == vset([0, 2, 3, 4, 5, 6])
     assert out_flow[2] == vset([4]) and in_flow[0] == vset([6])
     assert disjoint_paths(g, 1, 7, 3) == [(1, 2, 4, 5, 7), (1, 3, 6, 0, 7)]
     assert disjoint_paths_reference(g, 1, 7, 3) == disjoint_paths(g, 1, 7, 3)
-    assert _min_vertex_cut(g, g.full_mask, 1 << 1, 7, 3) == min_vertex_cut_reference(
+    assert _min_vertex_cut(flipped(g), g.full_mask, 7, 1 << 1, 3) == min_vertex_cut_reference(
         g, g.full_mask, 1 << 1, 7, 3
     )

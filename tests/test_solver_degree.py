@@ -20,12 +20,12 @@ from dakc import (
     vertices_of,
     vset,
 )
-from dakc.graph import reach, reverse
+from dakc.graph import reach
 from helpers import (
     cut_fits_reference,
     cycle_graph,
     disjoint_paths_reference,
-    min_vertex_cut_reference,
+    min_cut_from_source_reference,
     path_graph,
     random_dag_degree_capped,
     random_digraph_degree_capped,
@@ -351,7 +351,7 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
 
     pool = _kernel_pool(regime, random.Random(229), 150)
     got = [solve(inst) for inst in pool]
-    monkeypatch.setattr(separators, "_min_vertex_cut", min_vertex_cut_reference)
+    monkeypatch.setattr(separators, "_min_vertex_cut", min_cut_from_source_reference)
     monkeypatch.setattr(solver_degree, "_without_arcs", without_arcs_reference)
     monkeypatch.setattr(solver_degree, "disjoint_paths", disjoint_paths_reference)
     monkeypatch.setattr(solver_degree, "_cut_fits", cut_fits_reference)
@@ -443,9 +443,10 @@ def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
 
 def test_stage3_flow_repair_decides_as_a_min_cut_from_scratch(monkeypatch):
     # every deletion set that reaches the flow repair is run exactly when
-    # the min cut of the augmented graph without its arcs, reversed as the
-    # inner enumeration takes it, is at most b; the rows come back as they
-    # were, and the paths the repair starts from avoid the set's arcs
+    # the min cut of the augmented graph without its arcs, from s to t as
+    # the inner enumeration's first cut takes it, is at most b; the rows
+    # come back as they were, and the paths the repair starts from avoid
+    # the set's arcs
     seen = []
     cut_fits = solver_degree._cut_fits
 
@@ -459,8 +460,8 @@ def test_stage3_flow_repair_decides_as_a_min_cut_from_scratch(monkeypatch):
         for path in paths:
             assert path[0] == s and path[-1] == t
             assert not set(zip(path, path[1:])) & deleted
-        rev = reverse(solver_degree._without_arcs(aug, deleted))
-        expect = separators._min_vertex_cut(rev, rev.full_mask, 1 << t, s, b) is not None
+        f_aug = solver_degree._without_arcs(aug, deleted)
+        expect = separators._min_vertex_cut(f_aug, f_aug.full_mask, s, 1 << t, b) is not None
         assert got == expect
         seen.append(got)
         return got
