@@ -9,11 +9,12 @@ degree requirement.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 
-from .graph import DirectedGraph, Mask, vertices_of, vset
+from .graph import DirectedGraph, Mask, _member_bytes, _tally, vertices_of, vset
 
 # the most anchor subsets the exhaustive oracle will enumerate
 ORACLE_CAP = 10_000_000
@@ -105,7 +106,7 @@ def peel(g: DirectedGraph, k: int, anchors: Mask = 0) -> Mask:
     """
     if k <= 0:
         return g.full_mask
-    return _withdraw(g, k, *_whole_graph(g, k), anchors, g.full_mask & ~anchors)[0]
+    return _withdraw(g.out_adj, k, *_whole_graph(g, k), anchors, g.full_mask & ~anchors)[0]
 
 
 def _whole_graph(g: DirectedGraph, k: int) -> tuple[Mask, Mask, list[int]]:
@@ -117,7 +118,7 @@ def _whole_graph(g: DirectedGraph, k: int) -> tuple[Mask, Mask, list[int]]:
 
 
 def _withdraw(
-    g: DirectedGraph,
+    out_adj: Sequence[tuple[int, ...]],
     k: int,
     core: Mask,
     weak: Mask,
@@ -128,7 +129,9 @@ def _withdraw(
 ) -> tuple[Mask, Mask] | None:
     """Withdraw the anchors ``drop`` from a peel: ``peel(g, k, anchors)`` and
     its weak set, given the state of ``peel(g, k, anchors | drop)``, or None
-    once that peel is known to hold fewer than ``floor`` vertices.
+    once that peel is known to hold fewer than ``floor`` vertices.  ``g`` is
+    passed as its out-adjacency ``out_adj``, which a caller that withdraws
+    many times reads once.
 
     The state is ``core``, that peel; ``weak``, its members whose in-degree
     inside it is below ``k`` (all of them anchors); and ``indeg``, every
@@ -153,7 +156,6 @@ def _withdraw(
     if gone.bit_count() > room:
         return None
     queue = vertices_of(gone)
-    out_adj = g.out_adj
     last = k - 1
     for v in queue:
         for w in out_adj[v]:
@@ -180,12 +182,9 @@ def solution_violation(inst: Instance, sol: Solution) -> str | None:
         return f"anchor count {sol.anchors.bit_count()} exceeds budget {inst.b}"
     if sol.core.bit_count() < inst.p:
         return f"core size {sol.core.bit_count()} is below target {inst.p}"
-    # every arc out of the core, counted at its head: a core vertex's count
-    # is its in-degree inside the core
-    inside = [0] * g.n
-    for u in vertices_of(sol.core):
-        for w in g.out_adj[u]:
-            inside[w] += 1
+    # the heads of the arcs whose tail is in the core, tallied: a core
+    # vertex's count is its in-degree inside the core
+    inside = _tally(g.n, compress(g.heads, map(_member_bytes(sol.core, g.n).__getitem__, g.tails)))
     for v in vertices_of(sol.core & ~sol.anchors):
         if inside[v] < inst.k:
             return f"non-anchor vertex {v + 1} has in-degree below {inst.k} inside the core"
@@ -291,6 +290,7 @@ def oracle_solve(inst: Instance, cap: int = ORACLE_CAP) -> Verdict:
     if unanchored.bit_count() >= p:
         return Verdict.yes(Solution(anchors=0, core=unanchored))
     cand = vertices_of(g.full_mask & ~unanchored)
+    out_adj = g.out_adj
     # rest[i]: the candidates from position i on
     rest = [0] * (len(cand) + 1)
     for i in reversed(range(len(cand))):
@@ -306,14 +306,14 @@ def oracle_solve(inst: Instance, cap: int = ORACLE_CAP) -> Verdict:
         this call owns ``indeg``."""
         for i in range(start, len(cand) - need + 1):
             if i > start:
-                bound = _withdraw(g, k, core, weak, indeg, chosen | rest[i], 1 << cand[i - 1], p)
+                bound = _withdraw(out_adj, k, core, weak, indeg, chosen | rest[i], 1 << cand[i - 1], p)
                 if bound is None:
                     # later positions' bounds are smaller still
                     return None
                 core, weak = bound
             anchors = chosen | 1 << cand[i]
             if need == 1:
-                leaf = _withdraw(g, k, core, weak, indeg.copy(), anchors, rest[i + 1], p)
+                leaf = _withdraw(out_adj, k, core, weak, indeg.copy(), anchors, rest[i + 1], p)
                 if leaf is not None:
                     return Solution(anchors=anchors, core=leaf[0])
             else:

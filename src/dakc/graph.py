@@ -34,6 +34,13 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _WORD = (1 << 64) - 1
 
 
+def _member_bytes(mask: Mask, width: int = 0) -> bytes:
+    """Byte ``v`` is 1 if ``v`` is a member of ``mask`` and 0 if not, read
+    off the mask's binary digits, lowest bit first, in one linear pass; at
+    least ``width`` bytes."""
+    return format(mask, f"0{width}b")[::-1].encode().translate(_BIT_BYTES)
+
+
 def vertices_of(mask: Mask) -> list[int]:
     """List the members of a vertex-set mask in increasing order.
 
@@ -45,7 +52,7 @@ def vertices_of(mask: Mask) -> list[int]:
     members, since there the loop's steps are cheap whatever the count.
     """
     if mask > _WORD and mask.bit_count() * 16 > mask.bit_length():
-        bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+        bits = _member_bytes(mask)
         return list(compress(range(len(bits)), bits))
     out = []
     while mask:
@@ -71,18 +78,20 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """A simple loop-free digraph with sorted out-adjacency lists.
+    """A simple loop-free digraph held as its arcs, ascending by (tail, head).
 
-    Immutable after construction; instances are safe to share between
-    concurrent workers.  Use :meth:`from_arcs` rather than the raw
-    constructor so the invariants (no loops, no duplicate arcs, sorted
-    adjacency) are enforced.  The out-adjacency fixes the graph, so equality
-    and hashing cover ``(n, out_adj)``; the in-adjacency and every other
-    table is built from it on first use.
+    Arc ``i`` runs from ``tails[i]`` to ``heads[i]``.  Immutable after
+    construction; instances are safe to share between concurrent workers.
+    Use :meth:`from_arcs` rather than the raw constructor so the invariants
+    (ids in range, no loops, no duplicate arcs, ascending order) are
+    enforced.  The arcs fix the graph, so equality and hashing cover ``(n,
+    tails, heads)``; the adjacency lists and every other table are built
+    from them on first use.
     """
 
     n: int
-    out_adj: tuple[tuple[int, ...], ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "DirectedGraph":
@@ -101,22 +110,31 @@ class DirectedGraph:
             or any(map(eq, ordered, islice(ordered, 1, None)))
         ):
             raise ValueError(_first_bad_arc(n, arcs))
-        return cls._from_checked(_out_adjacency(_tally(n, tails), heads))
+        return cls._from_checked(n, tails, heads, in_degrees=tuple(_tally(n, heads)))
 
     @classmethod
-    def _from_checked(cls, out_adj: Sequence[tuple[int, ...]], **tables) -> "DirectedGraph":
-        """Wrap out-adjacency lists that already hold every invariant (in
-        range, no loops, no duplicates, sorted), checking nothing again.  For
-        callers that validated the arcs themselves.
+    def _from_checked(
+        cls, n: int, tails: tuple[int, ...], heads: tuple[int, ...], **tables
+    ) -> "DirectedGraph":
+        """Wrap arc arrays that already hold every invariant (in range, no
+        loops, no duplicates, ascending by (tail, head)), checking nothing
+        again.  For callers that validated the arcs themselves.
 
-        ``tables`` presets cached tables (``in_adj``, ``out_mask``,
-        ``in_degrees``, ...) that the caller already holds for this graph, so
-        they are not rebuilt.  A cached property keeps its value in the
-        instance dict, which a frozen dataclass leaves writable.
+        ``tables`` presets cached tables (``in_degrees``, ``out_mask``, ...)
+        that the caller already holds for this graph, so they are not
+        rebuilt.  A cached property keeps its value in the instance dict,
+        which a frozen dataclass leaves writable.
         """
-        g = cls(n=len(out_adj), out_adj=tuple(out_adj))
+        g = cls(n=n, tails=tails, heads=heads)
         g.__dict__.update(tables)
         return g
+
+    @cached_property
+    def out_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted out-adjacency lists: slices of ``heads``, cut at the
+        running sums of the out-degrees, so no list is made per vertex."""
+        ends = list(accumulate(self.out_degrees, initial=0))
+        return tuple(map(self.heads.__getitem__, map(slice, ends, islice(ends, 1, None))))
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -125,18 +143,17 @@ class DirectedGraph:
         filled by appends, measured three times as fast as a stable sort of
         the arcs by head cut into slices."""
         into: list[list[int]] = [[] for _ in range(self.n)]
-        for u, nbrs in enumerate(self.out_adj):
-            for v in nbrs:
-                into[v].append(u)
+        for u, v in zip(self.tails, self.heads):
+            into[v].append(u)
         return tuple(map(tuple, into))
 
     @cached_property
     def out_mask(self) -> tuple[Mask, ...]:
-        return tuple(vset(a) for a in self.out_adj)
+        return _rows(self.n, self.tails, self.heads)
 
     @cached_property
     def in_mask(self) -> tuple[Mask, ...]:
-        return tuple(vset(a) for a in self.in_adj)
+        return _rows(self.n, self.heads, self.tails)
 
     @cached_property
     def und_mask(self) -> tuple[Mask, ...]:
@@ -145,11 +162,11 @@ class DirectedGraph:
 
     @cached_property
     def in_degrees(self) -> tuple[int, ...]:
-        return tuple(_tally(self.n, chain.from_iterable(self.out_adj)))
+        return tuple(_tally(self.n, self.heads))
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self.out_adj))
+        return tuple(_tally(self.n, self.tails))
 
     @cached_property
     def in_degree_below(self) -> tuple[Mask, ...]:
@@ -169,12 +186,10 @@ class DirectedGraph:
         return (1 << self.n) - 1
 
     def arc_count(self) -> int:
-        return sum(map(len, self.out_adj))
+        return len(self.tails)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in enumerate(self.out_adj):
-            for v in nbrs:
-                yield (u, v)
+        return zip(self.tails, self.heads)
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool((self.out_mask[u] >> v) & 1)
@@ -187,14 +202,13 @@ class DirectedGraph:
         return max(map(add, self.in_degrees, self.out_degrees), default=0)
 
 
-def _out_adjacency(out_degrees: Iterable[int], heads: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """The out-adjacency lists of checked arcs listed in ascending (tail,
-    head) order, given each vertex's out-degree and the arcs' heads.  Each
-    vertex's list is a slice of one tuple of the heads, cut at the running
-    sums of the out-degrees, so no list is made per vertex."""
-    ends = list(accumulate(out_degrees, initial=0))
-    heads = tuple(heads)
-    return tuple(map(heads.__getitem__, map(slice, ends, islice(ends, 1, None))))
+def _rows(n: int, keys: Iterable[int], members: Iterable[int]) -> tuple[Mask, ...]:
+    """Per id ``0..n-1``, the mask of the ``members`` paired with it in
+    ``keys``."""
+    rows = [0] * n
+    for key, member in zip(keys, members):
+        rows[key] |= 1 << member
+    return tuple(rows)
 
 
 def _tally(n: int, keys: Iterable[int]) -> list[int]:
@@ -284,6 +298,7 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[Mask, bool]]:
     carry a cycle because self-loops are excluded by construction.
     """
     n = g.n
+    out_adj = g.out_adj
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -302,9 +317,9 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[Mask, bool]]:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            if ci < len(g.out_adj[v]):
+            if ci < len(out_adj[v]):
                 work[-1] = (v, ci + 1)
-                w = g.out_adj[v][ci]
+                w = out_adj[v][ci]
                 if index[w] == -1:
                     work.append((w, 0))
                 elif on_stack[w]:
@@ -473,10 +488,10 @@ def _parse_canonical(text: str) -> ParsedInstance | None:
     tails, heads = ids[0::2], ids[1::2]
     # serialize_instance writes the arcs in strictly ascending order, which
     # also rules out repeats.  Other orders, a vertex count too large for a
-    # list of n + 1 entries and failed checks are left to the line reader,
+    # list of n entries and failed checks are left to the line reader,
     # which sorts the arcs and names the line of an error.  The q line's
     # fields are digit strings, so only its p can be out of range.
-    if n >= sys.maxsize or len(tails) != m or params and params[2] < 1 or tails and (
+    if n > sys.maxsize or len(tails) != m or params and params[2] < 1 or tails and (
         min(heads) < 1 or max(heads) > n or any(map(eq, tails, heads))
     ):
         return None
@@ -485,10 +500,10 @@ def _parse_canonical(text: str) -> ParsedInstance | None:
     keys = list(map(add, map(mul, tails, repeat(n)), heads))
     if not all(map(lt, keys, islice(keys, 1, None))) or tails and (tails[0] < 1 or tails[-1] > n):
         return None
-    heads = list(map(_ZERO_BASED, heads))
-    # the tails stay 1-based, so their tally's entry 0 is empty
-    out_adj = _out_adjacency(islice(_tally(n + 1, tails), 1, None), heads)
-    graph = DirectedGraph._from_checked(out_adj, in_degrees=tuple(_tally(n, heads)))
+    heads = tuple(map(_ZERO_BASED, heads))
+    graph = DirectedGraph._from_checked(
+        n, tuple(map(_ZERO_BASED, tails)), heads, in_degrees=tuple(_tally(n, heads))
+    )
     return ParsedInstance(graph=graph, params=params)
 
 

@@ -206,12 +206,13 @@ def _min_vertex_cut(
     the set of nodes that the source reaches in the residual graph are the
     same for every maximum flow, so the result does not depend on which
     augmenting paths the search happens to take.
+
+    The caller guarantees that ``source`` is alive and not a sink, and that
+    every sink is alive.  The enumerator never cuts or surrenders s, since a
+    source has no capacity, and it takes its sinks from t and from the cuts,
+    which lie inside ``alive``; the importance check cuts only once s no
+    longer reaches t.
     """
-    if (sinks >> source) & 1:
-        return None
-    if not (alive >> source) & 1:
-        return 0, 0  # a dead source reaches nothing
-    sinks &= alive
     if g.out_mask[source] & sinks:
         return None  # an arc straight from the source to a sink: no cut exists
     flow, _, _, _, cut = _max_flow(g.out_mask, g.in_mask, alive, 1 << source, sinks, limit)

@@ -15,8 +15,9 @@ answer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .core import ORACLE_CAP, Instance, Solution, Verdict, _top_up, normalize, oracle_solve, verify_solution
 from .graph import (
@@ -131,23 +132,27 @@ def _deletion_choices(g: DirectedGraph, v: int, k: int) -> list[tuple[int, ...]]
 def _without_arcs(g: DirectedGraph, deleted: frozenset[tuple[int, int]]) -> DirectedGraph:
     """``g`` minus the arcs in ``deleted``, all of which are arcs of ``g``.
 
-    Only the adjacency tuples and masks of the deleted arcs' endpoints are
-    rebuilt; a filtered sorted tuple stays sorted, so nothing is checked or
-    sorted again.
+    Each deleted arc is the first arc with its head from the start of its
+    tail's run on, which a bisection of the tails finds.  The arrays less
+    those positions stay in order, so nothing is checked or sorted again,
+    and only the masks of the deleted arcs' endpoints are rebuilt.
     """
     if not deleted:
         return g
-    out_adj = list(g.out_adj)
-    in_adj = list(g.in_adj)
+    tails, heads = g.tails, g.heads
+    kept = [True] * len(tails)
     out_mask = list(g.out_mask)
     in_mask = list(g.in_mask)
     for u, v in deleted:
-        out_adj[u] = tuple(w for w in out_adj[u] if w != v)
-        in_adj[v] = tuple(w for w in in_adj[v] if w != u)
+        kept[heads.index(v, bisect_left(tails, u))] = False
         out_mask[u] ^= 1 << v
         in_mask[v] ^= 1 << u
     return DirectedGraph._from_checked(
-        out_adj, in_adj=tuple(in_adj), out_mask=tuple(out_mask), in_mask=tuple(in_mask)
+        g.n,
+        tuple(compress(tails, kept)),
+        tuple(compress(heads, kept)),
+        out_mask=tuple(out_mask),
+        in_mask=tuple(in_mask),
     )
 
 

@@ -10,7 +10,8 @@ their reach sets, taken within the residual.
 
 The bank, the sources and their reach sets depend on the graph alone, not on
 b or p, and all three come from one sweep: peeling at threshold 1 is Kahn's
-algorithm from the sources.  The plan is built once per graph and kept in
+algorithm from the sources, and a graph whose ids are a topological order
+needs only one backward pass over its arcs.  The plan is built once per graph and kept in
 the graph's own table dict, so repeated solves on one graph (the bisection
 steps of ``dakc max``) share it and it dies with its graph.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import not_
+from operator import lt, not_
 from threading import Lock
 
 from .core import Instance, Solution, Verdict, _fewest_first, _top_up, normalize
@@ -147,15 +148,30 @@ def _plan(g: DirectedGraph) -> _Plan:
 def _sweep(g: DirectedGraph) -> _Plan:
     """The plan of ``g`` in one sweep.
 
-    Peeling at threshold 1 deletes a vertex once its in-degree drops to 0,
-    which is Kahn's algorithm started from the sources, the vertices of
-    in-degree 0.  So the released vertices are exactly the residual, in
-    topological order, and the bank is everything never released (a banked
-    vertex keeps a banked predecessor).  In reverse order, a vertex reaches
-    itself and whatever its residual successors reach; a banked successor
-    adds nothing, as its entry stays 0.  Every residual vertex has a source
-    among its ancestors, so the sources' reach sets cover the residual.
+    When every arc runs from a lower id to a higher one, the ids are a
+    topological order, which one pass over the arc arrays tells.  Then the
+    graph is a DAG, so nothing is banked, and the sources are the vertices
+    of in-degree 0.  Read backwards, the arcs come by descending tail, so a
+    head's reach set is final by the time an arc into it is read: each
+    vertex reaches itself and whatever its successors reach.
+
+    Any other graph is swept by Kahn's algorithm.  Peeling at threshold 1
+    deletes a vertex once its in-degree drops to 0, which is Kahn's
+    algorithm started from the sources.  So the released vertices are
+    exactly the residual, in topological order, and the bank is everything
+    never released (a banked vertex keeps a banked predecessor).  In reverse
+    order, a vertex reaches itself and whatever its residual successors
+    reach; a banked successor adds nothing, as its entry stays 0.  Every
+    residual vertex has a source among its ancestors, so the sources' reach
+    sets cover the residual.
     """
+    tails, heads = g.tails, g.heads
+    if all(map(lt, tails, heads)):
+        sources = tuple(compress(range(g.n), map(not_, g.in_degrees)))
+        reach_of = [1 << v for v in range(g.n)]
+        for u, w in zip(reversed(tails), reversed(heads)):
+            reach_of[u] |= reach_of[w]
+        return _Plan(banked=0, sources=sources, reach_sets=tuple(map(reach_of.__getitem__, sources)))
     out_adj = g.out_adj
     indeg = list(g.in_degrees)
     order = list(compress(range(g.n), map(not_, indeg)))

@@ -1,12 +1,26 @@
 import argparse
+import importlib
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from dakc import Instance, Solution, Verdict, cli, core, oracle_solve, solver_bounded, solver_degree, solver_k1
+from dakc import (
+    DirectedGraph,
+    Instance,
+    Solution,
+    Verdict,
+    cli,
+    core,
+    oracle_solve,
+    parse_instance_text,
+    solver_bounded,
+    solver_degree,
+    solver_k1,
+)
 from dakc.cli import _build_parser, _json_text, main
 from dakc.core import anchor_subset_count
 from dakc.graph import serialize_instance
@@ -17,6 +31,7 @@ from helpers import (
     random_digraph_degree_capped,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 PATH3 = "p dakc 3 2\na 1 2\na 2 3\n"
 
 
@@ -710,3 +725,35 @@ def test_each_reported_yes_is_verified_once(capsys, monkeypatch, tmp_path):
                 routes.add((report["solver"], yes))
             assert code in (0, 1) and len(calls) == (1 if yes else 0)
     assert routes >= {("high", True), ("half", True), ("dag", True)}
+
+
+def test_k1_setcover_graph_answers_alike_with_shuffled_ids(capsys, tmp_path, monkeypatch):
+    # the benchmark's seed-1 set-cover graphs have topological ids, which
+    # the k = 1 plan reads in one pass over the arcs; relabelled at random,
+    # the same graphs take the Kahn sweep, and solve and max must answer
+    # with the same kinds and the same max_p
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    corpus = importlib.import_module("corpus")
+    ops = corpus.k1_setcover(random.Random(1), tmp_path)
+    rng = random.Random(163)
+    kinds = set()
+    for op in ops[:8]:
+        parsed = parse_instance_text(Path(op.argv[1]).read_text())
+        g = parsed.graph
+        label = rng.sample(range(g.n), g.n)
+        shuffled = DirectedGraph.from_arcs(g.n, [(label[u], label[v]) for u, v in g.arcs()])
+        assert all(u < v for u, v in g.arcs()) and not all(u < v for u, v in shuffled.arcs())
+        f = tmp_path / f"shuffled-{op.ident}.dakc"
+        f.write_text(serialize_instance(shuffled, parsed.params))
+        code, out, err = run(capsys, *op.argv)
+        report = json.loads(out)
+        code_s, out_s, err_s = run(capsys, op.argv[0], str(f), *op.argv[2:])
+        report_s = json.loads(out_s)
+        assert (code_s, err_s) == (code, err)
+        if op.kind == "max":
+            assert report_s == report
+        else:
+            assert (report_s["answer"], report_s["solver"]) == (report["answer"], report["solver"])
+            kinds.add(report["answer"])
+    assert kinds == {"yes", "no"}

@@ -241,6 +241,65 @@ def test_solution_violation_matches_reference():
     assert messages == {None, "solution", "anchors", "anchor", "core", "non-anchor"}
 
 
+def _brute_violation(n, arcs, inst, sol):
+    """``solution_violation`` with each in-degree counted arc by arc from
+    the arc list the graph was built from."""
+    members = [v for v in range(n) if sol.core >> v & 1]
+    if sol.core >> n or sol.anchors >> n:
+        return "solution names vertices outside the graph"
+    if sol.anchors & ~sol.core:
+        return "anchors are not a subset of the core"
+    if sol.anchors.bit_count() > inst.b:
+        return f"anchor count {sol.anchors.bit_count()} exceeds budget {inst.b}"
+    if len(members) < inst.p:
+        return f"core size {len(members)} is below target {inst.p}"
+    for v in members:
+        if not sol.anchors >> v & 1 and sum((u, v) in arcs for u in members) < inst.k:
+            return f"non-anchor vertex {v + 1} has in-degree below {inst.k} inside the core"
+    return None
+
+
+def test_solution_violation_matches_a_brute_in_degree_count():
+    # the witness check's tally over the arc arrays against in-degrees
+    # counted arc by arc: empty cores, cores holding vertex n - 1 (the core
+    # mask's top bit), peels that should pass, graphs past one 64-bit word,
+    # and anchors inside and outside the core
+    rng = random.Random(151)
+    tally = Counter()
+    for _ in range(800):
+        n = rng.randint(1, 14) if rng.random() < 0.8 else rng.randint(60, 140)
+        density = rng.uniform(0.05, 0.5) if n <= 14 else rng.uniform(1, 4) / n
+        arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density}
+        g = DirectedGraph.from_arcs(n, arcs)
+        k = rng.randint(1, 3)
+        shape = rng.choice(("empty", "last", "peel", "random"))
+        seed = rng.getrandbits(n)
+        if shape == "empty":
+            core = 0
+        elif shape == "last":
+            core = rng.getrandbits(n) | 1 << (n - 1)
+        elif shape == "peel":
+            core = peel(g, k, seed)
+        else:
+            core = rng.getrandbits(n)
+        if rng.random() < 0.3:
+            anchors = rng.getrandbits(n)
+        else:
+            anchors = seed if shape == "peel" else core & seed
+        p = rng.choice((1, max(1, core.bit_count())))
+        inst = Instance(graph=g, b=n, k=k, p=p)
+        sol = Solution(anchors=anchors, core=core)
+        got = solution_violation(inst, sol)
+        assert got == _brute_violation(n, arcs, inst, sol)
+        tally[shape, got if got is None else got.split(" ")[0]] += 1
+        tally["outside"] += bool(anchors & ~core)
+        tally["past_word", got is None or got.startswith("non-anchor")] += n > 64
+    assert tally["empty", "core"] >= 100 and tally["outside"] >= 120
+    assert tally["last", "non-anchor"] >= 80 and tally["last", None] >= 20
+    assert tally["random", "non-anchor"] >= 60 and tally["peel", None] >= 100
+    assert tally["past_word", True] >= 40
+
+
 def _peel_state(g, k, core):
     """The weak set and in-degree list of a peel, counted directly."""
     indeg = [(g.in_mask[v] & core).bit_count() for v in range(g.n)]
@@ -263,7 +322,7 @@ def test_withdraw_matches_peel_of_the_smaller_anchor_set():
         while anchors:
             kept = vset(v for v in vertices_of(anchors) if rng.random() < 0.6)
             before = core
-            core, weak = _withdraw(g, k, core, weak, indeg, kept, anchors & ~kept)
+            core, weak = _withdraw(g.out_adj, k, core, weak, indeg, kept, anchors & ~kept)
             anchors = kept
             expected = peel_in_order(g, k, anchors, rng)
             assert core == expected
@@ -289,11 +348,11 @@ def _withdraw_chain(rng, g, k, anchors, kept, core, tally):
         size = expected.bit_count()
         floor = rng.choice((0, size, size + 1, rng.randint(0, g.n + 1)))
         trial = indeg.copy()
-        got = _withdraw(g, k, core, weak, trial, kept, drop, floor)
+        got = _withdraw(g.out_adj, k, core, weak, trial, kept, drop, floor)
         if size < floor:
             assert got is None
             tally["stopped"] += 1
-            got = _withdraw(g, k, core, weak, indeg, kept, drop)
+            got = _withdraw(g.out_adj, k, core, weak, indeg, kept, drop)
             tally["stopped_early"] += trial != indeg
         else:
             tally["exact_at_floor"] += size == floor

@@ -171,8 +171,8 @@ def test_parse_off_canonical_text_matches_line_reader(text, expect):
 
 
 def test_lazy_tables_match_arc_list_reference():
-    # every way to build a graph yields the adjacency and degrees of its arc
-    # list, and the in-adjacency is built on first use only
+    # every way to build a graph yields the arc arrays, adjacency and degrees
+    # of its arc list, and the adjacency lists are built on first use only
     rng = random.Random(131)
     for _ in range(150):
         n = rng.randint(0, 14)
@@ -190,15 +190,25 @@ def test_lazy_tables_match_arc_list_reference():
             (_without_arcs(g, deleted), [a for a in arcs if a not in deleted]),
         ]
         for h, h_arcs in built:
+            ordered = sorted(h_arcs)
+            assert h.tails == tuple(u for u, _ in ordered) and h.heads == tuple(v for _, v in ordered)
+            assert type(h.tails) is tuple and type(h.heads) is tuple
+            assert list(h.arcs()) == ordered and h.arc_count() == len(ordered)
             out_adj, in_adj = adjacency_reference(n, h_arcs)
             assert h.n == n and h.out_adj == out_adj and h.in_adj == in_adj
+            assert h.out_mask == tuple(map(vset, out_adj)) and h.in_mask == tuple(map(vset, in_adj))
             assert h.in_degrees == tuple(map(len, in_adj))
             assert h.out_degrees == tuple(map(len, out_adj))
             assert h.max_degree() == max(map(len, map(tuple.__add__, in_adj, out_adj)), default=0)
             same = DirectedGraph.from_arcs(n, h_arcs)
             assert h == same and hash(h) == hash(same)
-        fresh = (DirectedGraph.from_arcs(n, arcs), parse_instance_text(text).graph)
-        assert all("in_adj" not in h.__dict__ for h in fresh)
+        fresh = (
+            DirectedGraph.from_arcs(n, arcs),
+            parse_instance_text(text).graph,
+            parse_instance_text(serialize_instance(g)).graph,
+            _without_arcs(DirectedGraph.from_arcs(n, arcs), deleted),
+        )
+        assert all("in_adj" not in h.__dict__ and "out_adj" not in h.__dict__ for h in fresh)
 
 
 def test_from_arcs_names_the_first_bad_arc():

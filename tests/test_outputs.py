@@ -1,19 +1,13 @@
 """Every benchmark op's exit code, report and diagnostics stay as recorded:
-``tools/outputs.py`` fingerprints the seed-1 corpus of each workload.  A
-change that means to alter an answer or a message updates the fingerprint
-here and says why."""
+``tools/outputs.py`` fingerprints the seed-1 corpus of each workload and
+compares it with the seed-1 column of its ``RECORDED`` table.  The CI job
+runs the tool itself, which checks the other seeds as well."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-RECORDED = {
-    "k1-setcover": "c63d8d391262c8e9",
-    "oracle-corpus": "771dac4b19aab5ff",
-    "bounded-regimes": "ba2e4dcfeb18cc9f",
-}
 
 
 def test_seed_1_outputs_match_the_recorded_fingerprints(monkeypatch):
@@ -25,4 +19,6 @@ def test_seed_1_outputs_match_the_recorded_fingerprints(monkeypatch):
     spec = importlib.util.spec_from_file_location("outputs", ROOT / "tools" / "outputs.py")
     outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(outputs)
-    assert {workload: outputs.fingerprint(workload, 1) for workload in RECORDED} == RECORDED
+    assert outputs.SEEDS[0] == 1 and set(outputs.RECORDED) == set(outputs.corpus.WORKLOADS)
+    recorded = {workload: digests[0] for workload, digests in outputs.RECORDED.items()}
+    assert {workload: outputs.fingerprint(workload, 1) for workload in recorded} == recorded

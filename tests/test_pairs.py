@@ -48,7 +48,12 @@ class StubRunner:
         if "--trace" in argv:
             context = {"passes": 3}
         else:
-            context = {"passes": 1.5, "startup_instance": f"op-{seed}"}
+            context = {
+                "passes": 1.5,
+                "startup_instance": f"op-{seed}",
+                "reference_kernel_s": 0.005,
+                "unscaled": {"ops_per_s": metrics["ops_per_s"] / 2},
+            }
         out = "ops_per_s = 1 1/s\n" + json.dumps({"context": context}) + "\n" + json.dumps(result) + "\n"
         return 0, out, "pairs: a warning\n"
 
@@ -82,10 +87,13 @@ def test_pairs_statistics_and_bounds():
         "attempted": 5,
         "passes": 1.5,
         "startup_instance": "op-101",
+        "reference_kernel_s": 0.005,
+        "unscaled": {"ops_per_s": 51.0},
         "metrics": {"ops_per_s": 102, "op_p50_ms": 12.0, "peak_rss_mb": 25.0},
     }
     assert out["trace"]["base"]["passes"] == 3
     assert out["trace"]["base"]["startup_instance"] is None
+    assert out["trace"]["base"]["unscaled"] is None
     ops = out["metrics"]["ops_per_s"]
     assert ops["values"] == {"base": [100, 101, 102, 103, 104], "head": [100, 102, 104, 106, 108]}
     assert ops["base"] == {"median": 102, "q1": 101, "q3": 103}

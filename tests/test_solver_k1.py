@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,9 +10,12 @@ from dakc import (
     DirectedGraph,
     Instance,
     oracle_solve,
+    parse_instance_text,
     partial_set_cover,
     peel,
     reach,
+    serialize_instance,
+    solve,
     solve_k1,
     verify_solution,
     vset,
@@ -284,7 +288,8 @@ def test_plan_memo_keeps_graphs_apart_and_never_alive():
 def test_plan_reach_sweep_matches_one_walk_per_source():
     # one sweep must bank what threshold-1 peeling keeps, take the in-degree-0
     # vertices as sources, and give every source the set a walk confined to
-    # the residual finds
+    # the residual finds.  Graphs whose ids are a topological order take the
+    # pass over the arcs, any other graph the Kahn sweep; both are checked
     rng = random.Random(71)
     graphs = []
     for _ in range(100):
@@ -295,13 +300,14 @@ def test_plan_reach_sweep_matches_one_walk_per_source():
         graphs.append(gen_from_setcover(cover).instance.graph)
     for _ in range(120):
         graphs.append(random_digraph(rng, rng.randint(0, 16), rng.uniform(0.03, 0.3)))
-    for _ in range(100):
-        # a random topological order, dense enough that sources share descendants
+    for _ in range(200):
+        # a random topological order, dense enough that sources share
+        # descendants; half keep the ids in that order, half shuffle them
         n = rng.randint(2, 18)
-        order = rng.sample(range(n), n)
+        order = rng.sample(range(n), n) if len(graphs) % 2 else list(range(n))
         arcs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
         graphs.append(DirectedGraph.from_arcs(n, arcs))
-    banking = sharing = 0
+    tally = Counter()
     for g in graphs:
         plan = _plan(g)
         assert plan.banked == peel(g, 1)
@@ -309,9 +315,32 @@ def test_plan_reach_sweep_matches_one_walk_per_source():
         residual = g.full_mask & ~plan.banked
         walks = tuple(reach(g, 1 << s, "forward", within=residual) for s in plan.sources)
         assert plan.reach_sets == walks
-        banking += plan.banked != 0
-        sharing += any(a & b for a, b in combinations(walks, 2))
-    assert banking >= 30 and sharing >= 100
+        topological = all(u < v for u, v in g.arcs())
+        tally["topological", g.arc_count() > 0] += topological
+        tally["kahn", is_acyclic(g)] += not topological
+        tally["banking"] += plan.banked != 0
+        tally["sharing"] += any(a & b for a, b in combinations(walks, 2))
+    assert tally["banking"] >= 30 and tally["sharing"] >= 100
+    assert tally["topological", True] >= 100
+    assert tally["kahn", True] >= 80 and tally["kahn", False] >= 30
+
+
+def test_topological_k1_graph_never_builds_out_adjacency():
+    # a set-cover gadget's ids run from sets to elements, a topological
+    # order: reading it, solving it, bisecting its maximum and checking the
+    # witnesses all work from the arc arrays alone
+    cover = SetCoverInstance(universe=6, sets=(0b000111, 0b011100, 0b110001, 0b101010), budget=2)
+    inst = gen_from_setcover(cover).instance
+    g = parse_instance_text(serialize_instance(inst.graph)).graph
+    assert all(u < v for u, v in g.arcs())
+    kinds = set()
+    for p in range(1, g.n + 1):
+        step = Instance(graph=g, b=inst.b, k=1, p=p)
+        verdict = solve(step)
+        kinds.add(verdict.kind)
+        assert not verdict.is_yes or verify_solution(step, verdict.solution)
+    assert kinds == {"yes", "no"} and "k1_plan" in g.__dict__
+    assert "out_adj" not in g.__dict__
 
 
 def test_reused_plan_answers_every_query_as_a_fresh_graph(monkeypatch):

@@ -23,10 +23,11 @@ where it reads strictly better in the metric's ``better`` direction), the
 change of the medians, and whether the head stays inside the metric's bound:
 its median may be worse than the base's by at most ``bound`` times the base's
 median.  Each run keeps its result fields and, from the context line before
-them, its pass count and the op it timed for start-up (a traced run times
-none).  A run that exits non-zero or ends without a result is kept with its
-exit code and the last lines of its stderr, and its pair is left out of the
-statistics.  Standard library only.
+them, its pass count, the op it timed for start-up (a traced run times
+none), its median reference kernel time and its times before scaling to the
+reference speed.  A run that exits non-zero or ends without a result is kept
+with its exit code and the last lines of its stderr, and its pair is left
+out of the statistics.  Standard library only.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def bench_runner(roots: dict[str, Path]) -> Runner:
 
 def parse_run(code: int, stdout: str, stderr: str) -> dict:
     """The exit code and, when the run ended with a result line, its fields,
-    with the pass count and start-up op of the context line before it.
+    with the pass count, start-up op, reference kernel time and unscaled
+    times of the context line before it.
     Otherwise the last ``STDERR_LINES`` lines of stderr say why."""
     lines = stdout.strip().splitlines()
     try:
@@ -99,6 +101,8 @@ def parse_run(code: int, stdout: str, stderr: str) -> dict:
         "attempted": result["attempted"],
         "passes": context.get("passes"),
         "startup_instance": context.get("startup_instance"),
+        "reference_kernel_s": context.get("reference_kernel_s"),
+        "unscaled": context.get("unscaled"),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
