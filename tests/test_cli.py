@@ -735,6 +735,8 @@ def test_k1_setcover_graph_answers_alike_with_shuffled_ids(capsys, tmp_path, mon
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     corpus = importlib.import_module("corpus")
+    # the schedule's first size alone: the corpus's first eight graphs
+    monkeypatch.setattr(corpus, "K1_SCHEDULE", corpus.K1_SCHEDULE[:1])
     ops = corpus.k1_setcover(random.Random(1), tmp_path)
     rng = random.Random(163)
     kinds = set()
