@@ -11,9 +11,10 @@ their reach sets, taken within the residual.
 The bank, the sources and their reach sets depend on the graph alone, not on
 b or p, and all three come from one sweep: peeling at threshold 1 is Kahn's
 algorithm from the sources, and a graph whose ids are a topological order
-needs only one backward pass over its arcs.  The plan is built once per graph and kept in
-the graph's own table dict, so repeated solves on one graph (the bisection
-steps of ``dakc max``) share it and it dies with its graph.
+needs only one backward pass over its arcs.  The plan is built once per
+graph and kept in the graph's own table dict, so repeated solves on one
+graph (the bisection steps of ``dakc max``) share it and it dies with its
+graph.
 
 The plan also keeps its cover searches, one per selection size, each a
 branch and bound that lists, in lexicographic order, the selections whose
