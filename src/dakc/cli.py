@@ -123,8 +123,9 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
+    """The file's UTF-8 text, less one leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # a ValueError, which would exit 4; undecodable bytes are bad input
         line_no = exc.object[: exc.start].count(b"\n") + 1

@@ -3,14 +3,16 @@ maximum degree, plus ``solve``, which routes every instance by regime.
 
 With 2k above the maximum degree, every non-anchor drains more in-arcs than
 it can return, so a degree-sum argument caps any core at (max_degree + 1) * b
-vertices and the bounded search settles the question.  At exactly 2k the cap
-fails, but a chain of structural facts still localizes some witness: it has a
-"last" non-anchor vertex t reachable from the whole core, the core sits inside
-the backward-reach of t behind an important separator of an augmented graph,
-the core's in-boundary is small enough to guess, and after deleting the
-guessed crossing arcs the anchor set itself appears as a small important
-separator.  Guessing through those objects in a fixed order yields an exact
-answer.
+vertices and the bounded search settles the question.  Where 2k only
+reaches the maximum degree the cap fails, but a chain of structural facts
+still localizes some witness: it has a "last" non-anchor vertex t reachable
+from the whole core, the core sits inside the backward-reach of t behind an
+important separator of an augmented graph, the core's in-boundary is small
+enough to guess, and after deleting the guessed crossing arcs the anchor set
+itself appears as a small important separator.  Guessing through those
+objects in a fixed order yields an exact answer.  Those facts take 2k as the
+degree bound, so that solver answers any maximum degree up to 2k; ``solve``
+still sends 2k above the maximum degree to the cheaper size cap.
 """
 
 from __future__ import annotations
@@ -86,20 +88,9 @@ def strip_special_components(inst: Instance) -> Verdict | Stripped:
     )
 
 
-def _resolve_delta(inst: Instance, max_degree: int | None) -> int:
-    actual = inst.graph.max_degree()
-    if max_degree is None:
-        return actual
-    if max_degree < actual:
-        raise ValueError(
-            f"declared max degree {max_degree} is below the graph's {actual}"
-        )
-    return max_degree
-
-
-def solve_high_k(inst: Instance, max_degree: int | None = None) -> Verdict:
+def solve_high_k(inst: Instance) -> Verdict:
     """Exact solver for 2k > max degree: cores cannot exceed (max_degree+1)*b."""
-    delta = _resolve_delta(inst, max_degree)
+    delta = inst.graph.max_degree()
     if 2 * inst.k <= delta:
         raise ValueError(f"solve_high_k requires 2k > max degree, got k={inst.k}, max degree {delta}")
     nrm = normalize(inst)
@@ -122,7 +113,7 @@ def _deletion_choices(g: DirectedGraph, v: int, k: int) -> list[tuple[int, ...]]
     other vertex as a boundary, so every boundary vertex deletes something
     and each deletion set arises from the boundary of its own heads alone.
     """
-    nbrs = g.in_adj[v]
+    nbrs = vertices_of(g.in_mask[v])
     out: list[tuple[int, ...]] = []
     for size in range(1, len(nbrs) - k + 1):
         out.extend(combinations(nbrs, size))
@@ -180,8 +171,11 @@ def _cut_fits(
     return flow <= b
 
 
-def solve_half_k(inst: Instance, max_degree: int | None = None) -> Verdict:
-    """Exact solver for 2k = max degree.
+def solve_half_k(inst: Instance) -> Verdict:
+    """Exact solver for 2k >= max degree, run with 2k as the degree bound.
+
+    Each step below reads the degree bound only as a cap on every vertex's
+    degree, so it holds as well on a graph whose maximum degree is below 2k.
 
     Stages: strip self-contained components; bounded search up to the size
     beyond which a witness with a core-wide reachable vertex t must exist;
@@ -225,9 +219,9 @@ def solve_half_k(inst: Instance, max_degree: int | None = None) -> Verdict:
     stripped vertex count skips every t, so stage 3 then answers NO without
     a flow.
     """
-    delta = _resolve_delta(inst, max_degree)
-    if 2 * inst.k != delta:
-        raise ValueError(f"solve_half_k requires 2k = max degree, got k={inst.k}, max degree {delta}")
+    delta = 2 * inst.k
+    if delta < inst.graph.max_degree():
+        raise ValueError(f"solve_half_k requires 2k >= max degree, got k={inst.k}, max degree {inst.graph.max_degree()}")
     nrm = normalize(inst)
     if isinstance(nrm, Verdict):
         return nrm
@@ -238,8 +232,8 @@ def solve_half_k(inst: Instance, max_degree: int | None = None) -> Verdict:
     g1, b, k, p1 = red.graph, red.b, red.k, red.p
 
     if b == 0:
-        # An unanchored core at 2k = max degree forces in = out = k on all its
-        # vertices with no outside arcs, i.e. it is a union of the special
+        # An unanchored core at 2k >= max degree forces in = out = k on all
+        # its vertices with no outside arcs, i.e. it is a union of the special
         # components just stripped; none remain.
         return Verdict.no()
 
@@ -335,8 +329,9 @@ def solve(
     cap: int = ORACLE_CAP,
 ) -> Verdict:
     """Run the named solver and stamp its name on the verdict, whose witness
-    the caller verifies.  ``"degree"`` and ``"auto"`` normalize once and route
-    by regime: k = 1, then 2k against the maximum degree.  A maximum degree
+    the caller verifies.  ``"degree"`` and ``"auto"`` normalize, then route by
+    regime: k = 1, then 2k against the maximum degree; each regime solver
+    normalizes again, so that it can be called directly.  A maximum degree
     above 2k is W[2]-hard in the anchor budget; there ``"auto"`` goes on to
     the DAG solver and, with ``allow_oracle``, the oracle capped at ``cap``."""
     if solver == "oracle":
@@ -354,9 +349,9 @@ def solve(
         return replace(solve_k1(nrm), solver="k1")
     delta = nrm.graph.max_degree()
     if 2 * nrm.k > delta:
-        return replace(solve_high_k(nrm, delta), solver="high")
+        return replace(solve_high_k(nrm), solver="high")
     if 2 * nrm.k == delta:
-        return replace(solve_half_k(nrm, delta), solver="half")
+        return replace(solve_half_k(nrm), solver="half")
     if solver == "degree":
         return Verdict.unsupported(
             "no exact routine for k >= 2 with max degree above 2k (that regime is "

@@ -135,13 +135,14 @@ def peel_in_order(
     g: DirectedGraph, k: int, anchors: int, rng: random.Random
 ) -> int:
     """Reference peel that deletes one random deficient vertex at a time."""
+    into = adjacency_reference(g.n, g.arcs())[1]
     alive = set(range(g.n))
     while True:
         deficient = [
             v
             for v in sorted(alive)
             if not (anchors >> v) & 1
-            and sum(1 for u in g.in_adj[v] if u in alive) < k
+            and sum(1 for u in into[v] if u in alive) < k
         ]
         if not deficient:
             return vset(alive)
@@ -436,6 +437,7 @@ def stage3_reference(inst: Instance, delta: int):
     if b == 0:
         return Verdict.no(), calls
 
+    into = adjacency_reference(g1.n, g1.arcs())[1]
     s = g1.n
     aug = DirectedGraph.from_arcs(
         g1.n + 1, list(g1.arcs()) + [(s, v) for v in range(g1.n) if g1.in_degrees[v] < k]
@@ -454,8 +456,8 @@ def stage3_reference(inst: Instance, delta: int):
             for size in range(min(delta * b, len(d_list)) + 1):
                 for boundary in combinations(d_list, size):
                     choice_lists = [
-                        [gone for r in range(len(g1.in_adj[v]) - k + 1)
-                         for gone in combinations(g1.in_adj[v], r)]
+                        [gone for r in range(len(into[v]) - k + 1)
+                         for gone in combinations(into[v], r)]
                         for v in boundary
                     ]
                     for assignment in product(*choice_lists):

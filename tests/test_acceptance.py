@@ -98,7 +98,7 @@ def test_criterion_2_oracle_equivalence_degree_regimes():
         k = rng.choice([1, 2])  # max degree 2k in {2, 4}
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.2, 0.8))
         inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n))
-        got = solve_half_k(inst, max_degree=2 * k)
+        got = solve_half_k(inst)
         expect = oracle_solve(inst)
         if got.kind != expect.kind:
             mismatches += 1

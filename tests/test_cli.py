@@ -402,6 +402,28 @@ def test_non_utf8_input_exits_3_with_one_parse_error_line(capsys, tmp_path, path
         assert err.count("\n") == 1
 
 
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, path_file):
+    # a UTF-8 file that starts with a byte-order mark reads as the same file
+    # without one, instance and solution alike
+    code, sol_text, _ = run(capsys, "solve", path_file, "--b", "1", "--k", "1", "--p", "3")
+    assert code == 0
+    plain = {"gr": PATH3, "json": sol_text}
+    runs = []
+    for bom in ("", "\ufeff"):
+        files = {}
+        for ext, text in plain.items():
+            f = tmp_path / f"{'bom' if bom else 'plain'}.{ext}"
+            f.write_text(bom + text, encoding="utf-8")
+            files[ext] = str(f)
+        runs.append([
+            run(capsys, "solve", files["gr"], "--b", "1", "--k", "1", "--p", "3"),
+            run(capsys, "verify", files["gr"], files["json"], "--b", "1", "--k", "1", "--p", "3"),
+        ])
+    assert (tmp_path / "bom.gr").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert runs[1] == runs[0]
+    assert [code for code, _, _ in runs[0]] == [0, 0]
+
+
 def test_gen_sat_takes_only_the_field_p_as_problem_line(capsys, tmp_path):
     src = tmp_path / "f.cnf"
     src.write_text("px cnf 1 1\n1 0\n")

@@ -27,6 +27,7 @@ from dakc import (
 from dakc import solver_bounded
 from dakc.solver_bounded import _piece_search, _pieces
 from helpers import (
+    adjacency_reference,
     bounded_search_reference,
     coloring_trial_reference,
     cycle_graph,
@@ -272,11 +273,12 @@ def _anchored_peel_reference(g, k, within, anchors):
     # k in-neighbours among those left is removed, one at a time, to a
     # fixpoint
     alive = set(vertices_of(within))
+    into = adjacency_reference(g.n, g.arcs())[1]
     changed = True
     while changed:
         changed = False
         for v in sorted(alive):
-            if not (anchors >> v) & 1 and sum(u in alive for u in g.in_adj[v]) < k:
+            if not (anchors >> v) & 1 and sum(u in alive for u in into[v]) < k:
                 alive.remove(v)
                 changed = True
     return vset(alive)

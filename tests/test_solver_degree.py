@@ -66,13 +66,17 @@ def test_strip_lifts_later_immediate_yes_through_removals():
 
 def test_high_k_examples():
     join = DirectedGraph.from_arcs(3, [(0, 2), (1, 2)])
-    v = solve_high_k(Instance(graph=join, b=2, k=2, p=3), max_degree=3)
+    v = solve_high_k(Instance(graph=join, b=2, k=2, p=3))
     assert v.is_yes and v.solution.anchors == vset([0, 1])
 
     single = DirectedGraph.from_arcs(2, [(0, 1)])
     assert solve_high_k(Instance(graph=single, b=1, k=2, p=2)).kind == "no"
 
     assert solve_high_k(Instance(graph=join, b=0, k=2, p=1)).kind == "no"
+
+    # the size cap reads the graph's own max degree, 2, not 2k - 1 = 3
+    v = solve_high_k(Instance(graph=path_graph(5), b=1, k=2, p=4))
+    assert v.kind == "no" and v.note == "every core here has at most 3 vertices"
 
 
 def test_high_k_answers_yes_exactly_at_its_size_bound():
@@ -91,8 +95,6 @@ def test_high_k_contract_errors():
     g = cycle_graph(4)
     with pytest.raises(ValueError, match="2k > max degree"):
         solve_high_k(Instance(graph=g, b=1, k=1, p=2))
-    with pytest.raises(ValueError, match="below the graph"):
-        solve_high_k(Instance(graph=g, b=1, k=2, p=2), max_degree=1)
 
 
 def test_half_k_examples():
@@ -100,17 +102,19 @@ def test_half_k_examples():
     assert v.is_yes
 
     cyc_iso = DirectedGraph.from_arcs(4, [(0, 1), (1, 2), (2, 0)])
-    v = solve_half_k(Instance(graph=cyc_iso, b=0, k=1, p=3), max_degree=2)
+    v = solve_half_k(Instance(graph=cyc_iso, b=0, k=1, p=3))
     assert v.is_yes and v.solution.core == vset([0, 1, 2])
 
     single = DirectedGraph.from_arcs(2, [(0, 1)])
-    v = solve_half_k(Instance(graph=single, b=0, k=1, p=1), max_degree=2)
+    v = solve_half_k(Instance(graph=single, b=0, k=1, p=1))
     assert v.kind == "no"
 
 
 def test_half_k_contract_error():
-    with pytest.raises(ValueError, match="2k = max degree"):
-        solve_half_k(Instance(graph=cycle_graph(3), b=1, k=2, p=2))
+    # vertex 3 has degree 3, above 2k = 2
+    claw = DirectedGraph.from_arcs(4, [(0, 3), (1, 3), (2, 3)])
+    with pytest.raises(ValueError, match="2k >= max degree"):
+        solve_half_k(Instance(graph=claw, b=1, k=1, p=2))
 
 
 def test_half_k_stage3_finds_large_core():
@@ -135,7 +139,7 @@ def test_half_k_stage3_soundness_in_isolation():
         p = rng.randint(1, n)
         inst = Instance(graph=g, b=b, k=k, p=p)
         with stage3_only():
-            v = solve_half_k(inst, max_degree=2 * k)
+            v = solve_half_k(inst)
         if v.is_yes:
             assert verify_solution(inst, v.solution)
 
@@ -148,7 +152,7 @@ def test_degree_sum_balance_on_found_solutions():
         k = rng.choice([1, 2])
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.3, 0.8))
         inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n))
-        v = solve_half_k(inst, max_degree=2 * k)
+        v = solve_half_k(inst)
         if not v.is_yes:
             continue
         core, anchors = v.solution.core, v.solution.anchors
@@ -187,7 +191,7 @@ def test_half_k_matches_oracle():
         k = rng.choice([1, 2])
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.2, 0.8))
         inst = Instance(graph=g, b=rng.randint(0, 2), k=k, p=rng.randint(1, n))
-        got = solve_half_k(inst, max_degree=2 * k)
+        got = solve_half_k(inst)
         expect = oracle_solve(inst)
         assert got.kind == expect.kind
         if got.is_yes:
@@ -346,8 +350,8 @@ def test_bounded_pipeline_matches_reference_kernels(monkeypatch, regime):
             return solve_dag(inst)
         if regime == "stage3":
             with stage3_only():
-                return solve_half_k(inst, max_degree=2 * inst.k)
-        return solve_half_k(inst, max_degree=2 * inst.k)
+                return solve_half_k(inst)
+        return solve_half_k(inst)
 
     pool = _kernel_pool(regime, random.Random(229), 150)
     got = [solve(inst) for inst in pool]
@@ -412,7 +416,7 @@ def test_stage3_skips_only_deletion_sets_with_no_separator(monkeypatch):
         del calls[:]
         paths_of.clear()
         with stage3_only():
-            got = solve_half_k(inst, max_degree=2 * k)
+            got = solve_half_k(inst)
         ran = [c for c in calls if c[1] is not None]
         expect, ref = stage3_reference(inst, 2 * k)
         assert got == expect
@@ -474,7 +478,7 @@ def test_stage3_flow_repair_decides_as_a_min_cut_from_scratch(monkeypatch):
         g = random_digraph_degree_capped(rng, n, 2 * k, rng.uniform(0.4, 0.9))
         inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
         with stage3_only():
-            solve_half_k(inst, max_degree=2 * k)
+            solve_half_k(inst)
     assert seen.count(True) >= 350 and seen.count(False) >= 150
 
 
@@ -492,7 +496,7 @@ def test_stage3_runs_each_deletion_guess_once_per_t(monkeypatch):
         inst = Instance(graph=g, b=rng.randint(1, 2), k=k, p=rng.randint(1, n))
         del calls[:]
         with stage3_only():
-            solve_half_k(inst, max_degree=2 * k)
+            solve_half_k(inst)
         pairs = [(t, deleted) for t, deleted, _ in calls if deleted is not None]
         assert len(pairs) == len(set(pairs))
         inner += len(pairs)

@@ -23,3 +23,22 @@ def test_package_imports_only_the_standard_library():
                 (path.name, name) for name in names if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def _gone_under_python_O(source: str) -> list[int]:
+    # python -O strips assert statements and fixes __debug__ to False, so a
+    # check written either way would vanish there
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+
+
+def test_package_checks_hold_under_python_O():
+    found = [(path.name, line) for path in SOURCES for line in _gone_under_python_O(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_python_O_guard_flags_asserts_and_debug_reads():
+    assert _gone_under_python_O("x = 1\nassert x\nif __debug__:\n    y = 2\n") == [2, 3]
